@@ -91,11 +91,9 @@ from .extension import (
 )
 from .tower import (
     Tower,
-    TowerElement,
     TowerSpec,
     project,
     rz_experiment,
-    tower_encode,
     tower_equal,
     tower_evaluate,
     tower_spec_from_json,

@@ -64,7 +64,10 @@ def path_span(G: FinGroup, start: int, w: Sequence[int]
     counts: TraversalCount = {}
     vertices = {start}
     cur = start
+    n = G.n_letters
     for x in w:
+        if not 0 < abs(x) <= n:
+            raise ValueError("letter %r outside alphabet" % (x,))
         if x > 0:
             e = (cur, x)
             cur = G.step(cur, x)

@@ -130,23 +130,11 @@ def enumerate_constellations(G: FinGroup,
                 verts.add(dst[i])
         if 0 not in verts:
             continue
-        parent = {v: v for v in verts}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        parts = len(verts)
-        for i in range(len(edges)):
-            if mask >> i & 1:
-                ra, rb = find(edges[i][0]), find(dst[i])
-                if ra != rb:
-                    parent[ra] = rb
-                    parts -= 1
-        if parts == 1:
-            candidates.append((mask, frozenset(verts)))
+        span = frozenset(edges[i] for i in range(len(edges))
+                         if mask >> i & 1)
+        verts = frozenset(verts)
+        if len(set(_span_components(verts, span, G).values())) == 1:
+            candidates.append((mask, verts))
 
     subgraph_cache: Dict[int, CayleySubgraph] = {}
 

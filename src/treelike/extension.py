@@ -62,78 +62,111 @@ class CertificateError(RuntimeError):
     violated precondition or an implementation bug."""
 
 
-@dataclass(frozen=True)
-class ExtElement:
-    """Element of the universal C_p-extension: base element id of G plus
-    a sparse cocycle, stored as a sorted tuple of ((vertex, letter),
-    nonzero residue) pairs."""
+def _is_prime(p) -> bool:
+    return (isinstance(p, int) and p >= 2
+            and all(p % q for q in range(2, int(p ** 0.5) + 1)))
 
-    base: int
+
+@dataclass(frozen=True, order=True)
+class ExtElement:
+    """Element of the universal C_p-extension: base element of G plus a
+    sparse cocycle, stored as a sorted tuple of ((vertex, letter),
+    nonzero residue) pairs.  The base is an element id when G is
+    enumerated and the ExtElement one level down when G is itself an
+    extension; the field order makes the ordering canonical at every
+    level, so it sorts cocycle keys."""
+
+    base: object
     cocycle: tuple
 
-    def cocycle_dict(self) -> Dict[Edge, int]:
+    def cocycle_dict(self) -> Dict[tuple, int]:
         return dict(self.cocycle)
 
     def support(self) -> int:
         return len(self.cocycle)
 
 
-def _pack(base: int, cocycle: Dict[Edge, int]) -> ExtElement:
+def _pack(base, cocycle: Dict[tuple, int]) -> ExtElement:
     return ExtElement(base, tuple(sorted(
         (k, v) for k, v in cocycle.items() if v)))
 
 
 class ExtContext:
-    """Arithmetic for the universal C_p-extension of a fixed G."""
+    """Arithmetic for the universal C_p-extension of a fixed G.
 
-    def __init__(self, G: FinGroup, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+    G is an enumerated FinGroup, whose elements are ids, or the
+    ExtContext of the level below, whose ExtElements are never
+    enumerated; the base arithmetic is bound once here, so mul does not
+    branch on the kind of base."""
+
+    def __init__(self, G, p: int):
+        if not _is_prime(p):
             raise ValueError("p must be prime, got %r" % (p,))
         self.G = G
         self.p = p
-        self.identity = ExtElement(0, ())
+        self.n_letters = G.n_letters
+        if isinstance(G, FinGroup):
+            self._mul, self._inv, self._one = G.mul_ids, G.inv_id, 0
+        else:
+            self._mul, self._inv, self._one = G.mul, G.inv, G.identity
+        self._step = G.step
+        self.identity = ExtElement(self._one, ())
+        self._images: Dict[int, ExtElement] = {}
 
     def letter(self, a: int) -> ExtElement:
         """Image of base letter a: ([a]_G, one unit on the edge (1, a))."""
-        return ExtElement(self.G.evaluate((a,)), (((0, a), 1),))
+        return ExtElement(self._step(self._one, a), (((self._one, a), 1),))
+
+    def step(self, x: ExtElement, letter: int) -> ExtElement:
+        """x times the image of a signed letter."""
+        g = self._images.get(letter)
+        if g is None:
+            g = self.letter(abs(letter))
+            if letter < 0:
+                g = self.inv(g)
+            self._images[letter] = g
+        return self.mul(x, g)
 
     def mul(self, x: ExtElement, y: ExtElement) -> ExtElement:
-        G, p = self.G, self.p
+        mul, p = self._mul, self.p
         c = dict(x.cocycle)
         for (v, a), val in y.cocycle:
-            key = (G.mul_ids(x.base, v), a)
+            key = (mul(x.base, v), a)
             c[key] = (c.get(key, 0) + val) % p
-        return _pack(G.mul_ids(x.base, y.base), c)
+        return _pack(mul(x.base, y.base), c)
 
     def inv(self, x: ExtElement) -> ExtElement:
-        G, p = self.G, self.p
-        b = G.inv_id(x.base)
+        mul, p = self._mul, self.p
+        b = self._inv(x.base)
         c = {}
         for (v, a), val in x.cocycle:
-            c[(G.mul_ids(b, v), a)] = -val % p
+            c[(mul(b, v), a)] = -val % p
         return _pack(b, c)
 
     def evaluate(self, w: Sequence[int]) -> ExtElement:
         """Walk the Cayley graph of G from 1 reading w, adding +1/-1 mod
         p on each traversed positive edge.  Agrees with the product of
         letter images (tested); base is [w]_G."""
-        G, p = self.G, self.p
-        cur = 0
-        c: Dict[Edge, int] = {}
+        step, p, n = self._step, self.p, self.n_letters
+        cur = self._one
+        c: Dict[tuple, int] = {}
         for x in w:
+            if not 0 < abs(x) <= n:
+                raise ValueError("letter %r outside alphabet" % (x,))
             if x > 0:
                 e = (cur, x)
-                cur = G.step(cur, x)
+                cur = step(cur, x)
                 c[e] = (c.get(e, 0) + 1) % p
             else:
-                cur = G.step(cur, x)
+                cur = step(cur, x)
                 e = (cur, -x)
                 c[e] = (c.get(e, 0) - 1) % p
         return _pack(cur, c)
 
     def fin_group(self, name: Optional[str] = None,
                   enum_budget: Optional[int] = None) -> FinGroup:
-        """The extension as an A-generated FinGroup over ExtElements."""
+        """The extension as an A-generated FinGroup over ExtElements;
+        needs an enumerated G."""
         G = self.G
         gens = [self.letter(a) for a in range(1, G.n_letters + 1)]
         return FinGroup(G.alphabet, gens, self.identity, self.mul, self.inv,
@@ -178,22 +211,7 @@ class SEqualResult:
 
 def _generates(S: FinGroup, ids: Sequence[int]) -> bool:
     """Whether the given element ids generate S."""
-    n = S.order()
-    seen = {0}
-    frontier = [0]
-    gens = [i for i in set(ids) if i != 0]
-    if not gens:
-        return n == 1
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = S.mul_ids(x, g)
-            if y not in seen:
-                seen.add(y)
-                if len(seen) == n:
-                    return True
-                frontier.append(y)
-    return len(seen) == n
+    return len(S.subgroup(ids)) == S.order()
 
 
 def _letter_image_ids(S: FinGroup) -> List[int]:

@@ -11,7 +11,7 @@ their own element arithmetic.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .words import Word, reduce_word
 
@@ -179,6 +179,22 @@ class FinGroup:
     def inv_id(self, i: int) -> int:
         self._enumerate()
         return self._index[self.inv(self._elems[i])]
+
+    def subgroup(self, ids: Iterable[int]) -> frozenset:
+        """Ids of the subgroup generated by the given ids.  Closing 1
+        under right multiplication by the generators suffices: in a
+        finite group every inverse is a positive power."""
+        gens = [g for g in set(ids) if g]
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = self.mul_ids(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        return frozenset(seen)
 
     def order_of(self, i: int) -> int:
         n, j = 1, i

@@ -235,21 +235,7 @@ def schreier(G: FinGroup, H_gens: Sequence[Word]) -> LabeledGraph:
     G: vertices are cosets Hg, with a-edges Hg -> Hga.  Complete, folded,
     basepointed at H."""
     n = G.order()
-    h_ids = sorted({G.evaluate(w) for w in H_gens} | {0})
-    # subgroup closure of the generator images
-    h_set = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for y in h_ids:
-            z = G.mul_ids(x, y)
-            if z not in h_set:
-                h_set.add(z)
-                frontier.append(z)
-            z = G.mul_ids(x, G.inv_id(y))
-            if z not in h_set:
-                h_set.add(z)
-                frontier.append(z)
+    h_set = G.subgroup(G.evaluate(w) for w in H_gens)
     coset_of = [-1] * n
     reps = []
     for g_id in range(n):
@@ -270,29 +256,18 @@ def schreier(G: FinGroup, H_gens: Sequence[Word]) -> LabeledGraph:
 def complete_arbitrary(g: LabeledGraph) -> LabeledGraph:
     """Embed a folded graph into a complete one by pairing, per letter,
     the vertices missing an outgoing a-edge with those missing an
-    incoming one (sorted order).  For folded input the two deficiency
-    lists always have equal length, so no vertex is ever added; a single
-    auxiliary vertex is the fallback when one pairing is short."""
+    incoming one (sorted order).  Folded input has one a-edge out of and
+    into at most one vertex each, so both lists have |V| - #a-edges
+    entries and no vertex is added."""
     out, inn = transition_maps(g)
     edges = set(g.pos_edges)
-    vertices = set(g.vertices)
-    aux = None
     for a in range(1, g.n_letters + 1):
-        no_out = _sorted(v for v in vertices if (v, a) not in out)
-        no_in = _sorted(v for v in vertices if (v, a) not in inn)
-        if len(no_out) != len(no_in):
-            if aux is None:
-                aux = max((v for v in vertices if isinstance(v, int)), default=-1) + 1
-                vertices.add(aux)
-            short = no_out if len(no_out) < len(no_in) else no_in
-            short.append(aux)
-            if len(no_out) != len(no_in):
-                raise ValueError("cannot complete with one auxiliary vertex")
+        no_out = _sorted(v for v in g.vertices if (v, a) not in out)
+        no_in = _sorted(v for v in g.vertices if (v, a) not in inn)
         for s, d in zip(no_out, no_in):
             edges.add((s, a, d))
-            out[(s, a)] = d
-            inn[(d, a)] = s
-    return LabeledGraph(vertices, edges, basepoint=g.basepoint, alphabet=g.alphabet)
+    return LabeledGraph(g.vertices, edges, basepoint=g.basepoint,
+                        alphabet=g.alphabet)
 
 
 def transition_group(g: LabeledGraph, name: str = "T") -> FinGroup:

@@ -1,16 +1,19 @@
-"""Iterated universal C_p-extensions with element-local arithmetic.
+"""Iterated universal C_p-extensions as a chain of extension contexts.
 
 A tower starts from a separated finite A-generated base group G_0 and
 sets G_n = the universal C_{p_n}-extension of G_{n-1}.  Orders grow as
-|G_n| * p^(|G_n|(|A|-1)+1), so levels beyond 1 cannot be enumerated;
-instead elements are represented recursively: a level-n element is a
-level-(n-1) element together with a sparse cocycle mapping edges of the
-level-(n-1) Cayley graph (element, letter) to residues mod p_n.
+|G_n| * p^(|G_n|(|A|-1)+1), so levels beyond 1 cannot be enumerated.
+Level n's arithmetic is an ExtContext whose base is the ExtContext of
+level n-1 (the base group itself at level 1): a level-n element is an
+ExtElement holding its level-(n-1) projection and a sparse cocycle
+over level-(n-1) Cayley edges (element, letter) with residues mod p_n.
 Multiplication shifts the right cocycle by the left base element, one
 level down, and never touches elements outside the operands' supports.
-Structural equality of the canonical encoding (sorted sparse keys, no
-zero entries) is group equality, level by level, by the same
-faithfulness argument as for the single-step model.
+Equality of elements is group equality, level by level, by the
+faithfulness argument of the single-step model; ExtElement ordering
+keeps each cocycle's keys in canonical order.  When a level fits the
+enumeration budget, `Tower.group` enumerates the next one over its
+element ids instead, exactly as the CLI's NAME^p^q does.
 
 The campaign runner gathers finite-level evidence for tree-likeness of
 the inverse limit: at each enumerable level it checks that the next
@@ -25,11 +28,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .constellations import dissolves_all, sample_constellations
-from .extension import CertificateError, dissolving_certificate
+from .extension import (CertificateError, ExtContext, ExtElement, _is_prime,
+                        dissolving_certificate, extension_group)
 from .groups import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError, FinGroup,
                      builtin, group_from_json)
 from .rational import member_product
@@ -38,10 +41,6 @@ from .stallings import LabeledGraph
 from .words import Word, is_reduced, word_str
 
 MAX_LEVEL = 3
-
-
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % q for q in range(2, int(p ** 0.5) + 1))
 
 
 @dataclass(frozen=True)
@@ -63,62 +62,47 @@ class TowerSpec:
             if not _is_prime(p):
                 raise ValueError("tower level primes must be prime, got %r"
                                  % (p,))
+        for field in ("max_level", "enum_budget"):
+            if not isinstance(getattr(self, field), int):
+                raise ValueError("tower %s must be an integer, got %r"
+                                 % (field, getattr(self, field)))
         if not self.base.separated():
             raise ValueError("base group must have distinct nonidentity "
                              "letter images (>= 2 letters)")
 
 
-@dataclass(frozen=True)
-class TowerElement:
-    """Element of G_level: an id at level 0, else the projection one
-    level down plus a sparse cocycle over level-(level-1) Cayley edges,
-    stored as a tuple sorted by encoded key."""
-
-    level: int
-    value: int = 0
-    prev: Optional["TowerElement"] = None
-    cocycle: tuple = ()
-
-    def support(self) -> int:
-        return len(self.cocycle)
+def _level(e) -> int:
+    """Level of a tower element: the number of ExtElement layers above
+    its base-group id."""
+    n = 0
+    while isinstance(e, ExtElement):
+        e, n = e.base, n + 1
+    return n
 
 
-@lru_cache(maxsize=None)
-def tower_encode(e: TowerElement) -> bytes:
-    """Canonical length-prefixed serialization; injective per level, so
-    it doubles as a sort key and wire format."""
-    if e.level == 0:
-        return b"0,%d" % e.value
-    prev = tower_encode(e.prev)
-    parts = [b"%d,%d:%s" % (e.level, len(prev), prev)]
-    for (k, a), r in e.cocycle:
-        ke = tower_encode(k)
-        parts.append(b"%d:%s,%d,%d" % (len(ke), ke, a, r))
-    return b";".join(parts)
-
-
-def tower_equal(e1: TowerElement, e2: TowerElement) -> bool:
-    """Structural equality; exact group equality by faithfulness."""
-    if e1.level != e2.level:
+def tower_equal(e1, e2) -> bool:
+    """Exact group equality of two elements of one level."""
+    if _level(e1) != _level(e2):
         raise ValueError("elements live at different levels")
     return e1 == e2
 
 
-def project(e: TowerElement) -> TowerElement:
+def project(e: ExtElement):
     """Canonical projection one level down."""
-    if e.level == 0:
+    if not isinstance(e, ExtElement):
         raise ValueError("level-0 elements have no projection")
-    return e.prev
+    return e.base
 
 
 class Tower:
-    """Arithmetic context over a TowerSpec, with per-level caches."""
+    """Lazy chain of per-level arithmetic over a TowerSpec: the base
+    FinGroup (element ids) at level 0 and an ExtContext over the level
+    below at each level n >= 1."""
 
     def __init__(self, spec: TowerSpec):
         self.spec = spec
-        self._letters: Dict[Tuple[int, int], TowerElement] = {}
-        self._identities: Dict[int, TowerElement] = {}
-        self._groups: Dict[int, FinGroup] = {}
+        self._contexts: List = [spec.base]
+        self._groups: Dict[int, FinGroup] = {0: spec.base}
 
     def _check_level(self, n: int) -> None:
         if n < 0:
@@ -133,101 +117,52 @@ class Tower:
         """Prime of the step G_{n-1} -> G_n."""
         return self.spec.primes[n - 1]
 
-    def identity(self, n: int) -> TowerElement:
-        got = self._identities.get(n)
-        if got is None:
-            if n == 0:
-                got = TowerElement(0, 0)
-            else:
-                got = TowerElement(n, prev=self.identity(n - 1))
-            self._identities[n] = got
-        return got
+    def _context(self, n: int):
+        """Arithmetic of G_n: the base FinGroup at level 0, else the
+        ExtContext over level n-1."""
+        while len(self._contexts) <= n:
+            k = len(self._contexts)
+            self._contexts.append(ExtContext(self._contexts[-1],
+                                             self.prime(k)))
+        return self._contexts[n]
 
-    def letter(self, n: int, a: int) -> TowerElement:
-        got = self._letters.get((n, a))
-        if got is None:
-            if n == 0:
-                got = TowerElement(0, self.spec.base.evaluate((a,)))
-            else:
-                got = TowerElement(n, prev=self.letter(n - 1, a),
-                                   cocycle=(((self.identity(n - 1), a), 1),))
-            self._letters[(n, a)] = got
-        return got
-
-    def _pack(self, n: int, prev: TowerElement,
-              c: Dict[tuple, int]) -> TowerElement:
-        items = [(k, v) for k, v in c.items() if v]
-        items.sort(key=lambda kv: (tower_encode(kv[0][0]), kv[0][1]))
-        return TowerElement(n, prev=prev, cocycle=tuple(items))
-
-    def mul(self, x: TowerElement, y: TowerElement) -> TowerElement:
-        if x.level != y.level:
-            raise ValueError("elements live at different levels")
-        if x.level == 0:
-            return TowerElement(0, self.spec.base.mul_ids(x.value, y.value))
-        p = self.prime(x.level)
-        c = dict(x.cocycle)
-        for (k, a), r in y.cocycle:
-            key = (self.mul(x.prev, k), a)
-            c[key] = (c.get(key, 0) + r) % p
-        return self._pack(x.level, self.mul(x.prev, y.prev), c)
-
-    def inv(self, x: TowerElement) -> TowerElement:
-        if x.level == 0:
-            return TowerElement(0, self.spec.base.inv_id(x.value))
-        p = self.prime(x.level)
-        b = self.inv(x.prev)
-        c = {}
-        for (k, a), r in x.cocycle:
-            c[(self.mul(b, k), a)] = -r % p
-        return self._pack(x.level, b, c)
-
-    def evaluate(self, n: int, w: Sequence[int]) -> TowerElement:
-        """Image of w in G_n: walk the level-(n-1) Cayley graph from the
-        identity, adding +1/-1 mod p_n on each traversed positive edge
-        keyed by the current lower-level position."""
+    def identity(self, n: int):
         self._check_level(n)
+        return self._context(n).identity if n else 0
+
+    def mul(self, x, y):
+        n = _level(x)
+        if n != _level(y):
+            raise ValueError("elements live at different levels")
         if n == 0:
-            return TowerElement(0, self.spec.base.evaluate(w))
-        p = self.prime(n)
-        pos = self.identity(n - 1)
-        c: Dict[tuple, int] = {}
-        for x in w:
-            a = abs(x)
-            if not 1 <= a <= self.spec.base.n_letters:
-                raise ValueError("letter %r outside alphabet" % (x,))
-            if x > 0:
-                key = (pos, a)
-                c[key] = (c.get(key, 0) + 1) % p
-                pos = self.mul(pos, self.letter(n - 1, a))
-            else:
-                pos = self.mul(pos, self.inv(self.letter(n - 1, a)))
-                key = (pos, a)
-                c[key] = (c.get(key, 0) - 1) % p
-        return self._pack(n, pos, c)
+            return self.spec.base.mul_ids(x, y)
+        return self._context(n).mul(x, y)
+
+    def inv(self, x):
+        n = _level(x)
+        if n == 0:
+            return self.spec.base.inv_id(x)
+        return self._context(n).inv(x)
+
+    def evaluate(self, n: int, w: Sequence[int]):
+        """Image of w in G_n: an id at level 0, else an ExtElement."""
+        self._check_level(n)
+        return self._context(n).evaluate(w)
 
     def group(self, n: int) -> FinGroup:
-        """G_n as an enumerable FinGroup (level 0 is the base itself);
-        enumeration overflow propagates for large levels."""
+        """G_n as an enumerable FinGroup over the ids of G_{n-1} (level 0
+        is the base itself); enumeration overflow propagates for large
+        levels."""
         self._check_level(n)
         got = self._groups.get(n)
         if got is None:
-            base = self.spec.base
-            if n == 0:
-                got = base
-            else:
-                gens = [self.letter(n, a)
-                        for a in range(1, base.n_letters + 1)]
-                got = FinGroup(base.alphabet, gens, self.identity(n),
-                               self.mul, self.inv,
-                               name="%s^%s" % (base.name, "^".join(
-                                   str(p) for p in self.spec.primes[:n])),
-                               enum_budget=self.spec.enum_budget)
+            got = extension_group(self.group(n - 1), self.prime(n),
+                                  enum_budget=self.spec.enum_budget)
             self._groups[n] = got
         return got
 
 
-def tower_evaluate(spec: TowerSpec, n: int, w: Sequence[int]) -> TowerElement:
+def tower_evaluate(spec: TowerSpec, n: int, w: Sequence[int]):
     return Tower(spec).evaluate(n, w)
 
 
@@ -374,19 +309,8 @@ def rz_experiment(spec: TowerSpec, cores: Sequence[LabeledGraph], w: Word,
         except EnumerationBudgetError:
             report["levels"].append({"level": n, "overflow": True})
             break
-        sub_ids = []
-        for gen_words in gens:
-            ids = {0}
-            frontier = [0]
-            images = [G.evaluate(g) for g in gen_words]
-            while frontier:
-                x = frontier.pop()
-                for i in images:
-                    for y in (G.mul_ids(x, i), G.mul_ids(x, G.inv_id(i))):
-                        if y not in ids:
-                            ids.add(y)
-                            frontier.append(y)
-            sub_ids.append(ids)
+        sub_ids = [G.subgroup(G.evaluate(g) for g in gen_words)
+                   for gen_words in gens]
         product = {0}
         for ids in sub_ids:
             product = {G.mul_ids(x, h) for x in product for h in ids}

@@ -8,11 +8,9 @@ from treelike.stallings import stallings_graph
 from treelike.tower import (
     MAX_LEVEL,
     Tower,
-    TowerElement,
     TowerSpec,
     project,
     rz_experiment,
-    tower_encode,
     tower_equal,
     tower_evaluate,
     tower_spec_from_json,
@@ -44,9 +42,8 @@ def test_level_zero_is_base():
     for _ in range(50):
         w = random_reduced_word(rng, 2, rng.randint(0, 8))
         e = t.evaluate(0, w)
-        assert e.level == 0
-        assert e.value == G.evaluate(w)
-    assert t.identity(0) == TowerElement(0, 0)
+        assert e == G.evaluate(w)
+    assert t.identity(0) == 0
 
 
 def test_level_one_matches_single_step_model():
@@ -56,11 +53,7 @@ def test_level_one_matches_single_step_model():
     rng = random.Random(67)
     for _ in range(500):
         w = random_reduced_word(rng, 2, rng.randint(0, 10))
-        lvl = t.evaluate(1, w)
-        ext = ext_evaluate(G, 2, w)
-        assert lvl.prev.value == ext.base
-        assert {(k.value, a): r for (k, a), r in lvl.cocycle} \
-            == ext.cocycle_dict()
+        assert t.evaluate(1, w) == ext_evaluate(G, 2, w)
 
 
 def test_tower_equal():
@@ -139,18 +132,6 @@ def test_commutator_nontrivial_above_base():
     lvl2 = t.evaluate(2, comm)
     assert lvl2 != t.identity(2)
     assert lvl2.support() <= len(comm)
-
-
-def test_encode_is_equality_surrogate():
-    spec = _spec(primes=(2, 3))
-    t = Tower(spec)
-    rng = random.Random(89)
-    for _ in range(80):
-        u = random_reduced_word(rng, 2, rng.randint(0, 8))
-        v = random_reduced_word(rng, 2, rng.randint(0, 8))
-        for n in (0, 1, 2):
-            x, y = t.evaluate(n, u), t.evaluate(n, v)
-            assert (tower_encode(x) == tower_encode(y)) == tower_equal(x, y)
 
 
 def test_level_guards():
