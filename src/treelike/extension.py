@@ -43,6 +43,7 @@ of this identification by brute force.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -111,21 +112,23 @@ class ExtContext:
             self._mul, self._inv, self._one = G.mul, G.inv, G.identity
         self._step = G.step
         self.identity = ExtElement(self._one, ())
-        self._images: Dict[int, ExtElement] = {}
 
     def letter(self, a: int) -> ExtElement:
         """Image of base letter a: ([a]_G, one unit on the edge (1, a))."""
         return ExtElement(self._step(self._one, a), (((self._one, a), 1),))
 
     def step(self, x: ExtElement, letter: int) -> ExtElement:
-        """x times the image of a signed letter."""
-        g = self._images.get(letter)
-        if g is None:
-            g = self.letter(abs(letter))
-            if letter < 0:
-                g = self.inv(g)
-            self._images[letter] = g
-        return self.mul(x, g)
+        """x times the image of a signed letter: one step of the signed
+        Cayley walk.  Only the traversed edge changes, (x.base, a) by +1
+        for a letter a and (x.base a^-1, a) by -1 for a^-1."""
+        base = self._step(x.base, letter)
+        key, d = ((x.base, letter), 1) if letter > 0 else ((base, -letter), -1)
+        c = x.cocycle
+        i = bisect_left(c, (key,))
+        hit = i < len(c) and c[i][0] == key
+        val = ((c[i][1] if hit else 0) + d) % self.p
+        return ExtElement(base, c[:i] + (((key, val),) if val else ())
+                          + c[i + hit:])
 
     def mul(self, x: ExtElement, y: ExtElement) -> ExtElement:
         mul, p = self._mul, self.p
@@ -171,7 +174,10 @@ class ExtContext:
         gens = [self.letter(a) for a in range(1, G.n_letters + 1)]
         return FinGroup(G.alphabet, gens, self.identity, self.mul, self.inv,
                         name=name or "%s^%d" % (G.name, self.p),
-                        enum_budget=enum_budget or G.enum_budget)
+                        enum_budget=(G.enum_budget if enum_budget is None
+                                     else enum_budget),
+                        step=self.step,
+                        exact_order=lambda: ext_order(G, G.n_letters, self.p))
 
 
 def ext_evaluate(G: FinGroup, p: int, w: Sequence[int]) -> ExtElement:

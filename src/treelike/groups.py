@@ -5,7 +5,8 @@ A FinGroup is a group generated by one element per alphabet letter.  The
 element domain is opaque: elements only need to be hashable and to come
 with multiplication/inversion callables.  Permutation groups (tuples of
 images, acting on the right) cover all builtins; extension groups plug in
-their own element arithmetic.
+their own element arithmetic, walk step and exact order.  Enumeration is
+a BFS over element steps; afterwards ids multiply through its tables.
 """
 
 from __future__ import annotations
@@ -45,15 +46,20 @@ def perm_inv(p: tuple) -> tuple:
 class FinGroup:
     """A-generated finite group with a lazily built element table.
 
-    Enumeration is a BFS from the identity over generator and inverse
-    generator steps; element ids are BFS discovery order (identity = 0)
-    and each element stores a shortest witness word.
+    Enumeration is a BFS from the identity over the element step
+    step(x, +-a) = x * (image of a)^(+-1), by default a multiplication;
+    element ids are BFS discovery order (identity = 0) and each element
+    stores a shortest witness word.  Ids multiply through the step
+    tables: i * j walks witness(j) from i.  Given exact_order(), an order
+    above enum_budget is refused before any BFS work.
     """
 
     def __init__(self, alphabet: Sequence[str], gens: Sequence, identity,
                  mul: Callable, inv: Callable, name: str = "G",
                  degree: Optional[int] = None,
-                 enum_budget: int = DEFAULT_ENUM_BUDGET):
+                 enum_budget: int = DEFAULT_ENUM_BUDGET,
+                 step: Optional[Callable] = None,
+                 exact_order: Optional[Callable[[], int]] = None):
         if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet names must be distinct")
         if len(gens) != len(alphabet):
@@ -66,11 +72,19 @@ class FinGroup:
         self.name = name
         self.degree = degree
         self.enum_budget = enum_budget
+        if step is None:
+            images = {}
+            for a, g in enumerate(self.gens, 1):
+                images[a], images[-a] = g, inv(g)
+
+            def step(x, letter):
+                return mul(x, images[letter])
+        self._elem_step = step
+        self._exact_order = exact_order
         self._elems: Optional[list] = None
         self._index: Optional[dict] = None
         self._witness: Optional[list] = None
-        self._steps: Optional[list] = None      # per letter: list of successor ids
-        self._steps_inv: Optional[list] = None
+        self._tables: Optional[dict] = None     # signed letter -> successor ids
         self._exponent: Optional[int] = None
 
     @classmethod
@@ -99,33 +113,34 @@ class FinGroup:
     def _enumerate(self) -> None:
         if self._elems is not None:
             return
-        gens = list(self.gens)
-        gens_inv = [self.inv(g) for g in gens]
+        if (self._exact_order is not None
+                and self._exact_order() > self.enum_budget):
+            raise EnumerationBudgetError(
+                self.enum_budget, "enumeration of %s" % self.name)
+        step = self._elem_step
+        letters = [s for a in range(1, len(self.gens) + 1) for s in (a, -a)]
         elems = [self.identity]
         index = {self.identity: 0}
         witness: list[Word] = [()]
-        steps = [[] for _ in gens]
-        steps_inv = [[] for _ in gens]
+        tables = {letter: [] for letter in letters}
         i = 0
         while i < len(elems):
             x = elems[i]
-            for a in range(len(gens)):
-                for table, g, letter in ((steps[a], gens[a], a + 1),
-                                         (steps_inv[a], gens_inv[a], -(a + 1))):
-                    y = self.mul(x, g)
-                    j = index.get(y)
-                    if j is None:
-                        j = len(elems)
-                        if j >= self.enum_budget:
-                            raise EnumerationBudgetError(
-                                self.enum_budget, "enumeration of %s" % self.name)
-                        elems.append(y)
-                        index[y] = j
-                        witness.append(witness[i] + (letter,))
-                    table.append(j)
+            for letter in letters:
+                y = step(x, letter)
+                j = index.get(y)
+                if j is None:
+                    j = len(elems)
+                    if j >= self.enum_budget:
+                        raise EnumerationBudgetError(
+                            self.enum_budget, "enumeration of %s" % self.name)
+                    elems.append(y)
+                    index[y] = j
+                    witness.append(witness[i] + (letter,))
+                tables[letter].append(j)
             i += 1
         self._elems, self._index, self._witness = elems, index, witness
-        self._steps, self._steps_inv = steps, steps_inv
+        self._tables = tables
 
     def order(self) -> int:
         self._enumerate()
@@ -147,9 +162,7 @@ class FinGroup:
     def step(self, i: int, letter: int) -> int:
         """Cayley neighbor: id of element(i) * letter image."""
         self._enumerate()
-        if letter > 0:
-            return self._steps[letter - 1][i]
-        return self._steps_inv[-letter - 1][i]
+        return self._tables[letter][i]
 
     def evaluate(self, w: Sequence[int]) -> int:
         """Element id of [w]_G."""
@@ -168,17 +181,25 @@ class FinGroup:
         for s in w:
             if not s or abs(s) > len(self.gens):
                 raise ValueError("letter %r outside alphabet" % (s,))
-            g = self.gens[abs(s) - 1]
-            x = self.mul(x, g if s > 0 else self.inv(g))
+            x = self._elem_step(x, s)
         return x
 
     def mul_ids(self, i: int, j: int) -> int:
+        """Id of element(i) * element(j): walk witness(j) from i."""
         self._enumerate()
-        return self._index[self.mul(self._elems[i], self._elems[j])]
+        tables = self._tables
+        for x in self._witness[j]:
+            i = tables[x][i]
+        return i
 
     def inv_id(self, i: int) -> int:
+        """Id of element(i)^-1: walk witness(i) backwards from 0."""
         self._enumerate()
-        return self._index[self.inv(self._elems[i])]
+        tables = self._tables
+        j = 0
+        for x in reversed(self._witness[i]):
+            j = tables[-x][j]
+        return j
 
     def subgroup(self, ids: Iterable[int]) -> frozenset:
         """Ids of the subgroup generated by the given ids.  Closing 1

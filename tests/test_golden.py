@@ -1,4 +1,5 @@
-"""Frozen CLI reports: stdout and exit code of tower, rz and extend runs.
+"""Frozen CLI reports: stdout and exit code of tower, rz, extend and
+dissolve runs.
 
 Each case's stdout is compared byte for byte with tests/golden/<name>.json.
 To rewrite the files after an intended change of report content, run
@@ -42,6 +43,12 @@ CASES = [
       "--w", "b a"], 0),
     ("extend_c2xc2_p3",
      ["extend", "C2xC2", "--p", "3", "--eq", "a b", "b a"], 0),
+    # level 2 and C2xC2^2^2 are refused by their exact order
+    ("tower_c2xc2_two_levels_readme",
+     ["tower", "--base", "C2xC2", "--primes", "2,2", "--levels", "2",
+      "--mode", "sampled", "--samples", "50", "--detail-limit", "3"], 0),
+    ("dissolve_c2xc2_2_2_refused",
+     ["dissolve", "--H", "C2xC2^2^2", "--G", "C2xC2"], 2),
 ]
 
 
