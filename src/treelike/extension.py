@@ -51,8 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .cayley import Edge, borders, path_span
 from .constellations import Constellation, _span_components
 from .groups import EnumerationBudgetError, FinGroup
-from .rewriting import (basis_index, exponent_sums, nielsen_basis, rewrite,
-                        spanning_tree_avoiding)
+from .rewriting import exponent_sums, rewrite, spanning_tree_avoiding
 from .words import Word, concat, invert_word, reduce_word
 
 S_EQUAL_BUDGET = 10**8
@@ -285,8 +284,7 @@ def s_equal(G: FinGroup, S: FinGroup, u: Sequence[int], v: Sequence[int],
     if G.evaluate(w) != 0:
         return SEqualResult("distinct")
     tree = spanning_tree_avoiding(G)
-    basis = nielsen_basis(G, tree)
-    r = len(basis)
+    r = len(tree.index)
     factors = rewrite(G, tree, w)
     if not factors:
         return SEqualResult("equal", rank=r)
@@ -446,11 +444,10 @@ def dissolving_certificate(G: FinGroup, c: Constellation, u: Word, v: Word,
     tree = spanning_tree_avoiding(G, e, f)
     sums = exponent_sums(rewrite(G, tree, reduce_word(
         concat(tuple(u), invert_word(tuple(v))))))
-    index = basis_index(nielsen_basis(G, tree))
-    if sums.get(index[e], 0) != u_counts.get(e, 0):
+    if sums.get(tree.index[e], 0) != u_counts.get(e, 0):
         raise CertificateError("rewriting disagrees with traversal count "
                                "at e")
-    if sums.get(index[f], 0) != -v_counts.get(f, 0):
+    if sums.get(tree.index[f], 0) != -v_counts.get(f, 0):
         raise CertificateError("rewriting disagrees with traversal count "
                                "at f")
     return Certificate(e=e, f=f,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cayley import Edge
@@ -33,6 +34,17 @@ class SpanningTree:
     group: FinGroup
     tree_edges: frozenset
     parent: tuple  # parent[v] = (u, signed letter) or None at the root
+
+    @cached_property
+    def index(self) -> Dict[Edge, int]:
+        """Basis index of each non-tree positive edge, in (vertex id,
+        letter) order; the kernel basis has exactly these |G|(|A|-1)+1
+        elements, so certificates need no basis words."""
+        G, tree_edges = self.group, self.tree_edges
+        letters = range(1, G.n_letters + 1)
+        edges = [(g, a) for g in range(G.order()) for a in letters
+                 if (g, a) not in tree_edges]
+        return {edge: i for i, edge in enumerate(edges)}
 
     def path_word(self, v: int) -> Word:
         """Label of the tree path from the root to v."""
@@ -64,15 +76,18 @@ def spanning_tree_avoiding(G: FinGroup, e: Optional[Edge] = None,
     queue = [0]
     head = 0
     letters = [x for a in range(1, G.n_letters + 1) for x in (a, -a)]
+    step = G.step
     while head < len(queue):
         g = queue[head]
         head += 1
         if rng is not None:
             rng.shuffle(letters)
         for x in letters:
-            h = G.step(g, x)
+            h = step(g, x)
+            if seen[h]:
+                continue
             edge = (g, x) if x > 0 else (h, -x)
-            if edge in avoid or seen[h]:
+            if edge in avoid:
                 continue
             seen[h] = True
             parent[h] = (g, x)
@@ -93,17 +108,13 @@ class BasisWord:
 
 
 def nielsen_basis(G: FinGroup, tree: SpanningTree) -> List[BasisWord]:
-    """One basis word per non-tree positive edge, in (vertex id, letter)
-    order; there are exactly |G|(|A|-1)+1 of them."""
-    n = G.order()
+    """One basis word per non-tree positive edge, in the order of
+    tree.index; there are exactly |G|(|A|-1)+1 of them."""
     basis = []
-    for g in range(n):
-        for a in range(1, G.n_letters + 1):
-            if (g, a) in tree.tree_edges:
-                continue
-            w = concat(concat(tree.path_word(g), (a,)),
-                       invert_word(tree.path_word(G.step(g, a))))
-            basis.append(BasisWord((g, a), w))
+    for g, a in tree.index:
+        w = concat(concat(tree.path_word(g), (a,)),
+                   invert_word(tree.path_word(G.step(g, a))))
+        basis.append(BasisWord((g, a), w))
     return basis
 
 
@@ -116,17 +127,20 @@ def rewrite(G: FinGroup, tree: SpanningTree, w: Sequence[int]
     """Rewrite a closed path at 1 into (basis index, +-1) factors.
 
     Streams over the walk: tree edges are dropped, every non-tree edge
-    (g, a) contributes its basis index with the traversal sign.  The
-    concatenation of the corresponding basis words reduces to red(w).
+    (g, a) contributes its basis index tree.index[(g, a)] with the
+    traversal sign; no basis word is built.  The concatenation of the
+    corresponding basis words (nielsen_basis) reduces to red(w).
     """
-    index = basis_index(nielsen_basis(G, tree))
+    index, n = tree.index, G.n_letters
     out = []
     g = 0
     for x in w:
+        if not 0 < abs(x) <= n:
+            raise ValueError("letter %r outside alphabet" % (x,))
         h = G.step(g, x)
-        edge = (g, x) if x > 0 else (h, -x)
-        if edge not in tree.tree_edges:
-            out.append((index[edge], 1 if x > 0 else -1))
+        i = index.get((g, x) if x > 0 else (h, -x))
+        if i is not None:
+            out.append((i, 1 if x > 0 else -1))
         g = h
     if g != 0:
         raise ValueError("word is not a closed path at the identity")

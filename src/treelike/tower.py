@@ -30,7 +30,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from .constellations import dissolves_all, sample_constellations
+from .constellations import (EXHAUSTIVE_EDGE_BUDGET, dissolves_all,
+                             sample_constellations)
 from .extension import (CertificateError, ExtContext, ExtElement, _is_prime,
                         dissolving_certificate, extension_group)
 from .groups import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError, FinGroup,
@@ -197,7 +198,8 @@ def _cyclic_group(p: int) -> FinGroup:
 
 def treelike_campaign(spec: TowerSpec, levels: int = 1,
                       mode: str = "exhaustive", step: str = "extension",
-                      edge_budget: int = 16, samples: int = 200,
+                      edge_budget: int = EXHAUSTIVE_EDGE_BUDGET,
+                      samples: int = 200,
                       max_len: int = 8,
                       detail_limit: Optional[int] = 50) -> dict:
     """Evidence report for tree-likeness of the tower limit.

@@ -1,19 +1,26 @@
-"""Frozen CLI reports: stdout and exit code of tower, rz, extend and
-dissolve runs.
+"""Frozen CLI reports and border certificates.
 
-Each case's stdout is compared byte for byte with tests/golden/<name>.json.
-To rewrite the files after an intended change of report content, run
+Each CLI case's stdout and exit code (tower, rz, extend and dissolve
+runs) and each certificate case's `certificate_to_json` output are
+compared byte for byte with tests/golden/<name>.json.  To rewrite the
+files after an intended change of content, run
 `PYTHONPATH=src python tests/test_golden.py` from the repository root.
 """
 
 import contextlib
 import io
+import json
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
 from treelike.cli import main
+from treelike.constellations import sample_constellations
+from treelike.extension import (certificate_to_json, dissolving_certificate,
+                                extension_group)
+from treelike.groups import builtin
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -49,6 +56,23 @@ CASES = [
       "--mode", "sampled", "--samples", "50", "--detail-limit", "3"], 0),
     ("dissolve_c2xc2_2_2_refused",
      ["dissolve", "--H", "C2xC2^2^2", "--G", "C2xC2"], 2),
+    # the s_equal path: exact scan over the used basis indices, and the
+    # seeded witness search
+    ("extend_c2xc2_s_c3_exact",
+     ["extend", "C2xC2", "--S", "C3", "--eq", "a b", "b a",
+      "--eq", "a^6", "", "--eq", "a^2 b^2", "b^2 a^2", "--eq", "a", "b",
+      "--eq-mode", "exact"], 0),
+    ("extend_s3_s_a5_witness",
+     ["extend", "S3", "--S", "A5", "--eq", "a b a", "b a b",
+      "--eq", "a^2 b^2", "b^2 a^2", "--eq", "a^120", "",
+      "--eq-mode", "witness", "--samples", "200", "--seed", "5"], 0),
+]
+
+# (name, extension group base, prime, constellation pairs, sampling seed);
+# every pair is certified against C3 and A5
+CERT_CASES = [
+    ("certificates_c2xc2_2", "C2xC2", 2, 6, 11),
+    ("certificates_s3_2", "S3", 2, 4, 12),
 ]
 
 
@@ -61,6 +85,26 @@ def test_report_matches_golden(name, argv, code, capsys):
     assert out == (GOLDEN / (name + ".json")).read_text()
 
 
+def _certificates(base, p, count, seed) -> str:
+    """One JSON line per sampled pair: u, v, g and its certificates."""
+    G = extension_group(builtin(base), p)
+    targets = (builtin("C3"), builtin("A5"))
+    lines = []
+    for c, u, v in sample_constellations(G, random.Random(seed), count):
+        certs = [certificate_to_json(dissolving_certificate(G, c, u, v, S))
+                 for S in targets]
+        lines.append(json.dumps({"u": list(u), "v": list(v), "g": c.g,
+                                 "certificates": certs}, sort_keys=True))
+    return "[\n" + ",\n".join(lines) + "\n]\n"
+
+
+@pytest.mark.parametrize("name,base,p,count,seed", CERT_CASES,
+                         ids=[case[0] for case in CERT_CASES])
+def test_certificates_match_golden(name, base, p, count, seed):
+    got = _certificates(base, p, count, seed)
+    assert got == (GOLDEN / (name + ".json")).read_text()
+
+
 def _regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, argv, code in CASES:
@@ -71,6 +115,8 @@ def _regenerate() -> None:
         if got != code:
             sys.exit("%s: exit code %d, expected %d" % (name, got, code))
         (GOLDEN / (name + ".json")).write_text(buf.getvalue())
+    for name, *args in CERT_CASES:
+        (GOLDEN / (name + ".json")).write_text(_certificates(*args))
 
 
 if __name__ == "__main__":

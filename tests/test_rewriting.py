@@ -3,6 +3,7 @@ import random
 import pytest
 
 from treelike.cayley import path_span
+from treelike.extension import extension_group
 from treelike.groups import FinGroup, builtin
 from treelike.rewriting import (
     BasisWord,
@@ -139,6 +140,81 @@ def test_expand_inverts_rewrite():
             w = random_reduced_word(rng, 2, rng.randint(1, 8))
             closed = concat(w, invert_word(tree.path_word(G.evaluate(w))))
             assert expand(rewrite(G, tree, closed), basis) == reduce_word(closed)
+
+
+def _trees(G, rng):
+    """A plain, an edge-avoiding and two shuffled spanning trees of G."""
+    edges = [(g, a) for g in range(G.order())
+             for a in range(1, G.n_letters + 1)]
+    e, f = rng.sample(edges, 2)
+    return [spanning_tree_avoiding(G), spanning_tree_avoiding(G, e, f),
+            spanning_tree_avoiding(G, rng=rng),
+            spanning_tree_avoiding(G, e, f, rng=rng)]
+
+
+def _differential_groups():
+    return ([builtin(name) for name in ("C2xC2", "C3", "S3", "D4")]
+            + [extension_group(builtin("C2xC2"), 2),
+               extension_group(builtin("S3"), 2)])
+
+
+def _rewrite_reference(G, tree, w):
+    """Word-building rewrite: indexes the full Nielsen basis."""
+    index = basis_index(nielsen_basis(G, tree))
+    out = []
+    g = 0
+    for x in w:
+        h = G.step(g, x)
+        edge = (g, x) if x > 0 else (h, -x)
+        if edge not in tree.tree_edges:
+            out.append((index[edge], 1 if x > 0 else -1))
+        g = h
+    if g != 0:
+        raise ValueError("word is not a closed path at the identity")
+    return out
+
+
+def test_tree_index_matches_basis_words():
+    rng = random.Random(41)
+    for G in _differential_groups():
+        for tree in _trees(G, rng):
+            assert tree.index == basis_index(nielsen_basis(G, tree))
+            assert len(tree.index) == G.order() * (G.n_letters - 1) + 1
+            assert list(tree.index) == sorted(tree.index)
+
+
+def test_rewrite_matches_word_building_reference():
+    rng = random.Random(43)
+    for G in _differential_groups():
+        for tree in _trees(G, rng):
+            for _ in range(25):
+                w = random_reduced_word(rng, G.n_letters, rng.randint(0, 12))
+                closed = concat(w, invert_word(tree.path_word(G.evaluate(w))))
+                # an unreduced walk: a spur x x^-1 spliced in
+                k = rng.randint(0, len(closed))
+                x = rng.choice((1, -1)) * rng.randint(1, G.n_letters)
+                spur = closed[:k] + (x, -x) + closed[k:]
+                for word in (closed, spur):
+                    assert (rewrite(G, tree, word)
+                            == _rewrite_reference(G, tree, word))
+
+
+def test_spanning_tree_hash_and_equality():
+    G = builtin("S3")
+    one = spanning_tree_avoiding(G, (0, 1), (1, 2))
+    two = spanning_tree_avoiding(G, (0, 1), (1, 2))
+    assert one.index == two.index
+    assert one == two and hash(one) == hash(two)
+    assert one != spanning_tree_avoiding(G)
+    assert len({one, two}) == 1
+
+
+def test_rewrite_rejects_letters_outside_alphabet():
+    G = builtin("C3")
+    tree = spanning_tree_avoiding(G)
+    for x in (0, 3, -3):
+        with pytest.raises(ValueError, match="letter %r outside alphabet" % x):
+            rewrite(G, tree, (x,))
 
 
 def test_exponent_sums():
