@@ -25,6 +25,12 @@ Hence H dissolves (X, g, T) iff the fibers over g of X~ and T~ are
 disjoint: the two fibers are exactly the value sets of [u]_H and [v]_H.
 This replaces the quantification over infinitely many word pairs by two
 component computations, which is how `dissolves` certifies its verdicts.
+
+The exhaustive scan counts with int masks over edges, over G and over H:
+the constellations of a candidate pair (X, T) are the bits g of
+vx & vt & ~comp0[mx & mt], dissolved iff lift_X & lift_T & fiber_g == 0.
+Only the entries a report lists are built as objects.  Scans over more
+than EXHAUSTIVE_PAIR_BUDGET candidate pairs are refused before the first.
 """
 
 from __future__ import annotations
@@ -33,29 +39,13 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .cayley import CayleySubgraph, components
+from .cayley import (CayleySubgraph, component_of, components, intersect,
+                     path_span)
 from .groups import EnumerationBudgetError, FinGroup
 from .words import Word, random_reduced_word, word_str
 
 EXHAUSTIVE_EDGE_BUDGET = 16
-
-
-def _span_components(vertices: frozenset, edges: frozenset,
-                     group: FinGroup) -> Dict[int, int]:
-    """Map vertex -> component root over the given edge set."""
-    parent = {v: v for v in vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for g, a in edges:
-        ra, rb = find(g), find(group.step(g, a))
-        if ra != rb:
-            parent[ra] = rb
-    return {v: find(v) for v in vertices}
+EXHAUSTIVE_PAIR_BUDGET = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -89,15 +79,58 @@ def constellation_defect(X: CayleySubgraph, g: int,
             return "g is not a vertex of %s" % name
         if len(components(S)) != 1:
             return "%s is not connected" % name
-    inter_v = X.vertices & T.vertices
-    roots = _span_components(inter_v, X.pos_edges & T.pos_edges, X.group)
-    if roots[0] == roots[g]:
+    if g in component_of(intersect(X, T), 0):
         return "1 and g share a component of the intersection"
     return None
 
 
 def is_constellation(X: CayleySubgraph, g: int, T: CayleySubgraph) -> bool:
     return constellation_defect(X, g, T) is None
+
+
+def _candidate_pass(G: FinGroup, edge_budget: int
+                    ) -> Tuple[List[Tuple[int, int]], List[int]]:
+    """(candidates, comp0) of the exhaustive scan over the int masks m of
+    edge subsets (bit i is edge (i // |A|, i % |A| + 1)).  comp0[m] is
+    the vertex mask of the component of 1 in the span of m; a candidate
+    (m, vertex mask) is a connected span containing 1.  Both budgets
+    are checked before any pair is visited."""
+    n, k = G.order(), G.n_letters
+    if n * k > edge_budget:
+        raise EnumerationBudgetError(
+            edge_budget, "exhaustive constellation scan over %d edges" % (n * k))
+    ends = [1 << g | 1 << G.step(g, a)
+            for g in range(n) for a in range(1, k + 1)]
+    vmask, comp0 = [0] * (1 << n * k), [1] * (1 << n * k)
+    candidates = []
+    for m in range(1, 1 << n * k):
+        low = m & -m
+        end = ends[low.bit_length() - 1]
+        vmask[m] = vmask[m ^ low] | end
+        c, grown = comp0[m ^ low], comp0[m ^ low] | end
+        while end & c and grown != c:   # the new edge touches 1's part
+            c = grown
+            for i in _bits(m):
+                if ends[i] & grown:
+                    grown |= ends[i]
+        comp0[m] = c
+        if c == vmask[m]:
+            candidates.append((m, c))
+    pairs = len(candidates) ** 2
+    if pairs > EXHAUSTIVE_PAIR_BUDGET:
+        raise EnumerationBudgetError(EXHAUSTIVE_PAIR_BUDGET, "exhaustive constellation"
+                                     " scan over %d candidate pairs" % pairs, "pairs")
+    return candidates, comp0
+
+
+def _bits(mask: int) -> List[int]:
+    """Positions of the set bits of mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _subgraph(G: FinGroup, mask: int, verts: int) -> CayleySubgraph:
+    edges = [(i // G.n_letters, i % G.n_letters + 1) for i in _bits(mask)]
+    return CayleySubgraph(G, _bits(verts), edges)
 
 
 def enumerate_constellations(G: FinGroup,
@@ -108,63 +141,17 @@ def enumerate_constellations(G: FinGroup,
     this form: a connected subgraph holding the two distinct vertices 1
     and g has no isolated vertex.
 
-    Exhaustive over pairs of connected edge subsets containing the
-    vertex 1; raises when the Cayley graph has more positive edges than
-    edge_budget (the scan is exponential in the edge count).
+    Exhaustive over the candidate pairs (X, T) of the mask pass, in the
+    order X, T, g ascending; the g of a pair are the bits of
+    vx & vt & ~comp0[mx & mt].  Raises EnumerationBudgetError over
+    edge_budget positive edges or EXHAUSTIVE_PAIR_BUDGET candidate pairs.
     """
-    n = G.order()
-    edges = sorted((g, a) for g in range(n)
-                   for a in range(1, G.n_letters + 1))
-    if len(edges) > edge_budget:
-        raise EnumerationBudgetError(
-            edge_budget, "exhaustive constellation scan over %d edges" % len(edges))
-    dst = [G.step(g, a) for g, a in edges]
-
-    # connected edge subsets whose span contains vertex 0
-    candidates: List[Tuple[int, frozenset]] = []
-    for mask in range(1, 1 << len(edges)):
-        verts = set()
-        for i in range(len(edges)):
-            if mask >> i & 1:
-                verts.add(edges[i][0])
-                verts.add(dst[i])
-        if 0 not in verts:
-            continue
-        span = frozenset(edges[i] for i in range(len(edges))
-                         if mask >> i & 1)
-        verts = frozenset(verts)
-        if len(set(_span_components(verts, span, G).values())) == 1:
-            candidates.append((mask, verts))
-
-    subgraph_cache: Dict[int, CayleySubgraph] = {}
-
-    def subgraph(mask: int, verts: frozenset) -> CayleySubgraph:
-        got = subgraph_cache.get(mask)
-        if got is None:
-            got = CayleySubgraph(G, verts, frozenset(
-                edges[i] for i in range(len(edges)) if mask >> i & 1))
-            subgraph_cache[mask] = got
-        return got
-
-    partition_cache: Dict[Tuple[int, frozenset], Dict[int, int]] = {}
-    for mask_x, verts_x in candidates:
-        for mask_t, verts_t in candidates:
-            inter_v = verts_x & verts_t
-            if len(inter_v) < 2:
-                continue
-            inter_mask = mask_x & mask_t
-            key = (inter_mask, inter_v)
-            roots = partition_cache.get(key)
-            if roots is None:
-                inter_edges = frozenset(edges[i] for i in range(len(edges))
-                                        if inter_mask >> i & 1)
-                roots = _span_components(inter_v, inter_edges, G)
-                partition_cache[key] = roots
-            root0 = roots[0]
-            for g in sorted(inter_v):
-                if g and roots[g] != root0:
-                    yield Constellation(subgraph(mask_x, verts_x), g,
-                                        subgraph(mask_t, verts_t))
+    candidates, comp0 = _candidate_pass(G, edge_budget)
+    subgraphs = [_subgraph(G, m, v) for m, v in candidates]
+    for (mx, vx), X in zip(candidates, subgraphs):
+        for (mt, vt), T in zip(candidates, subgraphs):
+            for g in _bits(vx & vt & ~comp0[mx & mt]):
+                yield Constellation(X, g, T)
 
 
 def sample_constellations(G: FinGroup, rng: random.Random, count: int,
@@ -174,7 +161,6 @@ def sample_constellations(G: FinGroup, rng: random.Random, count: int,
     pairs with equal nonidentity image in G whose path spans X, T form a
     constellation, u reading 1 -> g in X and v in T.  Draws are rejection
     sampled; gives up once attempts exceed 1000 * count."""
-    from .cayley import path_span
     yielded = 0
     for _ in range(1000 * count):
         if yielded == count:
@@ -235,39 +221,40 @@ class Dissolver:
         self.phi = phi
         self._lifts: Dict[frozenset, tuple] = {}
 
-    def lift(self, X: CayleySubgraph) -> tuple:
-        """(fibers, parent) for the component of 1 of the preimage of X:
-        fibers maps g -> frozenset of component vertices over g, parent
-        holds BFS back-pointers for witness words."""
-        got = self._lifts.get(X.pos_edges)
-        if got is not None:
-            return got
-        H, phi = self.H, self.phi
-        edge_set = X.pos_edges
+    def _component(self, edge_mask: int) -> Dict[int, Optional[tuple]]:
+        """BFS back-pointers of the component of 1 of the preimage of
+        the edges in edge_mask (edge (g, a) is bit g * |A| + a - 1)."""
+        H, phi, k = self.H, self.phi, self.H.n_letters
         parent: Dict[int, Optional[tuple]] = {0: None}
         queue = [0]
-        head = 0
-        while head < len(queue):
-            h = queue[head]
-            head += 1
-            base = phi[h]
-            for a in range(1, H.n_letters + 1):
-                if (base, a) in edge_set:
+        for h in queue:
+            base = phi[h] * k - 1
+            for a in range(1, k + 1):
+                if edge_mask >> (base + a) & 1:
                     nxt = H.step(h, a)
                     if nxt not in parent:
                         parent[nxt] = (h, a)
                         queue.append(nxt)
                 back = H.step(h, -a)
-                if (phi[back], a) in edge_set:
-                    if back not in parent:
-                        parent[back] = (h, -a)
-                        queue.append(back)
-        fibers: Dict[int, set] = {}
-        for h in parent:
-            fibers.setdefault(phi[h], set()).add(h)
-        got = ({g: frozenset(s) for g, s in fibers.items()}, parent)
-        self._lifts[X.pos_edges] = got
-        return got
+                if edge_mask >> (phi[back] * k + a - 1) & 1 and back not in parent:
+                    parent[back] = (h, -a)
+                    queue.append(back)
+        return parent
+
+    def lift(self, X: CayleySubgraph) -> tuple:
+        """(fibers, parent) for the component of 1 of the preimage of X:
+        fibers maps g -> frozenset of component vertices over g, parent
+        holds BFS back-pointers for witness words."""
+        if X.pos_edges not in self._lifts:
+            k = self.H.n_letters
+            parent = self._component(sum(1 << (g * k + a - 1)
+                                         for g, a in X.pos_edges))
+            fibers: Dict[int, set] = {}
+            for h in parent:
+                fibers.setdefault(self.phi[h], set()).add(h)
+            self._lifts[X.pos_edges] = (
+                {g: frozenset(s) for g, s in fibers.items()}, parent)
+        return self._lifts[X.pos_edges]
 
     def witness_word(self, parent: Dict[int, Optional[tuple]], h: int) -> Word:
         out = []
@@ -322,35 +309,74 @@ def dissolves_all(H: FinGroup, G: FinGroup, mode: str = "exhaustive",
     }
     if mode == "exhaustive":
         report["edge_budget"] = edge_budget
-        stream = ((c, None, None) for c in enumerate_constellations(G, edge_budget))
+        _scan_exhaustive(dis, report, edge_budget, detail_limit)
     elif mode == "sampled":
-        rng = random.Random(seed)
         report["samples"] = samples
         report["max_len"] = max_len
         report["seed"] = seed
-        stream = sample_constellations(G, rng, samples, max_len)
+        for c, _, _ in sample_constellations(G, random.Random(seed), samples,
+                                             max_len):
+            verdict = _record(report, dis, c, detail_limit)
+            report["total"] += 1
+            report["dissolved"] += verdict.dissolved
     else:
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
-    names = G.alphabet
-    for c, _, _ in stream:
-        verdict = dis.dissolves(c)
-        report["total"] += 1
-        if verdict.dissolved:
-            report["dissolved"] += 1
-        entry = {
-            "g": c.g,
-            "x_edges": sorted(list(e) for e in c.X.pos_edges),
-            "t_edges": sorted(list(e) for e in c.T.pos_edges),
-            "verdict": verdict.status,
-        }
-        if verdict.status == "counterexample":
-            entry["u"] = word_str(verdict.u, names)
-            entry["v"] = word_str(verdict.v, names)
-            if detail_limit is None or len(report["failures"]) < detail_limit:
-                report["failures"].append(entry)
-            else:
-                report["failures_truncated"] = True
-        if detail_limit is None or len(report["constellations"]) < detail_limit:
-            report["constellations"].append(entry)
+    if report["total"] - report["dissolved"] > len(report["failures"]):
+        report["failures_truncated"] = True
     report["all_dissolved"] = report["dissolved"] == report["total"]
     return report
+
+
+def _record(report: dict, dis: Dissolver, c: Constellation,
+            detail_limit: Optional[int]) -> DissolveVerdict:
+    """Check c and list it in the report while the lists have room."""
+    verdict = dis.dissolves(c)
+    names = dis.G.alphabet
+    entry = {
+        "g": c.g,
+        "x_edges": sorted(list(e) for e in c.X.pos_edges),
+        "t_edges": sorted(list(e) for e in c.T.pos_edges),
+        "verdict": verdict.status,
+    }
+    if verdict.status == "counterexample":
+        entry["u"] = word_str(verdict.u, names)
+        entry["v"] = word_str(verdict.v, names)
+        if detail_limit is None or len(report["failures"]) < detail_limit:
+            report["failures"].append(entry)
+    if detail_limit is None or len(report["constellations"]) < detail_limit:
+        report["constellations"].append(entry)
+    return verdict
+
+
+def _scan_exhaustive(dis: Dissolver, report: dict, edge_budget: int,
+                     detail_limit: Optional[int]) -> None:
+    """Count the dissolved constellations of every candidate pair (see
+    the module docstring).  fibers[vs] is the mask of H-ids over the
+    vertex mask vs; a pair needs the per-g check only when its lifts
+    meet the fibers over its g's, or while the report lists entries."""
+    G = dis.G
+    candidates, comp0 = _candidate_pass(G, edge_budget)
+    lifts = [sum(1 << h for h in dis._component(m)) for m, _ in candidates]
+    fibers = [0]
+    for g in range(G.order()):      # fibers[vs] for vs < 2^(g + 1)
+        fg = sum(1 << h for h, x in enumerate(dis.phi) if x == g)
+        fibers += [f | fg for f in fibers]
+    limit = float("inf") if detail_limit is None else detail_limit
+    listed, failures = report["constellations"], report["failures"]
+    total = failed = 0
+    for (mx, vx), lx in zip(candidates, lifts):
+        for (mt, vt), lt in zip(candidates, lifts):
+            gs = vx & vt & ~comp0[mx & mt]
+            common = lx & lt & fibers[gs]
+            if not common and len(listed) >= limit:
+                total += gs.bit_count()
+                continue
+            for g in _bits(gs):
+                total += 1
+                bad = common & fibers[1 << g]
+                failed += bad != 0
+                if len(listed) < limit or bad and len(failures) < limit:
+                    c = Constellation(_subgraph(G, mx, vx), g,
+                                      _subgraph(G, mt, vt))
+                    _record(report, dis, c, detail_limit)
+    report.update(total=total, dissolved=total - failed)

@@ -48,8 +48,8 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cayley import Edge, borders, path_span
-from .constellations import Constellation, _span_components
+from .cayley import Edge, borders, component_of, intersect, path_span
+from .constellations import Constellation
 from .groups import EnumerationBudgetError, FinGroup
 from .rewriting import exponent_sums, rewrite, spanning_tree_avoiding
 from .words import Word, concat, invert_word, reduce_word
@@ -230,18 +230,23 @@ def _letter_image_ids(S: FinGroup) -> List[int]:
 
 
 def _materialize_witness(S: FinGroup, r: int, value_of: Dict[int, int],
-                         fill: List[int]) -> Optional[tuple]:
+                         fill: List[int], budget: int) -> Optional[tuple]:
     """Extend a partial assignment (basis index -> S id) to a full
     generating r-tuple, or None when no extension generates S.  Indices
     outside value_of never occur in the word, so any values work there;
     when enough of them are free the letter images go in and generation
-    is automatic, otherwise all completions are searched."""
+    is automatic, otherwise all |S|^spare completions are searched,
+    refused beforehand when over budget."""
     spare = [i for i in range(r) if i not in value_of]
     full = [value_of.get(i, 0) for i in range(r)]
     if len(spare) >= len(fill):
         for slot, x in zip(spare, fill):
             full[slot] = x
         return tuple(full)
+    if S.order() ** len(spare) > budget:
+        raise EnumerationBudgetError(budget, "witness completion search of "
+                                     "%d^%d assignments"
+                                     % (S.order(), len(spare)))
     for completion in iter_product(range(S.order()), repeat=len(spare)):
         for slot, x in zip(spare, completion):
             full[slot] = x
@@ -303,7 +308,7 @@ def s_equal(G: FinGroup, S: FinGroup, u: Sequence[int], v: Sequence[int],
             value_of = dict(zip(used, combo))
             if _eval_assignment(S, factors, value_of) == 0:
                 continue
-            witness = _materialize_witness(S, r, value_of, fill)
+            witness = _materialize_witness(S, r, value_of, fill, budget)
             if witness is not None:
                 return SEqualResult("distinct", witness=witness, rank=r)
         return SEqualResult("equal", rank=r)
@@ -320,7 +325,7 @@ def s_equal(G: FinGroup, S: FinGroup, u: Sequence[int], v: Sequence[int],
             value_of = {t: rng.randrange(n) for t in used}
         if _eval_assignment(S, factors, value_of) == 0:
             continue
-        witness = _materialize_witness(S, r, value_of, fill)
+        witness = _materialize_witness(S, r, value_of, fill, budget)
         if witness is not None:
             return SEqualResult("distinct", witness=witness, rank=r,
                                 samples_tried=k + 1)
@@ -413,9 +418,7 @@ def dissolving_certificate(G: FinGroup, c: Constellation, u: Word, v: Word,
                          "property")
     u_counts = _check_path_inside(G, c.X, u, c.g, "u")
     v_counts = _check_path_inside(G, c.T, v, c.g, "v")
-    inter_v = c.X.vertices & c.T.vertices
-    roots = _span_components(inter_v, c.X.pos_edges & c.T.pos_edges, G)
-    z = frozenset(x for x in inter_v if roots[x] == roots[0])
+    z = component_of(intersect(c.X, c.T), 0)
     d_edges, c_edges = borders(c.X, z)
     dp_edges, cp_edges = borders(c.T, z)
     u_sum = (sum(u_counts.get(e, 0) for e in d_edges)

@@ -20,10 +20,11 @@ DEFAULT_ENUM_BUDGET = 10**6
 
 
 class EnumerationBudgetError(RuntimeError):
-    """Raised when a closure computation would exceed its element budget."""
+    """Raised when a computation would exceed its budget."""
 
-    def __init__(self, budget: int, context: str = "enumeration"):
-        super().__init__("%s exceeds budget of %d elements" % (context, budget))
+    def __init__(self, budget: int, context: str = "enumeration",
+                 unit: str = "elements"):
+        super().__init__("%s exceeds budget of %d %s" % (context, budget, unit))
         self.budget = budget
 
 

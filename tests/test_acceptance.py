@@ -8,11 +8,13 @@ asserting, so a run with -s reads as a checklist:
 """
 
 import itertools
+import json
 import random
 import time
 
 from treelike.cayley import (borders, cayley_graph, connected_without_two_edges,
                              path_span)
+from treelike.cli import main
 from treelike.constellations import dissolves_all, sample_constellations
 from treelike.extension import (CertificateError, dissolving_certificate,
                                 ext_evaluate, extension_group,
@@ -313,3 +315,14 @@ def test_criterion_12_level_two_group_axioms():
             bad += 1
     _verdict(12, bad == 0, "%d random triples, %d axiom violations"
              % (checked, bad))
+
+
+def test_criterion_13_exhaustive_scan_of_s3(capsys):
+    t0 = time.perf_counter()
+    code = main(["dissolve", "--H", "S3^2", "--G", "S3", "--detail-limit", "0"])
+    dt = time.perf_counter() - t0
+    report = json.loads(capsys.readouterr().out)
+    ok = (code == 0 and report["total"] == 21222180
+          and report["all_dissolved"] and dt < 60.0)
+    _verdict(13, ok, "%d/%d dissolved in %.1fs"
+             % (report["dissolved"], report["total"], dt))

@@ -277,6 +277,14 @@ def test_exit_code_budget(capsys):
     assert "budget exceeded" in err
 
 
+def test_exit_code_predicted_pairs(capsys):
+    # D4 has 31,164 candidates: refused after the candidate pass
+    code, report, err = _run(capsys, "dissolve", "--H", "D4^2", "--G", "D4")
+    assert code == 2
+    assert report is None
+    assert "scan over 971194896 candidate pairs exceeds budget" in err
+
+
 def test_out_writes_report_copy(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, report, _ = _run(capsys, "member", "a", "--gens", "a",

@@ -1,9 +1,12 @@
+import functools
 import itertools
 import random
 
 import pytest
 
+from treelike import constellations
 from treelike.cayley import CayleySubgraph, cayley_graph, path_span
+from treelike.cli import group_arg
 from treelike.constellations import (
     Constellation,
     DissolveVerdict,
@@ -17,7 +20,7 @@ from treelike.constellations import (
 )
 from treelike.extension import ext_evaluate, extension_group
 from treelike.groups import EnumerationBudgetError, FinGroup, builtin, subdirect
-from treelike.words import parse_word
+from treelike.words import parse_word, word_str
 
 
 def _trivial_group():
@@ -118,6 +121,71 @@ def test_exhaustive_scan_matches_independent_oracle():
                    for c in enumerate_constellations(G)}
         assert len(brute) == want
         assert scanned == brute
+
+
+@functools.lru_cache(maxsize=None)
+def _base_constellations(name):
+    G = builtin(name)
+    return G, tuple(enumerate_constellations(G))
+
+
+def _object_model_entries(H, name):
+    """G and the report entries of all its constellations in scan order:
+    each a validated Constellation checked by `Dissolver.dissolves`."""
+    G, constellations_of_g = _base_constellations(name)
+    dis = Dissolver(H, G)
+    entries = []
+    for c in constellations_of_g:
+        verdict = dis.dissolves(c)
+        entry = {"g": c.g, "verdict": verdict.status,
+                 "x_edges": sorted(list(e) for e in c.X.pos_edges),
+                 "t_edges": sorted(list(e) for e in c.T.pos_edges)}
+        if verdict.u is not None:
+            entry["u"] = word_str(verdict.u, G.alphabet)
+            entry["v"] = word_str(verdict.v, G.alphabet)
+        entries.append(entry)
+    return G, entries
+
+
+# D4 ->> C2xC2 dissolves 18,954 of the 50,094 constellations; the other
+# quotients dissolve all of them or none
+@pytest.mark.parametrize("quotient,base", [
+    ("C3^2", "C3"), ("C3", "C3"), ("C2xC2^2", "C2xC2"), ("D4", "C2xC2")])
+def test_mask_scan_agrees_with_object_model(quotient, base):
+    H = group_arg(quotient)
+    G, entries = _object_model_entries(H, base)
+    failures = [e for e in entries if e["verdict"] == "counterexample"]
+    assert {e["verdict"] for e in entries} <= {"dissolved", "counterexample"}
+    for limit in (None, 0, 7):
+        got = dissolves_all(H, G, detail_limit=limit)
+        cut = len(entries) if limit is None else limit
+        assert got["total"] == len(entries)
+        assert got["dissolved"] == len(entries) - len(failures)
+        assert got["constellations"] == entries[:cut]
+        assert got["failures"] == failures[:cut]
+        assert got.get("failures_truncated", False) == (len(failures) > cut)
+
+
+def test_pair_budget_limit_is_exact(monkeypatch):
+    G = builtin("C2xC2")          # 222 candidates
+    H = extension_group(G, 2)
+    monkeypatch.setattr(constellations, "EXHAUSTIVE_PAIR_BUDGET", 222 ** 2)
+    assert dissolves_all(H, G, detail_limit=0)["all_dissolved"]
+    monkeypatch.setattr(constellations, "EXHAUSTIVE_PAIR_BUDGET", 222 ** 2 - 1)
+    passes, lifts = [], []
+    real_pass = constellations._candidate_pass
+    monkeypatch.setattr(constellations, "_candidate_pass",
+                        lambda *args: passes.append(real_pass(*args)))
+    monkeypatch.setattr(Dissolver, "_component",
+                        lambda self, mask: lifts.append(mask))
+    refusal = ("^exhaustive constellation scan over 49284 candidate pairs "
+               "exceeds budget of 49283 pairs$")
+    with pytest.raises(EnumerationBudgetError, match=refusal):
+        dissolves_all(H, G)
+    with pytest.raises(EnumerationBudgetError, match=refusal):
+        next(enumerate_constellations(G))
+    # the candidate pass raised instead of returning: no pair, no lift
+    assert passes == [] and lifts == []
 
 
 def test_enumerate_trivial_group_is_empty():

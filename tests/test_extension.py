@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from treelike import extension
 from treelike.cayley import path_span
 from treelike.constellations import Constellation
 from treelike.extension import (
@@ -219,6 +220,24 @@ def test_s_equal_witness_mode_on_large_s():
     assert _generated_subgroup(A5, set(res.witness)) == set(range(60))
     with pytest.raises(EnumerationBudgetError):
         s_equal(G, A5, parse_word("a b"), parse_word("b a"), mode="exact")
+
+
+def test_witness_completion_budget_is_exact(monkeypatch):
+    # one spare basis index and two letter images of A5: the 60
+    # completions of the spare index are searched
+    S = builtin("A5")
+    fill = extension._letter_image_ids(S)
+    got = extension._materialize_witness(S, 2, {0: fill[0]}, fill, 60)
+    assert got[0] == fill[0]
+    assert _generated_subgroup(S, set(got)) == set(range(60))
+    tried = []
+    monkeypatch.setattr(extension, "_generates",
+                        lambda S, ids: tried.append(ids))
+    with pytest.raises(EnumerationBudgetError,
+                       match="^witness completion search of 60\\^1 "
+                             "assignments exceeds budget of 59 elements$"):
+        extension._materialize_witness(S, 2, {0: fill[0]}, fill, 59)
+    assert tried == []
 
 
 def test_s_equal_probably_equal():

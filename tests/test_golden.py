@@ -66,6 +66,12 @@ CASES = [
      ["extend", "S3", "--S", "A5", "--eq", "a b a", "b a b",
       "--eq", "a^2 b^2", "b^2 a^2", "--eq", "a^120", "",
       "--eq-mode", "witness", "--samples", "200", "--seed", "5"], 0),
+    # the exhaustive scan: the identity quotient's counterexample witness
+    # words with truncated failures, and a quotient that dissolves all
+    ("dissolve_c2xc2_identity_detail5",
+     ["dissolve", "--H", "C2xC2", "--G", "C2xC2", "--detail-limit", "5"], 1),
+    ("dissolve_c3_2_c3",
+     ["dissolve", "--H", "C3^2", "--G", "C3"], 0),
 ]
 
 # (name, extension group base, prime, constellation pairs, sampling seed);
