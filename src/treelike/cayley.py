@@ -5,18 +5,19 @@ The Cayley graph of G has the elements as vertices and one positive edge
 implicit.  Subgraphs are value objects holding a vertex set and a set of
 positive edges over a fixed group.
 
-This module computes path spans with signed traversal counts, the
-covering subgraph of a folded basepointed graph (the part of the Cayley
-graph swept out by paths from 1 whose labels are readable in the given
-graph from its basepoint), connected components, border edge sets of a
-vertex set, and the two-edge connectivity check used to route spanning
-trees around a chosen edge pair.
+This module holds the signed walk of a word, which path spans, kernel
+rewriting and cocycles all read, and computes path spans, the covering
+subgraph of a folded basepointed graph (the part of the Cayley graph
+swept out by paths from 1 whose labels are readable in the given graph
+from its basepoint), connected components, border edge sets of a vertex
+set, and the two-edge connectivity check used to route spanning trees
+around a chosen edge pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .groups import FinGroup
 from .stallings import LabeledGraph, transition_maps
@@ -56,26 +57,29 @@ def cayley_graph(G: FinGroup) -> CayleySubgraph:
     return CayleySubgraph(G, frozenset(range(n)), edges)
 
 
-def path_span(G: FinGroup, start: int, w: Sequence[int]
-              ) -> Tuple[CayleySubgraph, int, TraversalCount]:
-    """Walk w from start: the subgraph spanned by the traversed edges,
-    the endpoint, and per-edge signed traversal counts (+1 forward, -1
-    backward across each positive edge)."""
-    counts: TraversalCount = {}
-    vertices = {start}
-    cur = start
+def walk(G, start, w: Sequence[int]) -> Iterator[Tuple[tuple, int, object]]:
+    """The signed Cayley walk of w from start: per letter, the crossed
+    positive edge, its sign (+1 forward, -1 backward) and the vertex
+    reached.  G is any group-like object with n_letters and step."""
     n = G.n_letters
+    cur = start
     for x in w:
         if not 0 < abs(x) <= n:
             raise ValueError("letter %r outside alphabet" % (x,))
-        if x > 0:
-            e = (cur, x)
-            cur = G.step(cur, x)
-            counts[e] = counts.get(e, 0) + 1
-        else:
-            cur = G.step(cur, x)
-            e = (cur, -x)
-            counts[e] = counts.get(e, 0) - 1
+        nxt = G.step(cur, x)
+        yield ((cur, x), 1, nxt) if x > 0 else ((nxt, -x), -1, nxt)
+        cur = nxt
+
+
+def path_span(G: FinGroup, start: int, w: Sequence[int]
+              ) -> Tuple[CayleySubgraph, int, TraversalCount]:
+    """Walk w from start: the subgraph spanned by the traversed edges,
+    the endpoint, and per-edge signed traversal counts."""
+    counts: TraversalCount = {}
+    vertices = {start}
+    cur = start
+    for e, sign, cur in walk(G, start, w):
+        counts[e] = counts.get(e, 0) + sign
         vertices.add(cur)
     return (CayleySubgraph(G, frozenset(vertices), frozenset(counts)),
             cur, counts)
@@ -94,7 +98,7 @@ def covering_subgraph(A: LabeledGraph, G: FinGroup) -> CayleySubgraph:
         raise ValueError("covering subgraph needs a basepointed graph")
     if A.n_letters != G.n_letters:
         raise ValueError("alphabet sizes differ")
-    out, inn = transition_maps(A)
+    t = transition_maps(A)
     start = (A.basepoint, 0)
     seen = {start}
     queue = [start]
@@ -103,20 +107,14 @@ def covering_subgraph(A: LabeledGraph, G: FinGroup) -> CayleySubgraph:
     while queue:
         p, g = queue.pop()
         for a in range(1, A.n_letters + 1):
-            q = out.get((p, a))
-            if q is not None:
-                edges.add((g, a))
-                s = (q, G.step(g, a))
-                vertices.add(s[1])
-                if s not in seen:
-                    seen.add(s)
-                    queue.append(s)
-            q = inn.get((p, a))
-            if q is not None:
-                h = G.step(g, -a)
-                edges.add((h, a))
-                s = (q, h)
+            for x in (a, -a):
+                q = t.get((p, x))
+                if q is None:
+                    continue
+                h = G.step(g, x)
+                edges.add((g, a) if x > 0 else (h, a))
                 vertices.add(h)
+                s = (q, h)
                 if s not in seen:
                     seen.add(s)
                     queue.append(s)
@@ -207,22 +205,12 @@ def connected_without_two_edges(G: FinGroup, e: Edge, f: Edge) -> bool:
                          "property")
     if e == f:
         raise ValueError("edges must be distinct")
-    n = G.order()
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        g = stack.pop()
-        for a in range(1, G.n_letters + 1):
-            for edge, h in (((g, a), G.step(g, a)),
-                            ((G.step(g, -a), a), G.step(g, -a))):
-                if edge == e or edge == f or seen[h]:
-                    continue
-                seen[h] = True
-                count += 1
-                stack.append(h)
-    return count == n
+    from .rewriting import spanning_tree_avoiding
+    try:
+        spanning_tree_avoiding(G, e, f)
+    except ValueError:
+        return False
+    return True
 
 
 def subgraph_to_dot(X: CayleySubgraph, name: str = "X",

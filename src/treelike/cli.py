@@ -11,10 +11,11 @@ Subcommands
     rz        product-separation experiment for a word and subgroups
 
 Reports go to stdout (and to --out when given) as JSON with sorted keys,
-so identical configuration and seed produce byte-identical output; a
-PASS/FAIL summary line goes to stderr.  Exit codes: 0 all checks passed,
-1 a property failed (a constellation survived, an experiment stayed
-inconclusive), 2 an enumeration budget was exceeded, 3 bad input.
+so identical configuration and seed produce byte-identical output;
+dissolve, tower and rz print a PASS/FAIL line to stderr.  Exit codes:
+0 all checks passed, 1 a property failed (a constellation survived, an
+experiment stayed inconclusive), 2 an enumeration budget was exceeded,
+3 bad input.
 
 A flat key-value JSON file passed with --config supplies defaults for
 the chosen subcommand; explicit flags win.
@@ -32,7 +33,6 @@ from .extension import (S_EQUAL_BUDGET, ExtContext, ext_order,
 from .groups import (BUILTIN_NAMES, DEFAULT_ENUM_BUDGET,
                      EnumerationBudgetError, FinGroup, builtin,
                      group_from_json)
-from .rational import member_product
 from .stallings import (LabeledGraph, bouquet, core, fold, graph_from_json,
                         graph_to_dot, graph_to_json, member, stallings_graph)
 from .tower import (MAX_LEVEL, TowerSpec, rz_experiment, treelike_campaign)

@@ -225,20 +225,16 @@ class Dissolver:
         """BFS back-pointers of the component of 1 of the preimage of
         the edges in edge_mask (edge (g, a) is bit g * |A| + a - 1)."""
         H, phi, k = self.H, self.phi, self.H.n_letters
+        letters = [x for a in range(1, k + 1) for x in (a, -a)]
         parent: Dict[int, Optional[tuple]] = {0: None}
         queue = [0]
         for h in queue:
-            base = phi[h] * k - 1
-            for a in range(1, k + 1):
-                if edge_mask >> (base + a) & 1:
-                    nxt = H.step(h, a)
-                    if nxt not in parent:
-                        parent[nxt] = (h, a)
-                        queue.append(nxt)
-                back = H.step(h, -a)
-                if edge_mask >> (phi[back] * k + a - 1) & 1 and back not in parent:
-                    parent[back] = (h, -a)
-                    queue.append(back)
+            for x in letters:
+                nxt = H.step(h, x)
+                bit = phi[h] * k + x - 1 if x > 0 else phi[nxt] * k - x - 1
+                if edge_mask >> bit & 1 and nxt not in parent:
+                    parent[nxt] = (h, x)
+                    queue.append(nxt)
         return parent
 
     def lift(self, X: CayleySubgraph) -> tuple:

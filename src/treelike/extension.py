@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cayley import Edge, borders, component_of, intersect, path_span
+from .cayley import Edge, borders, component_of, intersect, path_span, walk
 from .constellations import Constellation
 from .groups import EnumerationBudgetError, FinGroup
 from .rewriting import exponent_sums, rewrite, spanning_tree_avoiding
@@ -149,20 +149,11 @@ class ExtContext:
         """Walk the Cayley graph of G from 1 reading w, adding +1/-1 mod
         p on each traversed positive edge.  Agrees with the product of
         letter images (tested); base is [w]_G."""
-        step, p, n = self._step, self.p, self.n_letters
+        p = self.p
         cur = self._one
         c: Dict[tuple, int] = {}
-        for x in w:
-            if not 0 < abs(x) <= n:
-                raise ValueError("letter %r outside alphabet" % (x,))
-            if x > 0:
-                e = (cur, x)
-                cur = step(cur, x)
-                c[e] = (c.get(e, 0) + 1) % p
-            else:
-                cur = step(cur, x)
-                e = (cur, -x)
-                c[e] = (c.get(e, 0) - 1) % p
+        for e, sign, cur in walk(self.G, self._one, w):
+            c[e] = (c.get(e, 0) + sign) % p
         return _pack(cur, c)
 
     def fin_group(self, name: Optional[str] = None,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Optional, Sequence
 
-from .words import Word, reduce_word
+from .words import Word
 
 DEFAULT_ENUM_BUDGET = 10**6
 
@@ -273,10 +273,6 @@ class FinGroup:
 def canonical_morphism(H: FinGroup, G: FinGroup) -> Optional[list]:
     """Morphism table H ->> G extending letter |-> letter, or None."""
     return H.canonical_morphism_to(G)
-
-
-def evaluate(G: FinGroup, w: Sequence[int]) -> int:
-    return G.evaluate(reduce_word(w))
 
 
 def subdirect(groups: Sequence[FinGroup], name: Optional[str] = None) -> FinGroup:

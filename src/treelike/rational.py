@@ -43,10 +43,8 @@ class ProductAutomaton:
         n = 0
         for i, g in enumerate(cores):
             order = {v: n + j for j, v in enumerate(sorted(g.vertices, key=repr))}
-            out, _ = transition_maps(g)
-            for (v, a), wdst in out.items():
-                self.trans[(order[v], a)] = order[wdst]
-                self.trans[(order[wdst], -a)] = order[v]
+            for (v, x), u in transition_maps(g).items():
+                self.trans[(order[v], x)] = order[u]
             self.factor_of.extend([i] * len(g.vertices))
             self.base_state.append(order[g.basepoint])
             n += len(g.vertices)

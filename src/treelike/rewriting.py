@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cayley import Edge
+from .cayley import Edge, walk
 from .groups import FinGroup
 from .stallings import LabeledGraph, transition_maps, _sorted
 from .words import Word, concat, invert_word
@@ -131,17 +131,13 @@ def rewrite(G: FinGroup, tree: SpanningTree, w: Sequence[int]
     traversal sign; no basis word is built.  The concatenation of the
     corresponding basis words (nielsen_basis) reduces to red(w).
     """
-    index, n = tree.index, G.n_letters
+    index = tree.index
     out = []
     g = 0
-    for x in w:
-        if not 0 < abs(x) <= n:
-            raise ValueError("letter %r outside alphabet" % (x,))
-        h = G.step(g, x)
-        i = index.get((g, x) if x > 0 else (h, -x))
+    for edge, sign, g in walk(G, 0, w):
+        i = index.get(edge)
         if i is not None:
-            out.append((i, 1 if x > 0 else -1))
-        g = h
+            out.append((i, sign))
     if g != 0:
         raise ValueError("word is not a closed path at the identity")
     return out
@@ -173,7 +169,7 @@ def graph_subgroup_basis(A: LabeledGraph) -> List[Word]:
     one word per non-tree positive edge."""
     if A.basepoint is None:
         raise ValueError("need a basepointed graph")
-    out, inn = transition_maps(A)
+    t = transition_maps(A)
     path: Dict[object, Word] = {A.basepoint: ()}
     queue = [A.basepoint]
     tree = set()
@@ -182,16 +178,12 @@ def graph_subgroup_basis(A: LabeledGraph) -> List[Word]:
         v = queue[head]
         head += 1
         for a in range(1, A.n_letters + 1):
-            w = out.get((v, a))
-            if w is not None and w not in path:
-                path[w] = path[v] + (a,)
-                tree.add((v, a, w))
-                queue.append(w)
-            w = inn.get((v, a))
-            if w is not None and w not in path:
-                path[w] = path[v] + (-a,)
-                tree.add((w, a, v))
-                queue.append(w)
+            for x in (a, -a):
+                w = t.get((v, x))
+                if w is not None and w not in path:
+                    path[w] = path[v] + (x,)
+                    tree.add((v, a, w) if x > 0 else (w, a, v))
+                    queue.append(w)
     if len(path) != len(A.vertices):
         raise ValueError("graph is not connected")
     words = []

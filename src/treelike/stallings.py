@@ -65,16 +65,17 @@ class LabeledGraph:
         return sum((s == v) + (d == v) for s, _, d in self.pos_edges)
 
 
-def transition_maps(g: LabeledGraph) -> tuple:
-    """(out, inn) with out[(v, a)] = w and inn[(w, a)] = v per positive
-    a-edge v -> w.  Requires g folded (raises otherwise)."""
-    out, inn = {}, {}
+def transition_maps(g: LabeledGraph) -> dict:
+    """The signed transition map: t[(v, a)] = w and t[(w, -a)] = v per
+    positive a-edge v -> w, so t[(v, x)] is the end of the x-edge at v
+    for every signed letter x.  Requires g folded (raises otherwise)."""
+    t = {}
     for s, a, d in g.pos_edges:
-        if (s, a) in out or (d, a) in inn:
+        if (s, a) in t or (d, -a) in t:
             raise ValueError("graph is not folded at letter %r" % (a,))
-        out[(s, a)] = d
-        inn[(d, a)] = s
-    return out, inn
+        t[(s, a)] = d
+        t[(d, -a)] = s
+    return t
 
 
 def is_folded(g: LabeledGraph) -> bool:
@@ -157,21 +158,16 @@ def fold(g: LabeledGraph) -> LabeledGraph:
     changed = True
     while changed:
         changed = False
-        out, inn = {}, {}
+        t = {}
         for s, a, d in g.pos_edges:
             rs, rd = find(s), find(d)
-            prev = out.get((rs, a))
-            if prev is not None and find(prev) != rd:
-                parent[find(prev)] = rd
-                changed = True
-            else:
-                out[(rs, a)] = rd
-            prev = inn.get((rd, a))
-            if prev is not None and find(prev) != rs:
-                parent[find(prev)] = rs
-                changed = True
-            else:
-                inn[(rd, a)] = rs
+            for v, x, u in ((rs, a, rd), (rd, -a, rs)):
+                prev = t.get((v, x))
+                if prev is not None and find(prev) != u:
+                    parent[find(prev)] = u
+                    changed = True
+                else:
+                    t[(v, x)] = u
     edges = {(find(s), a, find(d)) for s, a, d in g.pos_edges}
     vertices = {find(v) for v in g.vertices}
     base = None if g.basepoint is None else find(g.basepoint)
@@ -207,16 +203,16 @@ def stallings_graph(generators: Sequence[Word],
 
 
 def read_word(g: LabeledGraph, start, w: Sequence[int],
-              maps: Optional[tuple] = None):
+              maps: Optional[dict] = None):
     """Endpoint of the unique path labelled w from start, or None if w is
-    not readable.  Requires g folded."""
-    out, inn = transition_maps(g) if maps is None else maps
+    not readable.  Requires g folded; maps, when given, is the signed
+    transition map transition_maps(g), so repeated reads build it once."""
+    t = transition_maps(g) if maps is None else maps
     cur = start
     for x in w:
-        nxt = out.get((cur, x)) if x > 0 else inn.get((cur, -x))
-        if nxt is None:
+        cur = t.get((cur, x))
+        if cur is None:
             return None
-        cur = nxt
     return cur
 
 
@@ -259,11 +255,11 @@ def complete_arbitrary(g: LabeledGraph) -> LabeledGraph:
     incoming one (sorted order).  Folded input has one a-edge out of and
     into at most one vertex each, so both lists have |V| - #a-edges
     entries and no vertex is added."""
-    out, inn = transition_maps(g)
+    t = transition_maps(g)
     edges = set(g.pos_edges)
     for a in range(1, g.n_letters + 1):
-        no_out = _sorted(v for v in g.vertices if (v, a) not in out)
-        no_in = _sorted(v for v in g.vertices if (v, a) not in inn)
+        no_out = _sorted(v for v in g.vertices if (v, a) not in t)
+        no_in = _sorted(v for v in g.vertices if (v, -a) not in t)
         for s, d in zip(no_out, no_in):
             edges.add((s, a, d))
     return LabeledGraph(g.vertices, edges, basepoint=g.basepoint,
@@ -277,8 +273,8 @@ def transition_group(g: LabeledGraph, name: str = "T") -> FinGroup:
         raise ValueError("transition group needs a complete folded graph")
     verts = _sorted(g.vertices)
     pos = {v: i for i, v in enumerate(verts)}
-    out, _ = transition_maps(g)
-    perms = [tuple(pos[out[(v, a)]] for v in verts)
+    t = transition_maps(g)
+    perms = [tuple(pos[t[(v, a)]] for v in verts)
              for a in range(1, g.n_letters + 1)]
     return FinGroup.from_perms(g.alphabet, perms, name=name)
 
@@ -290,13 +286,14 @@ def canonical_form(g: LabeledGraph) -> tuple:
     their canonical forms are equal."""
     if g.basepoint is None:
         raise ValueError("canonical form needs a basepoint")
-    out, inn = transition_maps(g)
+    t = transition_maps(g)
     number = {g.basepoint: 0}
     queue = [g.basepoint]
     while queue:
         v = queue.pop(0)
         for a in range(1, g.n_letters + 1):
-            for w in (out.get((v, a)), inn.get((v, a))):
+            for x in (a, -a):
+                w = t.get((v, x))
                 if w is not None and w not in number:
                     number[w] = len(number)
                     queue.append(w)

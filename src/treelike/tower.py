@@ -314,8 +314,12 @@ def rz_experiment(spec: TowerSpec, cores: Sequence[LabeledGraph], w: Word,
         sub_ids = [G.subgroup(G.evaluate(g) for g in gen_words)
                    for gen_words in gens]
         product = {0}
-        for ids in sub_ids:
-            product = {G.mul_ids(x, h) for x in product for h in ids}
+        for ids in sub_ids:         # P * H_i as a union of left cosets x H_i
+            cosets = set()
+            for x in product:
+                if x not in cosets:
+                    cosets.update(G.mul_ids(x, h) for h in ids)
+            product = cosets
         wid = G.evaluate(w)
         contains = wid in product
         report["levels"].append({

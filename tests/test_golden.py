@@ -45,6 +45,12 @@ CASES = [
     ("rz_d4_overflow",
      ["rz", "--base", "D4", "--primes", "2", "--h1", "a", "--h2", "b",
       "--w", "b b a", "--budget-enum", "3000"], 1),
+    # two-generator factors: the level-1 product set is 384 of 768
+    ("rz_s3_two_generator_factors",
+     ["rz", "--base", "S3", "--primes", "2",
+      "--h1", "b^-1 b^-1 a,b b a^-1",
+      "--h2", "a^-1 b^-1 a b,b^-1 a^-1 b^-1 a",
+      "--w", "a b^-1 a b b a^-1"], 0),
     ("rz_c2xc2_primes_2_3",
      ["rz", "--base", "C2xC2", "--primes", "2,3", "--h1", "a", "--h2", "b",
       "--w", "b a"], 0),
