@@ -6,21 +6,26 @@ implicit.  Subgraphs are value objects holding a vertex set and a set of
 positive edges over a fixed group.
 
 This module holds the signed walk of a word, which path spans, kernel
-rewriting and cocycles all read, and computes path spans, the covering
-subgraph of a folded basepointed graph (the part of the Cayley graph
-swept out by paths from 1 whose labels are readable in the given graph
-from its basepoint), connected components, border edge sets of a vertex
-set, and the two-edge connectivity check used to route spanning trees
-around a chosen edge pair.
+rewriting and cocycles all read, and the one search of the Cayley graph,
+a breadth-first search over the step tables through admitted edges,
+which components, spanning trees and lifts all run.  It also computes
+path spans, the covering subgraph of a folded basepointed graph (the
+part of the Cayley graph swept out by paths from 1 whose labels are
+readable in the given graph from its basepoint), border edge sets of a
+vertex set, and the two-edge connectivity check used to route spanning
+trees around a chosen edge pair.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from .groups import FinGroup
 from .stallings import LabeledGraph, transition_maps
+from .words import Word
 
 Edge = Tuple[int, int]                  # (element id, base letter)
 TraversalCount = Dict[Edge, int]        # signed traversal counts
@@ -121,38 +126,51 @@ def covering_subgraph(A: LabeledGraph, G: FinGroup) -> CayleySubgraph:
     return CayleySubgraph(G, frozenset(vertices), frozenset(edges))
 
 
+def search(G: FinGroup, root: int, admit: Callable[[Edge], bool],
+           rng: Optional[random.Random] = None) -> Dict[int, Optional[tuple]]:
+    """FIFO breadth-first search from root through the positive edges
+    that admit accepts: the parent map {v: (u, x)} with step(u, x) = v,
+    in discovery order, None at the root.  Rows are tried in the order
+    1, -1, 2, -2, ...; admit sees only edges to unseen vertices.  An rng
+    shuffles the rows at each dequeued vertex."""
+    rows = G.rows()
+    parent: Dict[int, Optional[tuple]] = {root: None}
+    queue = [root]
+    for u in queue:
+        if rng is not None:
+            rng.shuffle(rows)
+        for x, row in rows:
+            v = row[u]
+            if v not in parent and admit((u, x) if x > 0 else (v, -x)):
+                parent[v] = (u, x)
+                queue.append(v)
+    return parent
+
+
+def path_label(parent, v: int) -> Word:
+    """Label of the path from the root to v in a search parent map."""
+    out = []
+    while parent[v] is not None:
+        v, x = parent[v]
+        out.append(x)
+    return tuple(reversed(out))
+
+
 def components(X: CayleySubgraph) -> List[frozenset]:
     """Connected components (undirected over included edges); isolated
     vertices are singletons.  Sorted by smallest member."""
-    adj: Dict[int, List[int]] = {v: [] for v in X.vertices}
-    for e in X.pos_edges:
-        d = X.dst(e)
-        adj[e[0]].append(d)
-        adj[d].append(e[0])
-    seen = set()
-    comps = []
-    for v in X.vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        seen.add(v)
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(frozenset(comp))
-    return sorted(comps, key=min)
+    comps: List[frozenset] = []
+    for v in sorted(X.vertices):
+        if not any(v in c for c in comps):
+            comps.append(component_of(X, v))
+    return comps
 
 
 def component_of(X: CayleySubgraph, v: int) -> frozenset:
     """The component of v in X."""
-    for comp in components(X):
-        if v in comp:
-            return comp
-    raise ValueError("vertex %d not in subgraph" % v)
+    if v not in X.vertices:
+        raise ValueError("vertex %d not in subgraph" % v)
+    return frozenset(search(X.group, v, X.pos_edges.__contains__))
 
 
 def intersect(X: CayleySubgraph, Y: CayleySubgraph) -> CayleySubgraph:
@@ -205,12 +223,7 @@ def connected_without_two_edges(G: FinGroup, e: Edge, f: Edge) -> bool:
                          "property")
     if e == f:
         raise ValueError("edges must be distinct")
-    from .rewriting import spanning_tree_avoiding
-    try:
-        spanning_tree_avoiding(G, e, f)
-    except ValueError:
-        return False
-    return True
+    return len(search(G, 0, lambda d: d != e and d != f)) == G.order()
 
 
 def subgraph_to_dot(X: CayleySubgraph, name: str = "X",

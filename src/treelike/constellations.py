@@ -39,8 +39,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .cayley import (CayleySubgraph, component_of, components, intersect,
-                     path_span)
+from .cayley import (CayleySubgraph, component_of, intersect, path_label,
+                     path_span, search)
 from .groups import EnumerationBudgetError, FinGroup
 from .words import Word, random_reduced_word, word_str
 
@@ -77,11 +77,18 @@ def constellation_defect(X: CayleySubgraph, g: int,
             return "1 is not a vertex of %s" % name
         if g not in S.vertices:
             return "g is not a vertex of %s" % name
-        if len(components(S)) != 1:
+        if component_of(S, 0) != S.vertices:
             return "%s is not connected" % name
     if g in component_of(intersect(X, T), 0):
         return "1 and g share a component of the intersection"
     return None
+
+
+def require_counts(**counts: int) -> None:
+    """Refuse a count below 1: a sampled check of nothing passes vacuously."""
+    for name, n in counts.items():
+        if n < 1:
+            raise ValueError("%s must be at least 1, got %d" % (name, n))
 
 
 def is_constellation(X: CayleySubgraph, g: int, T: CayleySubgraph) -> bool:
@@ -97,8 +104,8 @@ def _candidate_pass(G: FinGroup, edge_budget: int
     are checked before any pair is visited."""
     n, k = G.order(), G.n_letters
     if n * k > edge_budget:
-        raise EnumerationBudgetError(
-            edge_budget, "exhaustive constellation scan over %d edges" % (n * k))
+        raise EnumerationBudgetError(edge_budget, "exhaustive constellation "
+                                     "scan over %d edges" % (n * k), "edges")
     ends = [1 << g | 1 << G.step(g, a)
             for g in range(n) for a in range(1, k + 1)]
     vmask, comp0 = [0] * (1 << n * k), [1] * (1 << n * k)
@@ -178,9 +185,12 @@ def sample_constellations(G: FinGroup, rng: random.Random, count: int,
         X, end_u, _ = path_span(G, 0, u)
         T, end_v, _ = path_span(G, 0, v)
         assert end_u == end_v == g
-        if is_constellation(X, g, T):
-            yielded += 1
-            yield Constellation(X, g, T), u, v
+        try:
+            c = Constellation(X, g, T)
+        except ValueError:
+            continue
+        yielded += 1
+        yield c, u, v
     if yielded < count:
         raise RuntimeError("constellation sampling stalled: %d of %d after "
                            "%d attempts" % (yielded, count, 1000 * count))
@@ -222,20 +232,11 @@ class Dissolver:
         self._lifts: Dict[frozenset, tuple] = {}
 
     def _component(self, edge_mask: int) -> Dict[int, Optional[tuple]]:
-        """BFS back-pointers of the component of 1 of the preimage of
+        """Search parent map of the component of 1 of the preimage of
         the edges in edge_mask (edge (g, a) is bit g * |A| + a - 1)."""
-        H, phi, k = self.H, self.phi, self.H.n_letters
-        letters = [x for a in range(1, k + 1) for x in (a, -a)]
-        parent: Dict[int, Optional[tuple]] = {0: None}
-        queue = [0]
-        for h in queue:
-            for x in letters:
-                nxt = H.step(h, x)
-                bit = phi[h] * k + x - 1 if x > 0 else phi[nxt] * k - x - 1
-                if edge_mask >> bit & 1 and nxt not in parent:
-                    parent[nxt] = (h, x)
-                    queue.append(nxt)
-        return parent
+        phi, k = self.phi, self.H.n_letters
+        return search(self.H, 0,
+                      lambda e: edge_mask >> phi[e[0]] * k + e[1] - 1 & 1)
 
     def lift(self, X: CayleySubgraph) -> tuple:
         """(fibers, parent) for the component of 1 of the preimage of X:
@@ -252,13 +253,6 @@ class Dissolver:
                 {g: frozenset(s) for g, s in fibers.items()}, parent)
         return self._lifts[X.pos_edges]
 
-    def witness_word(self, parent: Dict[int, Optional[tuple]], h: int) -> Word:
-        out = []
-        while h:
-            h, x = parent[h]
-            out.append(x)
-        return tuple(reversed(out))
-
     def dissolves(self, c: Constellation,
                   max_witness_len: Optional[int] = None) -> DissolveVerdict:
         fibers_x, parent_x = self.lift(c.X)
@@ -269,8 +263,8 @@ class Dissolver:
         if not common:
             return DissolveVerdict("dissolved", fiber_x=len(fx), fiber_t=len(ft))
         h = min(common)
-        u = self.witness_word(parent_x, h)
-        v = self.witness_word(parent_t, h)
+        u = path_label(parent_x, h)
+        v = path_label(parent_t, h)
         if max_witness_len is not None and max(len(u), len(v)) > max_witness_len:
             return DissolveVerdict("inconclusive",
                                    fiber_x=len(fx), fiber_t=len(ft))
@@ -292,6 +286,8 @@ def dissolves_all(H: FinGroup, G: FinGroup, mode: str = "exhaustive",
                   detail_limit: Optional[int] = 200) -> dict:
     """Run dissolving checks over all (exhaustive) or sampled
     constellations of G; returns a JSON-ready report."""
+    if mode == "sampled":
+        require_counts(samples=samples, max_len=max_len)
     dis = Dissolver(H, G)
     report = {
         "schema": 1,

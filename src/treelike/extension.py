@@ -237,7 +237,7 @@ def _materialize_witness(S: FinGroup, r: int, value_of: Dict[int, int],
     if S.order() ** len(spare) > budget:
         raise EnumerationBudgetError(budget, "witness completion search of "
                                      "%d^%d assignments"
-                                     % (S.order(), len(spare)))
+                                     % (S.order(), len(spare)), "assignments")
     for completion in iter_product(range(S.order()), repeat=len(spare)):
         for slot, x in zip(spare, completion):
             full[slot] = x
@@ -291,7 +291,7 @@ def s_equal(G: FinGroup, S: FinGroup, u: Sequence[int], v: Sequence[int],
         if n ** r > budget:
             raise EnumerationBudgetError(budget,
                                          "exact scan of %d^%d assignments"
-                                         % (n, r))
+                                         % (n, r), "assignments")
         # values outside the used indices never change the evaluation,
         # so scanning S^used is complete as long as each nonzero hit is
         # checked for a generating extension

@@ -165,6 +165,11 @@ class FinGroup:
         self._enumerate()
         return self._tables[letter][i]
 
+    def rows(self) -> list:
+        """(x, row) for x = 1, -1, 2, -2, ...; row[i] is step(i, x)."""
+        self._enumerate()
+        return list(self._tables.items())
+
     def evaluate(self, w: Sequence[int]) -> int:
         """Element id of [w]_G."""
         self._enumerate()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cayley import Edge, walk
+from .cayley import Edge, path_label, search, walk
 from .groups import FinGroup
 from .stallings import LabeledGraph, transition_maps, _sorted
 from .words import Word, concat, invert_word
@@ -48,12 +48,7 @@ class SpanningTree:
 
     def path_word(self, v: int) -> Word:
         """Label of the tree path from the root to v."""
-        out = []
-        while v != 0:
-            u, x = self.parent[v]
-            out.append(x)
-            v = u
-        return tuple(reversed(out))
+        return path_label(self.parent, v)
 
 
 def spanning_tree_avoiding(G: FinGroup, e: Optional[Edge] = None,
@@ -67,36 +62,13 @@ def spanning_tree_avoiding(G: FinGroup, e: Optional[Edge] = None,
     the neighbor exploration order to vary the tree."""
     if e is not None and e == f:
         raise ValueError("edges must be distinct")
-    avoid = {e, f} - {None}
-    n = G.order()
-    parent: List[Optional[tuple]] = [None] * n
-    tree_edges = set()
-    seen = [False] * n
-    seen[0] = True
-    queue = [0]
-    head = 0
-    letters = [x for a in range(1, G.n_letters + 1) for x in (a, -a)]
-    step = G.step
-    while head < len(queue):
-        g = queue[head]
-        head += 1
-        if rng is not None:
-            rng.shuffle(letters)
-        for x in letters:
-            h = step(g, x)
-            if seen[h]:
-                continue
-            edge = (g, x) if x > 0 else (h, -x)
-            if edge in avoid:
-                continue
-            seen[h] = True
-            parent[h] = (g, x)
-            tree_edges.add(edge)
-            queue.append(h)
-    if not all(seen):
+    parent = search(G, 0, lambda d: d != e and d != f, rng)
+    if len(parent) < G.order():
         raise ValueError("deleting the given edges disconnects the Cayley "
                          "graph")
-    return SpanningTree(G, frozenset(tree_edges), tuple(parent))
+    tree_edges = frozenset((u, x) if x > 0 else (v, -x)
+                           for v, (u, x) in list(parent.items())[1:])
+    return SpanningTree(G, tree_edges, tuple(map(parent.get, sorted(parent))))
 
 
 @dataclass(frozen=True)

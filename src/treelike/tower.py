@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from .constellations import (EXHAUSTIVE_EDGE_BUDGET, dissolves_all,
-                             sample_constellations)
+                             require_counts, sample_constellations)
 from .extension import (CertificateError, ExtContext, ExtElement, _is_prime,
                         dissolving_certificate, extension_group)
 from .groups import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError, FinGroup,
@@ -210,6 +210,7 @@ def treelike_campaign(spec: TowerSpec, levels: int = 1,
     border certificates for sampled constellation word pairs stand in:
     each certificate alone proves its pair separated in G_{n+1}.
     """
+    require_counts(levels=levels, samples=samples, max_len=max_len)
     if step not in ("extension", "identity"):
         raise ValueError("step must be 'extension' or 'identity'")
     if step == "extension" and levels > len(spec.primes):

@@ -22,18 +22,6 @@ def letter_base(x: Letter) -> int:
     return abs(x) - 1
 
 
-def letter_sign(x: Letter) -> int:
-    return 1 if x > 0 else -1
-
-
-def make_letter(base: int, sign: int = 1) -> Letter:
-    if base < 0:
-        raise ValueError("letter base must be >= 0")
-    if sign not in (1, -1):
-        raise ValueError("letter sign must be +1 or -1")
-    return sign * (base + 1)
-
-
 def invert_word(w: Sequence[Letter]) -> Word:
     """Reverse the sequence and invert each letter."""
     return tuple(-x for x in reversed(w))

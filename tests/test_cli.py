@@ -277,6 +277,42 @@ def test_exit_code_budget(capsys):
     assert "budget exceeded" in err
 
 
+def test_budget_refusals_name_their_units(capsys):
+    cases = [
+        (("dissolve", "--H", "A5", "--G", "A5"),
+         "exhaustive constellation scan over 120 edges exceeds budget of "
+         "16 edges"),
+        (("extend", "C2xC2", "--S", "A5", "--eq", "a b", "b a",
+          "--eq-mode", "exact", "--budget-homs", "10"),
+         "exact scan of 60^5 assignments exceeds budget of 10 assignments"),
+    ]
+    for argv, message in cases:
+        code, report, err = _run(capsys, *argv)
+        assert (code, report) == (2, None), argv
+        assert err == "budget exceeded: %s\n" % message
+
+
+@pytest.mark.parametrize("argv, name, value", [
+    (("dissolve", "--H", "C3^2", "--G", "C3", "--mode", "sampled",
+      "--samples", "0"), "samples", 0),
+    (("dissolve", "--H", "C3^2", "--G", "C3", "--mode", "sampled",
+      "--samples", "-5"), "samples", -5),
+    (("dissolve", "--H", "C3^2", "--G", "C3", "--mode", "sampled",
+      "--max-len", "0"), "max_len", 0),
+    (("tower", "--base", "C2xC2", "--primes", "2", "--levels", "0"),
+     "levels", 0),
+    (("tower", "--base", "C2xC2", "--primes", "2", "--mode", "sampled",
+      "--samples", "0"), "samples", 0),
+    (("tower", "--base", "C2xC2", "--primes", "2", "--max-len", "0"),
+     "max_len", 0),
+])
+def test_counts_below_one_are_refused(capsys, argv, name, value):
+    # checking nothing must not print PASS
+    code, report, err = _run(capsys, *argv)
+    assert (code, report) == (3, None)
+    assert err == "error: %s must be at least 1, got %d\n" % (name, value)
+
+
 def test_exit_code_predicted_pairs(capsys):
     # D4 has 31,164 candidates: refused after the candidate pass
     code, report, err = _run(capsys, "dissolve", "--H", "D4^2", "--G", "D4")

@@ -235,7 +235,7 @@ def test_witness_completion_budget_is_exact(monkeypatch):
                         lambda S, ids: tried.append(ids))
     with pytest.raises(EnumerationBudgetError,
                        match="^witness completion search of 60\\^1 "
-                             "assignments exceeds budget of 59 elements$"):
+                             "assignments exceeds budget of 59 assignments$"):
         extension._materialize_witness(S, 2, {0: fill[0]}, fill, 59)
     assert tried == []
 

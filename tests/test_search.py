@@ -1,0 +1,161 @@
+"""Visit order of the Cayley-graph searches.
+
+Spanning trees (plain, avoiding a seeded edge pair, and shuffled by an
+rng) and the lifted components behind `dissolves` are compared with
+values frozen in tests/golden/search_order.json, so the order in which
+the search discovers vertices cannot drift.  `components` is checked
+against an independent union-find, and the search itself against its
+contract.  To rewrite that file after an intended change of content,
+run `PYTHONPATH=src python tests/test_search.py` from the repository
+root.
+"""
+
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from treelike.cayley import (CayleySubgraph, cayley_graph, components,
+                             path_label, search)
+from treelike.constellations import Dissolver
+from treelike.extension import extension_group
+from treelike.groups import builtin
+from treelike.rewriting import spanning_tree_avoiding
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "search_order.json"
+TREE_GROUPS = ("S3", "D4", "C2xC2^2")
+TREE_SEEDS = range(4)
+
+
+def _group(name):
+    if name.endswith("^2"):
+        return extension_group(builtin(name[:-2]), 2)
+    return builtin(name)
+
+
+def _edges(G):
+    return sorted(cayley_graph(G).pos_edges)
+
+
+def _trees(name) -> dict:
+    """Parent tuples of spanning trees of one group, keyed by case."""
+    G = _group(name)
+    out = {"plain": spanning_tree_avoiding(G).parent}
+    for seed in TREE_SEEDS:
+        e, f = random.Random(seed).sample(_edges(G), 2)
+        out["avoid%d" % seed] = spanning_tree_avoiding(G, e, f).parent
+        out["rng%d" % seed] = spanning_tree_avoiding(
+            G, rng=random.Random(seed)).parent
+        out["avoid_rng%d" % seed] = spanning_tree_avoiding(
+            G, e, f, rng=random.Random(seed)).parent
+    return {case: [None if p is None else list(p) for p in parent]
+            for case, parent in out.items()}
+
+
+def _lifts() -> list:
+    """Parent items of the lift of every edge mask of C2xC2 to C2xC2^2,
+    in discovery order."""
+    G = builtin("C2xC2")
+    dis = Dissolver(extension_group(G, 2), G)
+    return [[[v, p] for v, p in dis._component(m).items()]
+            for m in range(1 << G.order() * G.n_letters)]
+
+
+def _frozen() -> dict:
+    return json.loads(json.dumps(
+        {"trees": {name: _trees(name) for name in TREE_GROUPS},
+         "lifts": _lifts()}))
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("name", TREE_GROUPS)
+def test_spanning_tree_order_is_frozen(golden, name):
+    assert json.loads(json.dumps(_trees(name))) == golden["trees"][name]
+
+
+def test_lift_order_is_frozen(golden):
+    assert json.loads(json.dumps(_lifts())) == golden["lifts"]
+
+
+def _union_find_components(X):
+    parent = {v: v for v in X.vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for g, a in X.pos_edges:
+        parent[find(g)] = find(X.group.step(g, a))
+    classes = {}
+    for v in X.vertices:
+        classes.setdefault(find(v), set()).add(v)
+    return sorted((frozenset(c) for c in classes.values()), key=min)
+
+
+@pytest.mark.parametrize("name", ("C2xC2", "S3", "D4", "C2xC2^2"))
+def test_components_match_union_find(name):
+    G = _group(name)
+    edges = _edges(G)
+    rng = random.Random(11)
+    for _ in range(40):
+        keep = rng.random()
+        sub = [e for e in edges if rng.random() < keep]
+        verts = {v for g, a in sub for v in (g, G.step(g, a))}
+        verts |= {v for v in range(G.order()) if rng.random() < 0.1}
+        X = CayleySubgraph(G, verts, sub)
+        assert components(X) == _union_find_components(X)
+
+
+def test_rows_are_the_step_tables():
+    G = _group("S3")
+    rows = G.rows()
+    assert [x for x, _ in rows] == [1, -1, 2, -2]
+    assert all(row[i] == G.step(i, x)
+               for x, row in rows for i in range(G.order()))
+
+
+@pytest.mark.parametrize("name", ("S3", "D4", "C2xC2^2"))
+def test_search_parent_map(name):
+    G = _group(name)
+    root = G.order() - 1
+    calls = []
+    parent = search(G, root, lambda e: calls.append(e) or True)
+    # admit sees only edges to unseen vertices, so every call discovers one
+    assert len(calls) == G.order() - 1
+    assert next(iter(parent)) == root and parent[root] is None
+    for v, p in parent.items():
+        if p is not None:
+            assert G.step(*p) == v
+            assert list(parent).index(p[0]) < list(parent).index(v)
+        assert G.mul_ids(root, G.evaluate(path_label(parent, v))) == v
+    assert path_label(parent, root) == ()
+
+
+def test_search_admits_only_accepted_edges():
+    G = _group("D4")
+    blocked = set(random.Random(3).sample(_edges(G), 6))
+    parent = search(G, 0, lambda e: e not in blocked)
+    for v, p in parent.items():
+        if p is not None:
+            u, x = p
+            assert ((u, x) if x > 0 else (v, -x)) not in blocked
+
+
+def test_search_rng_is_reproducible():
+    G = _group("C2xC2^2")
+    plain = search(G, 0, lambda e: True)
+    shuffled = [list(search(G, 0, lambda e: True, random.Random(s)).items())
+                for s in (5, 5, 6)]
+    assert shuffled[0] == shuffled[1] != shuffled[2]
+    assert list(plain.items()) != shuffled[0]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(_frozen(), sort_keys=True) + "\n")

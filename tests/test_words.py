@@ -8,8 +8,6 @@ from treelike.words import (
     invert_word,
     is_reduced,
     letter_base,
-    letter_sign,
-    make_letter,
     parse_word,
     random_reduced_word,
     reduce_word,
@@ -21,13 +19,7 @@ B = 2
 
 
 def test_letter_codec():
-    assert make_letter(0, 1) == 1
-    assert make_letter(1, -1) == -2
     assert letter_base(-2) == 1
-    assert letter_sign(-2) == -1
-    assert letter_sign(3) == 1
-    x = make_letter(4, -1)
-    assert make_letter(letter_base(x), -letter_sign(x)) == -x
 
 
 def test_reduce_examples():
