@@ -25,6 +25,16 @@ Nielsen basis in the rewritten word, so the cocycle vanishes mod p
 precisely when the word lies in R^p [R, R].  Hence the model has order
 |G| * p^r and realizes F/R(C_p).
 
+Enumeration keys.  The enumerated extension (fin_group) runs its BFS
+over packed integer codes, not over ExtElements.  With n = |G| and the
+edge (v, a) at index k = v|A| + a - 1, which is the sorted order of
+cocycle keys, the pair (b, c) has code b + n * sum_k c_k p^k.  Codes and
+canonical ExtElements are in bijection, so ids, witnesses and step
+tables are those of an ExtElement BFS; a walk step moves b through the
+step table of G and adds +-1 mod p to one base-p digit, allocating
+nothing.  Callers still see ExtElements: the FinGroup decodes a code
+when an element is asked for and encodes one to look up its id.
+
 Order of free generators.  The certificate needs the order o of a free
 generator of the relatively free group on two generators in the class
 of direct powers of S.  For S = C_p that group is C_p x C_p and o = p =
@@ -49,7 +59,7 @@ from itertools import product as iter_product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cayley import Edge, borders, component_of, intersect, path_span, walk
-from .constellations import Constellation
+from .constellations import Constellation, require_counts
 from .groups import EnumerationBudgetError, FinGroup
 from .rewriting import exponent_sums, rewrite, spanning_tree_avoiding
 from .words import Word, concat, invert_word, reduce_word
@@ -74,7 +84,8 @@ class ExtElement:
     nonzero residue) pairs.  The base is an element id when G is
     enumerated and the ExtElement one level down when G is itself an
     extension; the field order makes the ordering canonical at every
-    level, so it sorts cocycle keys."""
+    level, so it sorts cocycle keys.  An enumerated extension keys its
+    elements by integer codes and builds ExtElements only on request."""
 
     base: object
     cocycle: tuple
@@ -111,6 +122,7 @@ class ExtContext:
             self._mul, self._inv, self._one = G.mul, G.inv, G.identity
         self._step = G.step
         self.identity = ExtElement(self._one, ())
+        self._n = self._units = self._moves = None    # code layout
 
     def letter(self, a: int) -> ExtElement:
         """Image of base letter a: ([a]_G, one unit on the edge (1, a))."""
@@ -156,18 +168,69 @@ class ExtContext:
             c[e] = (c.get(e, 0) + sign) % p
         return _pack(cur, c)
 
+    # -- packed codes over an enumerated G ------------------------------
+
+    def _code_layout(self) -> list:
+        """Units n p^k of the edges k, and per signed letter the base
+        shifts, traversed-edge units and digit sign of a code step; built
+        once, at the first encode, so a refused group never builds it."""
+        if self._units is None:
+            G, p, k = self.G, self.p, self.n_letters
+            n = G.order()
+            units = [n * p ** i for i in range(n * k)]
+            moves = {}
+            for x, row in G.rows():
+                a = abs(x)
+                tail = range(n) if x > 0 else row    # of the edge crossed
+                moves[x] = ([row[b] - b for b in range(n)],
+                            [units[v * k + a - 1] for v in tail],
+                            1 if x > 0 else -1)
+            self._n, self._units, self._moves = n, units, moves
+        return self._units
+
+    def _encode(self, x: ExtElement) -> int:
+        units, k = self._code_layout(), self.n_letters
+        return x.base + sum(val * units[v * k + a - 1]
+                            for (v, a), val in x.cocycle)
+
+    def _decode(self, code: int) -> ExtElement:
+        self._code_layout()
+        k, p = self.n_letters, self.p
+        r, base = divmod(code, self._n)
+        c = []
+        i = 0
+        while r:
+            r, d = divmod(r, p)
+            if d:
+                c.append(((i // k, i % k + 1), d))
+            i += 1
+        return ExtElement(base, tuple(c))
+
+    def _code_step(self, x: int, letter: int) -> int:
+        """step() on codes.  A code only exists after _encode, so the
+        layout is built: move the base, then add the sign to the digit
+        of the traversed edge mod p."""
+        shift, units, s = self._moves[letter]
+        b = x % self._n
+        u = units[b]
+        d = x // u % self.p
+        return x + shift[b] + ((d + s) % self.p - d) * u
+
     def fin_group(self, name: Optional[str] = None,
                   enum_budget: Optional[int] = None) -> FinGroup:
-        """The extension as an A-generated FinGroup over ExtElements;
-        needs an enumerated G."""
+        """The extension as an A-generated FinGroup; needs an enumerated
+        G.  Its enumeration keys are packed integer codes (see the module
+        docstring); element(), id_of(), element_of(), gens and mul/inv
+        deal in ExtElements."""
         G = self.G
         gens = [self.letter(a) for a in range(1, G.n_letters + 1)]
         return FinGroup(G.alphabet, gens, self.identity, self.mul, self.inv,
                         name=name or "%s^%d" % (G.name, self.p),
                         enum_budget=(G.enum_budget if enum_budget is None
                                      else enum_budget),
-                        step=self.step,
-                        exact_order=lambda: ext_order(G, G.n_letters, self.p))
+                        step=self._code_step,
+                        exact_order=lambda: ext_order(G, G.n_letters, self.p),
+                        codec=(self._encode, self._decode))
 
 
 def ext_evaluate(G: FinGroup, p: int, w: Sequence[int]) -> ExtElement:
@@ -274,8 +337,10 @@ def s_equal(G: FinGroup, S: FinGroup, u: Sequence[int], v: Sequence[int],
     groups are 2-generated).  witness mode samples assignments,
     alternating uniform draws with sparse pairs (two random indices get
     random values, the rest the identity) and can certify only
-    distinctness.
+    distinctness; it refuses fewer than one sample before any work.
     """
+    if mode == "witness":
+        require_counts(samples=samples)
     w = reduce_word(concat(tuple(u), invert_word(tuple(v))))
     if G.evaluate(w) != 0:
         return SEqualResult("distinct")

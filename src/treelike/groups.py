@@ -5,14 +5,15 @@ A FinGroup is a group generated by one element per alphabet letter.  The
 element domain is opaque: elements only need to be hashable and to come
 with multiplication/inversion callables.  Permutation groups (tuples of
 images, acting on the right) cover all builtins; extension groups plug in
-their own element arithmetic, walk step and exact order.  Enumeration is
-a BFS over element steps; afterwards ids multiply through its tables.
+their own walk step over packed integer keys, a codec between keys and
+elements, and an exact order.  Enumeration is a BFS over key steps;
+afterwards ids multiply through its tables.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from .words import Word
 
@@ -26,6 +27,10 @@ class EnumerationBudgetError(RuntimeError):
                  unit: str = "elements"):
         super().__init__("%s exceeds budget of %d %s" % (context, budget, unit))
         self.budget = budget
+
+
+def _same(x):
+    return x
 
 
 def perm_identity(n: int) -> tuple:
@@ -47,12 +52,17 @@ def perm_inv(p: tuple) -> tuple:
 class FinGroup:
     """A-generated finite group with a lazily built element table.
 
-    Enumeration is a BFS from the identity over the element step
-    step(x, +-a) = x * (image of a)^(+-1), by default a multiplication;
-    element ids are BFS discovery order (identity = 0) and each element
-    stores a shortest witness word.  Ids multiply through the step
-    tables: i * j walks witness(j) from i.  Given exact_order(), an order
-    above enum_budget is refused before any BFS work.
+    Enumeration is a BFS from the identity over enumeration keys and the
+    key step step(x, +-a) = key of x * (image of a)^(+-1).  Without a
+    codec the keys are the elements themselves and the step is, by
+    default, a multiplication.  With codec = (encode, decode), a
+    bijection between elements and keys, the BFS stores and hashes only
+    keys; element(), id_of() and element_of() convert at the boundary,
+    so callers see elements either way.  Element ids are BFS discovery
+    order (identity = 0) and each element stores a shortest witness
+    word.  Ids multiply through the step tables: i * j walks witness(j)
+    from i.  Given exact_order(), an order above enum_budget is refused
+    before any BFS work, including the first encode.
     """
 
     def __init__(self, alphabet: Sequence[str], gens: Sequence, identity,
@@ -60,7 +70,8 @@ class FinGroup:
                  degree: Optional[int] = None,
                  enum_budget: int = DEFAULT_ENUM_BUDGET,
                  step: Optional[Callable] = None,
-                 exact_order: Optional[Callable[[], int]] = None):
+                 exact_order: Optional[Callable[[], int]] = None,
+                 codec: Optional[Tuple[Callable, Callable]] = None):
         if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet names must be distinct")
         if len(gens) != len(alphabet):
@@ -81,8 +92,9 @@ class FinGroup:
             def step(x, letter):
                 return mul(x, images[letter])
         self._elem_step = step
+        self._encode, self._decode = codec or (_same, _same)
         self._exact_order = exact_order
-        self._elems: Optional[list] = None
+        self._elems: Optional[list] = None      # enumeration keys, by id
         self._index: Optional[dict] = None
         self._witness: Optional[list] = None
         self._tables: Optional[dict] = None     # signed letter -> successor ids
@@ -120,8 +132,9 @@ class FinGroup:
                 self.enum_budget, "enumeration of %s" % self.name)
         step = self._elem_step
         letters = [s for a in range(1, len(self.gens) + 1) for s in (a, -a)]
-        elems = [self.identity]
-        index = {self.identity: 0}
+        one = self._encode(self.identity)
+        elems = [one]
+        index = {one: 0}
         witness: list[Word] = [()]
         tables = {letter: [] for letter in letters}
         i = 0
@@ -149,11 +162,11 @@ class FinGroup:
 
     def element(self, i: int):
         self._enumerate()
-        return self._elems[i]
+        return self._decode(self._elems[i])
 
     def id_of(self, elem) -> int:
         self._enumerate()
-        return self._index[elem]
+        return self._index[self._encode(elem)]
 
     def witness(self, i: int) -> Word:
         """A shortest word evaluating to element i."""
@@ -183,12 +196,12 @@ class FinGroup:
 
     def element_of(self, w: Sequence[int]):
         """Raw element of [w]_G, without enumerating the group."""
-        x = self.identity
+        x = self._encode(self.identity)
         for s in w:
             if not s or abs(s) > len(self.gens):
                 raise ValueError("letter %r outside alphabet" % (s,))
             x = self._elem_step(x, s)
-        return x
+        return self._decode(x)
 
     def mul_ids(self, i: int, j: int) -> int:
         """Id of element(i) * element(j): walk witness(j) from i."""

@@ -305,12 +305,24 @@ def test_budget_refusals_name_their_units(capsys):
       "--samples", "0"), "samples", 0),
     (("tower", "--base", "C2xC2", "--primes", "2", "--max-len", "0"),
      "max_len", 0),
+    (("extend", "C2xC2", "--S", "A5", "--eq", "a b", "b a",
+      "--eq-mode", "witness", "--samples", "0"), "samples", 0),
+    (("extend", "C2xC2", "--S", "A5", "--eq", "a b", "b a",
+      "--eq-mode", "witness", "--samples", "-3"), "samples", -3),
 ])
 def test_counts_below_one_are_refused(capsys, argv, name, value):
     # checking nothing must not print PASS
     code, report, err = _run(capsys, *argv)
     assert (code, report) == (3, None)
     assert err == "error: %s must be at least 1, got %d\n" % (name, value)
+
+
+def test_exact_mode_ignores_samples(capsys):
+    argv = ("extend", "C2xC2", "--S", "C3", "--eq", "a b", "b a",
+            "--eq", "a", "b", "--eq-mode", "exact")
+    plain = _run(capsys, *argv)
+    assert plain[0] == 0
+    assert _run(capsys, *argv, "--samples", "0") == plain
 
 
 def test_exit_code_predicted_pairs(capsys):

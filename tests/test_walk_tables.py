@@ -1,13 +1,14 @@
-"""Extension groups enumerated by the signed Cayley walk, id arithmetic
-through the step tables, and refusal of over-budget extension groups by
-their exact order."""
+"""Extension groups enumerated by the signed Cayley walk over packed
+integer codes, id arithmetic through the step tables, and refusal of
+over-budget extension groups by their exact order."""
 
 import random
 
 import pytest
 
 from treelike.cli import group_arg, main
-from treelike.extension import ExtContext, ext_order, extension_group
+from treelike.extension import (ExtContext, ExtElement, ext_order,
+                                extension_group)
 from treelike.groups import EnumerationBudgetError, FinGroup, builtin
 from treelike.tower import Tower, TowerSpec
 from treelike.words import random_reduced_word
@@ -82,6 +83,97 @@ def test_element_of_walks_letter_steps():
     for _ in range(50):
         w = random_reduced_word(rng, 2, rng.randint(0, 10))
         assert H.element_of(w) == H.element(H.evaluate(w))
+
+
+# -- packed codes ---------------------------------------------------------
+
+CODE_CASES = [("C3", 2), ("S3", 2), ("C2xC2", 3), ("D4", 2)]
+
+
+@pytest.mark.parametrize("name,p", CODE_CASES,
+                         ids=["%s-p%d" % c for c in CODE_CASES])
+def test_codes_round_trip(name, p):
+    G = builtin(name)
+    H = extension_group(G, p)
+    old = _multiplied(G, p)
+    assert H.order() == old.order()
+    for i, x in enumerate(H._elems):
+        e = old.element(i)
+        assert H._encode(e) == x
+        assert H._decode(x) == e
+        assert H._encode(H._decode(x)) == x
+
+
+@pytest.mark.parametrize("name,p", CODE_CASES,
+                         ids=["%s-p%d" % c for c in CODE_CASES])
+def test_walk_evaluation_finds_its_code(name, p):
+    G = builtin(name)
+    H = extension_group(G, p)
+    ctx = ExtContext(G, p)
+    rng = random.Random(229)
+    for _ in range(60):
+        w = random_reduced_word(rng, 2, rng.randint(0, 14))
+        assert H.id_of(ctx.evaluate(w)) == H.evaluate(w)
+
+
+def test_extension_of_an_extension_codes_over_code_ids():
+    C3 = FinGroup.from_perms(("a",), [(1, 2, 0)], name="C3")
+    H1 = extension_group(C3, 2)
+    H2 = extension_group(H1, 2)
+    assert (H1.order(), H2.order()) == (6, 12)
+    old = _multiplied(H1, 2)
+    assert old.order() == 12
+    for i in range(12):
+        assert H2.element(i) == old.element(i)
+        assert H2.witness(i) == old.witness(i)
+        assert H2.step(i, 1) == old.step(i, 1)
+        assert H2.step(i, -1) == old.step(i, -1)
+        assert H2.id_of(old.element(i)) == i
+
+
+def test_enumeration_builds_no_elements(monkeypatch):
+    steps, made = [], []
+    step, init = ExtContext.step, ExtElement.__init__
+
+    def counted_step(self, x, letter):
+        steps.append(letter)
+        return step(self, x, letter)
+
+    def counted_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ExtContext, "step", counted_step)
+    monkeypatch.setattr(ExtElement, "__init__", counted_init)
+    H = extension_group(builtin("D4"), 2)
+    assert len(made) == 3        # the identity and the two letter images
+    assert H.order() == 4096
+    assert H.step(17, -2) == H.mul_ids(17, H.inv_id(H.evaluate((2,))))
+    assert len(H.subgroup([H.evaluate((1, 2))])) == H.order_of(
+        H.evaluate((1, 2)))
+    assert steps == []
+    assert len(made) == 3
+
+
+def test_refused_level_builds_no_code_layout(monkeypatch):
+    built = []
+    layout = ExtContext._code_layout
+
+    def counted(self):
+        if self._units is None:
+            built.append(self.G)
+        return layout(self)
+
+    monkeypatch.setattr(ExtContext, "_code_layout", counted)
+    t = Tower(TowerSpec(builtin("S3"), (2, 2)))
+    H = t.group(2)
+    with pytest.raises(EnumerationBudgetError):
+        H.order()
+    with pytest.raises(EnumerationBudgetError):
+        H.id_of(H.identity)
+    # level 2's exact order enumerates level 1, the extension of G_0
+    assert built == [t.group(0)]
+    assert t.group(1).order() == 768
 
 
 # -- ids multiply through the step tables -------------------------------
