@@ -10,6 +10,7 @@ from .words import (
     is_reduced,
     parse_word,
     random_reduced_word,
+    reduced_word_sampler,
     reduce_word,
     word_str,
 )

@@ -42,7 +42,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from .cayley import (CayleySubgraph, component_of, intersect, path_label,
                      path_span, search)
 from .groups import EnumerationBudgetError, FinGroup
-from .words import Word, random_reduced_word, word_str
+from .words import Word, reduced_word_sampler, word_str
 
 EXHAUSTIVE_EDGE_BUDGET = 16
 EXHAUSTIVE_PAIR_BUDGET = 10 ** 8
@@ -167,16 +167,24 @@ def sample_constellations(G: FinGroup, rng: random.Random, count: int,
     """Yield `count` random triples (constellation, u, v): reduced word
     pairs with equal nonidentity image in G whose path spans X, T form a
     constellation, u reading 1 -> g in X and v in T.  Draws are rejection
-    sampled; gives up once attempts exceed 1000 * count."""
+    sampled; gives up once attempts exceed 1000 * count.
+
+    RNG stream: each word (u, then up to 64 candidates v) is one
+    rng.randint(1, max_len) for its length and then the letter draws of
+    reduced_word_sampler(rng, G.n_letters), the calls of
+    random_reduced_word(rng, G.n_letters, rng.randint(1, max_len));
+    G.evaluate draws nothing.  So a seed fixes the triples and the rng
+    state after sampling."""
+    draw = reduced_word_sampler(rng, G.n_letters)
     yielded = 0
     for _ in range(1000 * count):
         if yielded == count:
             return
-        u = random_reduced_word(rng, G.n_letters, rng.randint(1, max_len))
+        u = draw(rng.randint(1, max_len))
         g = G.evaluate(u)
         v = None
         for _ in range(64):
-            cand = random_reduced_word(rng, G.n_letters, rng.randint(1, max_len))
+            cand = draw(rng.randint(1, max_len))
             if G.evaluate(cand) == g:
                 v = cand
                 break

@@ -57,12 +57,13 @@ class FinGroup:
     codec the keys are the elements themselves and the step is, by
     default, a multiplication.  With codec = (encode, decode), a
     bijection between elements and keys, the BFS stores and hashes only
-    keys; element(), id_of() and element_of() convert at the boundary,
-    so callers see elements either way.  Element ids are BFS discovery
-    order (identity = 0) and each element stores a shortest witness
-    word.  Ids multiply through the step tables: i * j walks witness(j)
-    from i.  Given exact_order(), an order above enum_budget is refused
-    before any BFS work, including the first encode.
+    keys; element() and id_of() convert at the boundary, so callers see
+    elements either way; element_of() multiplies letter images and
+    touches neither keys nor the enumeration.  Element ids are BFS
+    discovery order (identity = 0) and each element stores a shortest
+    witness word.  Ids multiply through the step tables: i * j walks
+    witness(j) from i.  Given exact_order(), an order above enum_budget
+    is refused before any BFS work, including the first encode.
     """
 
     def __init__(self, alphabet: Sequence[str], gens: Sequence, identity,
@@ -184,24 +185,28 @@ class FinGroup:
         return list(self._tables.items())
 
     def evaluate(self, w: Sequence[int]) -> int:
-        """Element id of [w]_G."""
+        """Element id of [w]_G, walked through the step tables."""
         self._enumerate()
+        tables = self._tables
         i = 0
         for x in w:
-            if not x or abs(x) > len(self.gens):
+            row = tables.get(x)
+            if row is None:
                 raise ValueError("letter %r outside alphabet of size %d"
                                  % (x, len(self.gens)))
-            i = self.step(i, x)
+            i = row[i]
         return i
 
     def element_of(self, w: Sequence[int]):
-        """Raw element of [w]_G, without enumerating the group."""
-        x = self._encode(self.identity)
+        """Raw element of [w]_G, the product of its letter images: no
+        enumeration and no enumeration key is built."""
+        x = self.identity
         for s in w:
             if not s or abs(s) > len(self.gens):
                 raise ValueError("letter %r outside alphabet" % (s,))
-            x = self._elem_step(x, s)
-        return self._decode(x)
+            g = self.gens[abs(s) - 1]
+            x = self.mul(x, g if s > 0 else self.inv(g))
+        return x
 
     def mul_ids(self, i: int, j: int) -> int:
         """Id of element(i) * element(j): walk witness(j) from i."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count, filterfalse, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cayley import Edge, path_label, search, walk
@@ -40,11 +41,10 @@ class SpanningTree:
         """Basis index of each non-tree positive edge, in (vertex id,
         letter) order; the kernel basis has exactly these |G|(|A|-1)+1
         elements, so certificates need no basis words."""
-        G, tree_edges = self.group, self.tree_edges
-        letters = range(1, G.n_letters + 1)
-        edges = [(g, a) for g in range(G.order()) for a in letters
-                 if (g, a) not in tree_edges]
-        return {edge: i for i, edge in enumerate(edges)}
+        G = self.group
+        edges = product(range(G.order()), range(1, G.n_letters + 1))
+        return dict(zip(filterfalse(self.tree_edges.__contains__, edges),
+                        count()))
 
     def path_word(self, v: int) -> Word:
         """Label of the tree path from the root to v."""

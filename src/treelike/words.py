@@ -9,7 +9,7 @@ the free group iff their reduced forms are equal tuples.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Letter = int
 Word = tuple  # tuple[Letter, ...]
@@ -84,14 +84,30 @@ def word_str(w: Sequence[Letter], alphabet: Sequence[str] = DEFAULT_ALPHABET) ->
     return " ".join(parts)
 
 
-def random_reduced_word(rng: random.Random, n_letters: int, length: int) -> Word:
-    """Uniform non-backtracking walk: a random reduced word of exactly
-    the given length (alphabet must have at least one letter)."""
+def reduced_word_sampler(rng: random.Random, n_letters: int
+                         ) -> Callable[[int], Word]:
+    """draw(length): a uniform non-backtracking walk, a random reduced
+    word of exactly the given length (alphabet must have at least one
+    letter).  Each letter is one rng.choice over the letters 1, -1, 2,
+    -2, ... other than the inverse of the previous one; the sampler
+    builds these lists once."""
     if n_letters < 1:
         raise ValueError("need at least one letter")
-    out: list[Letter] = []
     choices = [x for b in range(1, n_letters + 1) for x in (b, -b)]
-    for _ in range(length):
-        allowed = [x for x in choices if not out or x != -out[-1]]
-        out.append(rng.choice(allowed))
-    return tuple(out)
+    allowed = {x: [y for y in choices if y != -x] for x in choices}
+    allowed[0] = choices
+
+    def draw(length: int) -> Word:
+        out: list[Letter] = []
+        x = 0
+        for _ in range(length):
+            x = rng.choice(allowed[x])
+            out.append(x)
+        return tuple(out)
+
+    return draw
+
+
+def random_reduced_word(rng: random.Random, n_letters: int, length: int) -> Word:
+    """One draw of reduced_word_sampler(rng, n_letters)."""
+    return reduced_word_sampler(rng, n_letters)(length)

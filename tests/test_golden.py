@@ -85,6 +85,7 @@ CASES = [
 CERT_CASES = [
     ("certificates_c2xc2_2", "C2xC2", 2, 6, 11),
     ("certificates_s3_2", "S3", 2, 4, 12),
+    ("certificates_d4_2", "D4", 2, 3, 13),
 ]
 
 

@@ -95,6 +95,21 @@ def test_evaluate_unknown_letter():
         G.evaluate((3,))
 
 
+def test_evaluate_walks_the_step_tables():
+    G = builtin("S3")
+    rng = random.Random(31)
+    for _ in range(50):
+        w = random_reduced_word(rng, 2, rng.randint(0, 12))
+        i = 0
+        for x in w:
+            i = G.step(i, x)
+        assert G.evaluate(w) == i
+    for w, bad in (((1, 0), 0), ((-3,), -3), ((2, 3, 1), 3)):
+        with pytest.raises(ValueError, match=r"^letter %d outside alphabet "
+                           r"of size 2$" % bad):
+            G.evaluate(w)
+
+
 def test_enumeration_table():
     G = builtin("S3")
     assert G.order() == 6

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from treelike.cayley import path_span
-from treelike.extension import extension_group
+from treelike.constellations import sample_constellations
+from treelike.extension import dissolving_certificate, extension_group
 from treelike.groups import FinGroup, builtin
 from treelike.rewriting import (
     BasisWord,
@@ -75,6 +76,29 @@ def test_spanning_tree_rng_varies():
         _check_tree(G, tree)
         shapes.add(tree.tree_edges)
     assert len(shapes) > 1
+
+
+def test_certificates_of_one_pair_share_edges_and_tree():
+    # e and f depend on S only through exponent(S), so the pair's
+    # certificates against C3 and A5 avoid one edge pair: one tree
+    G = extension_group(builtin("S3"), 2)
+    for c, u, v in sample_constellations(G, random.Random(12), 4):
+        certs = [dissolving_certificate(G, c, u, v, builtin(name))
+                 for name in ("C3", "A5")]
+        assert (certs[0].e, certs[0].f) == (certs[1].e, certs[1].f)
+        assert certs[0].tree_edges == certs[1].tree_edges
+
+
+def test_tree_index_lists_non_tree_edges_in_order():
+    for G, e, f in ((builtin("D4"), (0, 1), (3, 2)),
+                    (extension_group(builtin("C2xC2"), 2), (5, 1), (9, 2))):
+        tree = spanning_tree_avoiding(G, e, f)
+        edges = [(g, a) for g in range(G.order())
+                 for a in range(1, G.n_letters + 1)
+                 if (g, a) not in tree.tree_edges]
+        assert list(tree.index.items()) == [(d, i)
+                                            for i, d in enumerate(edges)]
+        assert len(tree.index) == G.order() * (G.n_letters - 1) + 1
 
 
 def test_nielsen_basis_counts():

@@ -85,6 +85,20 @@ def test_element_of_walks_letter_steps():
         assert H.element_of(w) == H.element(H.evaluate(w))
 
 
+def test_element_of_a_refused_group_builds_no_code_layout():
+    H = group_arg("D4^2^2")
+    ctx = H._encode.__self__        # the ExtContext behind the codec
+    rng = random.Random(227)
+    words = [(1, 2)] + [random_reduced_word(rng, 2, rng.randint(0, 10))
+                        for _ in range(20)]
+    for w in words:
+        assert H.element_of(w) == ctx.evaluate(w)
+    assert ctx._moves is None
+    with pytest.raises(EnumerationBudgetError):
+        H.order()
+    assert ctx._moves is None
+
+
 # -- packed codes ---------------------------------------------------------
 
 CODE_CASES = [("C3", 2), ("S3", 2), ("C2xC2", 3), ("D4", 2)]

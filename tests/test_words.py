@@ -10,6 +10,7 @@ from treelike.words import (
     letter_base,
     parse_word,
     random_reduced_word,
+    reduced_word_sampler,
     reduce_word,
     word_str,
 )
@@ -100,6 +101,32 @@ def test_word_str_round_trip():
         assert parse_word(word_str(w)) == w
     assert word_str(()) == ""
     assert word_str((A, -B), DEFAULT_ALPHABET) == "a b^-1"
+
+
+def _per_letter_word(rng, n_letters, length):
+    """random_reduced_word as first written: the allowed letters are
+    rebuilt before every draw."""
+    out = []
+    choices = [x for b in range(1, n_letters + 1) for x in (b, -b)]
+    for _ in range(length):
+        allowed = [x for x in choices if not out or x != -out[-1]]
+        out.append(rng.choice(allowed))
+    return tuple(out)
+
+
+def test_sampler_keeps_the_per_letter_rng_stream():
+    for n_letters in (1, 2, 3):
+        for seed in range(4):
+            got, want = random.Random(seed), random.Random(seed)
+            draw = reduced_word_sampler(got, n_letters)
+            for length in (0, 1, 2, 5, 13):
+                assert draw(length) == _per_letter_word(want, n_letters,
+                                                        length)
+                assert random_reduced_word(got, n_letters, length) == \
+                    _per_letter_word(want, n_letters, length)
+            assert got.random() == want.random()
+    with pytest.raises(ValueError, match="at least one letter"):
+        reduced_word_sampler(random.Random(0), 0)
 
 
 def test_random_reduced_word_properties():
