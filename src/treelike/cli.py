@@ -22,6 +22,7 @@ the chosen subcommand; explicit flags win.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -116,6 +117,14 @@ def _parse_primes(text: str) -> tuple:
                             "got %r" % text)
 
 
+def _tower_spec(args) -> TowerSpec:
+    # the group is checked before --primes
+    base = group_arg(args.base, args.budget_enum)
+    return TowerSpec(base, _parse_primes(args.primes),
+                     max_level=args.max_level,
+                     enum_budget=args.budget_enum, seed=args.seed)
+
+
 def _emit(report: dict, out: Optional[str]) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
@@ -133,18 +142,13 @@ def _status(ok: bool, detail: str = "") -> None:
 # -- subcommands --------------------------------------------------------
 
 
-def cmd_fold(args):
+def cmd_graph(args):
     g = fold(_input_graph(args))
+    if args.command == "core":
+        g = core(g)
     if args.dot:
         Path(args.dot).write_text(graph_to_dot(g))
-    return {"schema": 1, "command": "fold", "graph": graph_to_json(g)}, EXIT_OK
-
-
-def cmd_core(args):
-    g = core(fold(_input_graph(args)))
-    if args.dot:
-        Path(args.dot).write_text(graph_to_dot(g))
-    return {"schema": 1, "command": "core", "graph": graph_to_json(g)}, EXIT_OK
+    return {"schema": 1, "graph": graph_to_json(g)}, EXIT_OK
 
 
 def cmd_member(args):
@@ -161,7 +165,6 @@ def cmd_member(args):
     verdict = member(g, w)
     report = {
         "schema": 1,
-        "command": "member",
         "word": args.word,
         "reduced": word_str(w, g.alphabet),
         "member": verdict,
@@ -173,7 +176,6 @@ def cmd_extend(args):
     G = group_arg(args.group, args.budget_enum)
     report = {
         "schema": 1,
-        "command": "extend",
         "group": G.name,
         "separated": G.separated(),
         "equalities": [],
@@ -227,7 +229,6 @@ def cmd_dissolve(args):
                            edge_budget=args.edge_budget,
                            samples=args.samples, max_len=args.max_len,
                            seed=args.seed, detail_limit=args.detail_limit)
-    report["command"] = "dissolve"
     ok = report["all_dissolved"]
     _status(ok, "" if ok else "%d of %d constellations not dissolved"
             % (report["total"] - report["dissolved"], report["total"]))
@@ -238,34 +239,26 @@ def cmd_tower(args):
     if not args.base or not args.primes:
         raise CliInputError("tower: --base and --primes are required "
                             "(directly or via --config)")
-    base = group_arg(args.base, args.budget_enum)
-    spec = TowerSpec(base, _parse_primes(args.primes),
-                     max_level=args.max_level,
-                     enum_budget=args.budget_enum, seed=args.seed)
-    report = treelike_campaign(spec, levels=args.levels, mode=args.mode,
-                               step=args.step,
+    report = treelike_campaign(_tower_spec(args), levels=args.levels,
+                               mode=args.mode, step=args.step,
                                edge_budget=args.edge_budget,
                                samples=args.samples, max_len=args.max_len,
                                detail_limit=args.detail_limit)
-    report["command"] = "tower"
     ok = report["all_dissolved"]
     _status(ok)
     return report, EXIT_OK if ok else EXIT_FAIL
 
 
 def cmd_rz(args):
-    base = group_arg(args.base, args.budget_enum)
-    spec = TowerSpec(base, _parse_primes(args.primes),
-                     max_level=args.max_level,
-                     enum_budget=args.budget_enum, seed=args.seed)
+    spec = _tower_spec(args)
+    alphabet = spec.base.alphabet
     factor_texts = [t for t in (args.h1, args.h2, args.h3, args.h4)
                     if t is not None]
-    cores = [stallings_graph([parse_word(t, base.alphabet)
-                              for t in _split_csv(text)], base.alphabet)
+    cores = [stallings_graph([parse_word(t, alphabet)
+                              for t in _split_csv(text)], alphabet)
              for text in factor_texts]
-    w = reduce_word(parse_word(args.w, base.alphabet))
-    report = rz_experiment(spec, cores, w, max_level=args.max_level)
-    report["command"] = "rz"
+    w = reduce_word(parse_word(args.w, alphabet))
+    report = rz_experiment(spec, cores, w)
     # conclusive either way is a pass; only an unresolved non-member fails
     ok = report["member"] or report["separated_at"] is not None
     _status(ok, "" if ok else "non-member not separated at any "
@@ -276,18 +269,29 @@ def cmd_rz(args):
 # -- parser -------------------------------------------------------------
 
 
+def _scan_flags(p, samples: int) -> None:
+    """Flags of the constellation scan shared by dissolve and tower."""
+    p.add_argument("--edge-budget", type=int,
+                   default=EXHAUSTIVE_EDGE_BUDGET)
+    p.add_argument("--samples", type=int, default=samples)
+    p.add_argument("--max-len", type=int, default=8)
+    p.add_argument("--detail-limit", type=int, default=50)
+
+
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    # built on first use, not at import, so a caller that replaces the
+    # cmd_* functions before the first main() call dispatches to them
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for every randomized step (default 0)")
     common.add_argument("--budget-enum", type=int,
-                        default=DEFAULT_ENUM_BUDGET, dest="budget_enum",
+                        default=DEFAULT_ENUM_BUDGET,
                         help="group enumeration budget")
     common.add_argument("--budget-homs", type=int, default=S_EQUAL_BUDGET,
-                        dest="budget_homs",
                         help="assignment-scan budget for word equality")
     common.add_argument("--max-level", type=int, default=MAX_LEVEL,
-                        dest="max_level", help="highest tower level")
+                        help="highest tower level")
     common.add_argument("--out", metavar="PATH",
                         help="also write the JSON report to PATH")
     common.add_argument("--config", metavar="PATH",
@@ -301,21 +305,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="COMMAND")
 
-    p = sub.add_parser("fold", parents=[common],
-                       help="fold a graph or a bouquet of generators")
-    p.add_argument("input", nargs="+",
-                   help="a graph .json file, or generator words")
-    p.add_argument("--alphabet", help="comma-separated letter names")
-    p.add_argument("--dot", metavar="PATH", help="write DOT drawing")
-    p.set_defaults(func=cmd_fold)
-
-    p = sub.add_parser("core", parents=[common],
-                       help="fold, then strip non-basepoint spurs")
-    p.add_argument("input", nargs="+",
-                   help="a graph .json file, or generator words")
-    p.add_argument("--alphabet", help="comma-separated letter names")
-    p.add_argument("--dot", metavar="PATH", help="write DOT drawing")
-    p.set_defaults(func=cmd_core)
+    for name, text in (("fold", "fold a graph or a bouquet of generators"),
+                       ("core", "fold, then strip non-basepoint spurs")):
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.add_argument("input", nargs="+",
+                       help="a graph .json file, or generator words")
+        p.add_argument("--alphabet", help="comma-separated letter names")
+        p.add_argument("--dot", metavar="PATH", help="write DOT drawing")
+        p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("member", parents=[common],
                        help="subgroup membership for a word")
@@ -335,7 +332,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--eq", nargs=2, action="append", metavar=("U", "V"),
                    help="word pair to compare (repeatable)")
     p.add_argument("--eq-mode", choices=("auto", "exact", "witness"),
-                   default="auto", dest="eq_mode")
+                   default="auto")
     p.add_argument("--samples", type=int, default=4000,
                    help="witness-mode sample count")
     p.set_defaults(func=cmd_extend)
@@ -347,12 +344,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--G", required=True, help="base group")
     p.add_argument("--mode", choices=("exhaustive", "sampled"),
                    default="exhaustive")
-    p.add_argument("--edge-budget", type=int,
-                   default=EXHAUSTIVE_EDGE_BUDGET, dest="edge_budget")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--max-len", type=int, default=8, dest="max_len")
-    p.add_argument("--detail-limit", type=int, default=50,
-                   dest="detail_limit")
+    _scan_flags(p, samples=1000)
     p.set_defaults(func=cmd_dissolve)
 
     p = sub.add_parser("tower", parents=[common],
@@ -368,12 +360,7 @@ def _build_parser() -> _Parser:
                    default="extension",
                    help="quotient for each level ('identity' is the "
                         "failing baseline)")
-    p.add_argument("--edge-budget", type=int,
-                   default=EXHAUSTIVE_EDGE_BUDGET, dest="edge_budget")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--max-len", type=int, default=8, dest="max_len")
-    p.add_argument("--detail-limit", type=int, default=50,
-                   dest="detail_limit")
+    _scan_flags(p, samples=200)
     p.set_defaults(func=cmd_tower)
 
     p = sub.add_parser("rz", parents=[common],
@@ -450,8 +437,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    if report is not None:
-        _emit(report, args.out)
+    report["command"] = args.command
+    _emit(report, args.out)
     return code
 
 

@@ -321,6 +321,11 @@ def subdirect(groups: Sequence[FinGroup], name: Optional[str] = None) -> FinGrou
                     enum_budget=min(g.enum_budget for g in groups))
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: bool is an int subclass, but true is not 1 here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def group_from_json(data: dict, name: str = "G") -> FinGroup:
     """Parse {degree, gens:{letter: [perm images], ...}}; letters are
     sorted by name to fix the alphabet order."""
@@ -329,7 +334,7 @@ def group_from_json(data: dict, name: str = "G") -> FinGroup:
     if "degree" not in data or "gens" not in data:
         raise ValueError("group JSON: need fields 'degree' and 'gens'")
     degree = data["degree"]
-    if not isinstance(degree, int) or degree < 1:
+    if not _is_int(degree) or degree < 1:
         raise ValueError("group JSON field 'degree': positive integer required")
     gens = data["gens"]
     if not isinstance(gens, dict) or not gens:
@@ -339,6 +344,7 @@ def group_from_json(data: dict, name: str = "G") -> FinGroup:
     for letter in alphabet:
         p = gens[letter]
         if (not isinstance(p, list) or len(p) != degree
+                or not all(map(_is_int, p))
                 or sorted(p) != list(range(degree))):
             raise ValueError("group JSON field 'gens.%s': not a permutation of 0..%d"
                              % (letter, degree - 1))

@@ -314,6 +314,13 @@ def graph_to_json(g: LabeledGraph) -> dict:
             "alphabet": list(g.alphabet)}
 
 
+def _vertex_id(value, where: str):
+    if isinstance(value, (list, dict)):
+        raise ValueError("graph JSON %s: vertex id must not be an array "
+                         "or object, got %r" % (where, value))
+    return value
+
+
 def graph_from_json(data: dict) -> LabeledGraph:
     if not isinstance(data, dict):
         raise ValueError("graph JSON: expected an object")
@@ -323,23 +330,35 @@ def graph_from_json(data: dict) -> LabeledGraph:
     vertices = data["vertices"]
     if not isinstance(vertices, list):
         raise ValueError("graph JSON field 'vertices': list required")
+    vertices = [_vertex_id(v, "field 'vertices'") for v in vertices]
     raw_edges = data["edges"]
     if not isinstance(raw_edges, list):
         raise ValueError("graph JSON field 'edges': list required")
     alphabet = data.get("alphabet")
     if alphabet is None:
-        names = sorted({e.get("label") for e in raw_edges if isinstance(e, dict)})
+        names = sorted({e["label"] for e in raw_edges if isinstance(e, dict)
+                        and isinstance(e.get("label"), str)})
         alphabet = names or list(DEFAULT_ALPHABET[:2])
+    elif (not isinstance(alphabet, list)
+          or not all(isinstance(name, str) for name in alphabet)):
+        raise ValueError("graph JSON field 'alphabet': list of strings "
+                         "required")
     letter_of = {name: i + 1 for i, name in enumerate(alphabet)}
     edges = set()
     for k, e in enumerate(raw_edges):
         if not isinstance(e, dict) or {"src", "label", "dst"} - set(e):
             raise ValueError("graph JSON edge %d: need src, label, dst" % k)
+        if not isinstance(e["label"], str):
+            raise ValueError("graph JSON edge %d: label must be a string, "
+                             "got %r" % (k, e["label"]))
         if e["label"] not in letter_of:
             raise ValueError("graph JSON edge %d: unknown label %r" % (k, e["label"]))
-        edges.add((e["src"], letter_of[e["label"]], e["dst"]))
-    return LabeledGraph(frozenset(vertices), edges,
-                        basepoint=data.get("basepoint"), alphabet=alphabet)
+        edges.add((_vertex_id(e["src"], "edge %d src" % k),
+                   letter_of[e["label"]],
+                   _vertex_id(e["dst"], "edge %d dst" % k)))
+    basepoint = _vertex_id(data.get("basepoint"), "field 'basepoint'")
+    return LabeledGraph(frozenset(vertices), edges, basepoint=basepoint,
+                        alphabet=alphabet)
 
 
 def graph_to_dot(g: LabeledGraph, name: str = "G") -> str:

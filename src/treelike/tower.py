@@ -67,6 +67,9 @@ class TowerSpec:
             if not isinstance(getattr(self, field), int):
                 raise ValueError("tower %s must be an integer, got %r"
                                  % (field, getattr(self, field)))
+        if self.max_level < 0:
+            raise ValueError("tower max_level must be at least 0, got %d"
+                             % self.max_level)
         if not self.base.separated():
             raise ValueError("base group must have distinct nonidentity "
                              "letter images (>= 2 letters)")
@@ -216,6 +219,11 @@ def treelike_campaign(spec: TowerSpec, levels: int = 1,
     if step == "extension" and levels > len(spec.primes):
         raise ValueError("campaign over %d levels needs one prime per level"
                          % levels)
+    # the extension step reads level `levels`, the identity step stops below
+    top = levels if step == "extension" else levels - 1
+    if top > spec.max_level:
+        raise ValueError("campaign over %d levels reaches level %d, above "
+                         "max_level %d" % (levels, top, spec.max_level))
     tower = Tower(spec)
     rng = random.Random(spec.seed)
     report = {
@@ -244,7 +252,7 @@ def treelike_campaign(spec: TowerSpec, levels: int = 1,
             try:
                 H = tower.group(n + 1)
                 H.order()
-            except (EnumerationBudgetError, ValueError):
+            except EnumerationBudgetError:
                 H = None
         if H is not None:
             sub = dissolves_all(H, G, mode=mode, edge_budget=edge_budget,

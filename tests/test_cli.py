@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import treelike
-from treelike.cli import main
+from treelike.cli import _build_parser, main
 from treelike.stallings import (
     bouquet,
     canonical_form,
@@ -363,3 +363,115 @@ def test_config_errors(tmp_path, capsys):
     assert code == 3
     code, _, err = _run(capsys, "rz", "--config", str(tmp_path / "no.json"))
     assert code == 3
+
+
+_EDGE = {"src": 0, "label": "a", "dst": 1}
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("fold", {"vertices": [[1]], "edges": []},
+     "graph JSON field 'vertices': vertex id must not be an array or "
+     "object, got [1]"),
+    ("fold", {"vertices": [0, 1], "edges": [dict(_EDGE, src=[0])]},
+     "graph JSON edge 0 src: vertex id must not be an array or object, "
+     "got [0]"),
+    ("fold", {"vertices": [0, 1], "edges": [dict(_EDGE, dst={"v": 1})]},
+     "graph JSON edge 0 dst: vertex id must not be an array or object, "
+     "got {'v': 1}"),
+    ("fold", {"vertices": [0], "edges": [], "basepoint": [0]},
+     "graph JSON field 'basepoint': vertex id must not be an array or "
+     "object, got [0]"),
+    ("fold", {"vertices": [0, 1], "edges": [dict(_EDGE, label=["a"])]},
+     "graph JSON edge 0: label must be a string, got ['a']"),
+    ("fold", {"vertices": [0, 1], "edges": [_EDGE, dict(_EDGE, label=1)]},
+     "graph JSON edge 1: label must be a string, got 1"),
+    ("fold", {"vertices": [0], "edges": [], "alphabet": 5},
+     "graph JSON field 'alphabet': list of strings required"),
+    ("fold", {"vertices": [0], "edges": [], "alphabet": "ab"},
+     "graph JSON field 'alphabet': list of strings required"),
+    ("fold", {"vertices": [0], "edges": [], "alphabet": ["a", 2]},
+     "graph JSON field 'alphabet': list of strings required"),
+    ("extend", {"degree": 2, "gens": {"a": [1.0, 0], "b": [0, 1]}},
+     "group JSON field 'gens.a': not a permutation of 0..1"),
+    ("extend", {"degree": 2, "gens": {"a": [1, 0], "b": [True, False]}},
+     "group JSON field 'gens.b': not a permutation of 0..1"),
+    ("extend", {"degree": 2, "gens": {"a": [1, 0], "b": [0, "1"]}},
+     "group JSON field 'gens.b': not a permutation of 0..1"),
+    ("extend", {"degree": True, "gens": {"a": [0], "b": [0]}},
+     "group JSON field 'degree': positive integer required"),
+], ids=["vertex-array", "src-array", "dst-object", "basepoint-array",
+        "label-array", "label-int", "alphabet-int", "alphabet-str",
+        "alphabet-mixed", "image-float", "image-bool", "image-str",
+        "degree-bool"])
+def test_malformed_json_input_is_bad_input(tmp_path, capsys, command, data,
+                                           message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    argv = [command, str(path)] + (["--p", "2"] if command == "extend"
+                                   else [])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("rz", "--h1", "a", "--h2", "b", "--w", "b a", "--max-level", "-1"),
+     "tower max_level must be at least 0, got -1"),
+    # level 1 (order 128) is enumerable, but above --max-level
+    (("tower", "--base", "C2xC2", "--primes", "2", "--levels", "1",
+      "--max-level", "0", "--samples", "3"),
+     "campaign over 1 levels reaches level 1, above max_level 0"),
+    (("tower", "--base", "C2xC2", "--primes", "2,2,2,2", "--levels", "4"),
+     "campaign over 4 levels reaches level 4, above max_level 3"),
+], ids=["rz-negative", "tower-above", "tower-default-max"])
+def test_max_level_out_of_range_is_bad_input(capsys, argv, message):
+    code, report, err = _run(capsys, *argv)
+    assert (code, report) == (3, None)
+    assert err == "error: %s\n" % message
+
+
+def test_identity_step_reaches_max_level(capsys):
+    # the identity baseline checks levels 0 .. levels-1 only
+    code, report, _ = _run(capsys, "tower", "--base", "C2xC2",
+                           "--primes", "2", "--levels", "2",
+                           "--max-level", "1", "--step", "identity",
+                           "--mode", "sampled", "--samples", "3")
+    assert code == 1
+    assert [level["level"] for level in report["levels"]] == [0, 1]
+
+
+def _call(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"base": "C3", "primes": [2],
+                               "mode": "sampled", "samples": 5}))
+    calls = [
+        ("fold", "a^2", "a b a^-1"),
+        ("core", "a b a^-1"),
+        ("member", "a b^2 a^-1", "--gens", "a^2,a b a^-1"),
+        ("extend", "C2xC2", "--p", "2", "--eq", "a b", "b a",
+         "--eq", "a^2", "a^2"),
+        # the --eq list of the previous call must not carry over
+        ("extend", "C2xC2", "--p", "2", "--eq", "a", "a"),
+        ("fold", "a", "--no-such-flag"),
+        ("extend", "C2xC2^2", "--p", "2", "--budget-enum", "10"),
+        ("dissolve", "--H", "C3^2", "--G", "C3", "--mode", "sampled",
+         "--samples", "5"),
+        ("tower", "--config", str(cfg)),
+        ("rz", "--h1", "a", "--h2", "b", "--w", "b a"),
+    ]
+    _build_parser.cache_clear()
+    reused = [_call(capsys, argv) for argv in calls]
+    assert _build_parser.cache_info().misses == 1
+    assert [got[0] for got in reused] == [0, 0, 0, 0, 0, 3, 2, 0, 0, 0]
+    assert len(json.loads(reused[4][1])["equalities"]) == 1
+    for argv, got in zip(calls, reused):
+        _build_parser.cache_clear()
+        assert _call(capsys, argv) == got, argv
+    assert _build_parser.cache_info().misses == 1

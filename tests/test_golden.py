@@ -1,8 +1,10 @@
-"""Frozen CLI reports and border certificates.
+"""Frozen CLI reports, border certificates and help texts.
 
 Each CLI case's stdout and exit code (tower, rz, extend and dissolve
 runs) and each certificate case's `certificate_to_json` output are
-compared byte for byte with tests/golden/<name>.json.  To rewrite the
+compared byte for byte with tests/golden/<name>.json, and the `--help`
+output of `treelike` and of each subcommand, at COLUMNS=80, with
+tests/golden/help/<name>.txt.  To rewrite the
 files after an intended change of content, run
 `PYTHONPATH=src python tests/test_golden.py` from the repository root.
 """
@@ -10,6 +12,7 @@ files after an intended change of content, run
 import contextlib
 import io
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -89,6 +92,11 @@ CERT_CASES = [
 ]
 
 
+# the top-level help, then each subcommand's
+HELP_COMMANDS = ["treelike", "fold", "core", "member", "extend", "dissolve",
+                 "tower", "rz"]
+
+
 @pytest.mark.parametrize("name,argv,code", CASES,
                          ids=[case[0] for case in CASES])
 def test_report_matches_golden(name, argv, code, capsys):
@@ -118,6 +126,24 @@ def test_certificates_match_golden(name, base, p, count, seed):
     assert got == (GOLDEN / (name + ".json")).read_text()
 
 
+def _help(name: str) -> str:
+    """stdout of `treelike [name] --help`; the caller sets COLUMNS."""
+    argv = ["--help"] if name == "treelike" else [name, "--help"]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.suppress(SystemExit):
+        main(argv)
+    return buf.getvalue()
+
+
+# captured with CPython 3.11; CI runs 3.10-3.12
+@pytest.mark.skipif(sys.version_info >= (3, 13),
+                    reason="argparse help layout changed in Python 3.13")
+@pytest.mark.parametrize("name", HELP_COMMANDS)
+def test_help_matches_golden(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _help(name) == (GOLDEN / "help" / (name + ".txt")).read_text()
+
+
 def _regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, argv, code in CASES:
@@ -130,6 +156,10 @@ def _regenerate() -> None:
         (GOLDEN / (name + ".json")).write_text(buf.getvalue())
     for name, *args in CERT_CASES:
         (GOLDEN / (name + ".json")).write_text(_certificates(*args))
+    os.environ["COLUMNS"] = "80"
+    (GOLDEN / "help").mkdir(exist_ok=True)
+    for name in HELP_COMMANDS:
+        (GOLDEN / "help" / (name + ".txt")).write_text(_help(name))
 
 
 if __name__ == "__main__":
