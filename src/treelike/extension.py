@@ -90,12 +90,6 @@ class ExtElement:
     base: object
     cocycle: tuple
 
-    def cocycle_dict(self) -> Dict[tuple, int]:
-        return dict(self.cocycle)
-
-    def support(self) -> int:
-        return len(self.cocycle)
-
 
 def _pack(base, cocycle: Dict[tuple, int]) -> ExtElement:
     return ExtElement(base, tuple(sorted(
@@ -344,9 +338,8 @@ def s_equal(G: FinGroup, S: FinGroup, u: Sequence[int], v: Sequence[int],
     w = reduce_word(concat(tuple(u), invert_word(tuple(v))))
     if G.evaluate(w) != 0:
         return SEqualResult("distinct")
-    tree = spanning_tree_avoiding(G)
-    r = len(tree.index)
-    factors = rewrite(G, tree, w)
+    r = G.order() * (G.n_letters - 1) + 1
+    factors = rewrite(G, spanning_tree_avoiding(G), w)
     if not factors:
         return SEqualResult("equal", rank=r)
     used = sorted({i for i, _ in factors})
@@ -429,6 +422,10 @@ class Certificate:
     two-generator free object over the direct powers of S, which is
     nontrivial because o divides neither exponent
     (free_object_pair_check).
+
+    tree_edges is the tree of that cross-check: G's breadth-first tree
+    with e and f exchanged out of it (spanning_tree_avoiding), one of
+    many trees that would serve; no other field depends on it.
     """
 
     e: Edge
@@ -503,10 +500,10 @@ def dissolving_certificate(G: FinGroup, c: Constellation, u: Word, v: Word,
     tree = spanning_tree_avoiding(G, e, f)
     sums = exponent_sums(rewrite(G, tree, reduce_word(
         concat(tuple(u), invert_word(tuple(v))))))
-    if sums.get(tree.index[e], 0) != u_counts.get(e, 0):
+    if sums.get(tree.index_of(e), 0) != u_counts.get(e, 0):
         raise CertificateError("rewriting disagrees with traversal count "
                                "at e")
-    if sums.get(tree.index[f], 0) != -v_counts.get(f, 0):
+    if sums.get(tree.index_of(f), 0) != -v_counts.get(f, 0):
         raise CertificateError("rewriting disagrees with traversal count "
                                "at f")
     return Certificate(e=e, f=f,

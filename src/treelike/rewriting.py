@@ -8,12 +8,19 @@ tree edges contribute nothing, each non-tree edge contributes its basis
 element with the traversal sign.  Consequently the exponent sum of a
 basis element in the rewritten word equals the signed traversal count of
 its edge, which is what the border certificates consume.
+
+Each group's breadth-first tree is searched once and kept while the
+group lives; a tree avoiding two edges is derived from it by at most two
+edge exchanges, and basis indices are read by bisection over its sorted
+edge keys, so neither a search nor the full index is needed per tree.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+import weakref
+from bisect import bisect_left, insort
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count, filterfalse, product
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -26,15 +33,17 @@ from .words import Word, concat, invert_word
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """BFS spanning tree of the Cayley graph rooted at the identity.
+    """Spanning tree of the Cayley graph rooted at the identity.
 
     parent[v] = (u, x) with step(u, x) = v for every non-root vertex;
-    tree_edges holds the underlying positive edges.
+    tree_edges holds the underlying positive edges and keys their sorted
+    integer keys g|A| + a - 1, which locate basis indices by bisection.
     """
 
     group: FinGroup
     tree_edges: frozenset
     parent: tuple  # parent[v] = (u, signed letter) or None at the root
+    keys: tuple = field(compare=False, repr=False)
 
     @cached_property
     def index(self) -> Dict[Edge, int]:
@@ -46,29 +55,128 @@ class SpanningTree:
         return dict(zip(filterfalse(self.tree_edges.__contains__, edges),
                         count()))
 
+    def index_of(self, edge: Edge) -> Optional[int]:
+        """index[edge] without building index; None for a tree edge."""
+        return _position(self.keys, edge[0] * self.group.n_letters
+                         + edge[1] - 1)
+
     def path_word(self, v: int) -> Word:
         """Label of the tree path from the root to v."""
         return path_label(self.parent, v)
+
+
+def _position(keys: Sequence[int], key: int) -> Optional[int]:
+    """Basis index of the edge with the given key: the key minus the
+    number of tree keys below it, or None when the edge is a tree edge."""
+    i = bisect_left(keys, key)
+    return None if i < len(keys) and keys[i] == key else key - i
+
+
+# FinGroup -> (tree_edges, parent, keys) of its breadth-first tree; the
+# value holds no reference to the group, so the group is not kept alive
+_BASES = weakref.WeakKeyDictionary()
+_DISCONNECTED = "deleting the given edges disconnects the Cayley graph"
+
+
+def _tree_parts(G: FinGroup, parent: Dict[int, Optional[tuple]]
+                ) -> Tuple[frozenset, tuple, tuple]:
+    """Edge set, parent tuple and sorted edge keys of a search parent map
+    that spans G."""
+    k = G.n_letters
+    edges = frozenset((u, x) if x > 0 else (v, -x)
+                      for v, (u, x) in list(parent.items())[1:])
+    return (edges, tuple(map(parent.get, sorted(parent))),
+            tuple(sorted(g * k + a - 1 for g, a in edges)))
+
+
+def _base(G: FinGroup) -> Tuple[frozenset, tuple, tuple]:
+    base = _BASES.get(G)
+    if base is None:
+        base = _BASES[G] = _tree_parts(G, search(G, 0, lambda d: True))
+    return base
+
+
+def _exchange(G: FinGroup, parent: list, cut: Edge, e: Edge, f: Edge
+              ) -> Optional[Edge]:
+    """Replace the tree edge cut by the first edge, other than e and f,
+    that leaves the subtree below it, scanning that subtree breadth-first
+    in row order; the subtree hangs from the new edge by reversing the
+    parent pointers from the attaching vertex up to its root.  Returns
+    the new edge, or None when cut is not a tree edge."""
+    g, a = cut
+    h = G.step(g, a)
+    if parent[h] == (g, a):
+        root = h
+    elif parent[g] == (h, -a):
+        root = g
+    else:
+        return None
+
+    def below(v: int) -> bool:
+        while v != root:
+            if parent[v] is None:
+                return False
+            v = parent[v][0]
+        return True
+
+    rows = G.rows()
+    queue = [root]
+    for u in queue:
+        for x, row in rows:
+            v = row[u]
+            if parent[v] == (u, x):
+                queue.append(v)
+                continue
+            d = (u, x) if x > 0 else (v, -x)
+            if d != e and d != f and not below(v):
+                link, cur = (v, -x), u
+                while True:
+                    link, parent[cur] = parent[cur], link
+                    if cur == root:
+                        return d
+                    cur, link = link[0], (cur, -link[1])
+    raise ValueError(_DISCONNECTED)
 
 
 def spanning_tree_avoiding(G: FinGroup, e: Optional[Edge] = None,
                            f: Optional[Edge] = None,
                            rng: Optional[random.Random] = None
                            ) -> SpanningTree:
-    """BFS spanning tree of the Cayley graph minus the (optional) edge
-    pairs e, f.  Raises if the remaining graph does not span, which
+    """Spanning tree of the Cayley graph minus the (optional) positive
+    edges e and f.  Raises if the remaining graph does not span, which
     cannot happen for separated groups (their Cayley graphs stay
-    connected after removing any two positive edges).  An rng shuffles
-    the neighbor exploration order to vary the tree."""
+    connected after removing any two positive edges).
+
+    Without an rng the tree is G's breadth-first enumeration tree, built
+    once per group and held while G lives, with e and then f exchanged
+    for the first edge leaving the subtree each one cuts off; the result
+    depends only on G, e and f.  An rng instead runs a fresh search
+    around e and f that shuffles the neighbor order to vary the tree."""
     if e is not None and e == f:
         raise ValueError("edges must be distinct")
-    parent = search(G, 0, lambda d: d != e and d != f, rng)
-    if len(parent) < G.order():
-        raise ValueError("deleting the given edges disconnects the Cayley "
-                         "graph")
-    tree_edges = frozenset((u, x) if x > 0 else (v, -x)
-                           for v, (u, x) in list(parent.items())[1:])
-    return SpanningTree(G, tree_edges, tuple(map(parent.get, sorted(parent))))
+    for d in (e, f):
+        if d is not None and not (0 <= d[0] < G.order()
+                                  and 0 < d[1] <= G.n_letters):
+            raise ValueError("%r is not a positive edge of the Cayley "
+                             "graph" % (d,))
+    if rng is not None:
+        parent = search(G, 0, lambda d: d != e and d != f, rng)
+        if len(parent) < G.order():
+            raise ValueError(_DISCONNECTED)
+        return SpanningTree(G, *_tree_parts(G, parent))
+    edges, parent, keys = _base(G)
+    tree = list(parent)
+    swaps = [(d, _exchange(G, tree, d, e, f)) for d in (e, f) if d is not None]
+    swaps = [(cut, link) for cut, link in swaps if link is not None]
+    if not swaps:
+        return SpanningTree(G, edges, parent, keys)
+    k, keys = G.n_letters, list(keys)
+    for (g, a), (h, b) in swaps:
+        del keys[bisect_left(keys, g * k + a - 1)]
+        insort(keys, h * k + b - 1)
+    cuts, links = zip(*swaps)
+    return SpanningTree(G, edges.difference(cuts).union(links), tuple(tree),
+                        tuple(keys))
 
 
 @dataclass(frozen=True)
@@ -90,24 +198,20 @@ def nielsen_basis(G: FinGroup, tree: SpanningTree) -> List[BasisWord]:
     return basis
 
 
-def basis_index(basis: Sequence[BasisWord]) -> Dict[Edge, int]:
-    return {bw.edge: i for i, bw in enumerate(basis)}
-
-
 def rewrite(G: FinGroup, tree: SpanningTree, w: Sequence[int]
             ) -> List[Tuple[int, int]]:
     """Rewrite a closed path at 1 into (basis index, +-1) factors.
 
     Streams over the walk: tree edges are dropped, every non-tree edge
-    (g, a) contributes its basis index tree.index[(g, a)] with the
-    traversal sign; no basis word is built.  The concatenation of the
+    (g, a) contributes its basis index tree.index_of((g, a)) with the
+    traversal sign; neither a basis word nor the index is built.  The concatenation of the
     corresponding basis words (nielsen_basis) reduces to red(w).
     """
-    index = tree.index
+    keys, k = tree.keys, G.n_letters
     out = []
     g = 0
-    for edge, sign, g in walk(G, 0, w):
-        i = index.get(edge)
+    for (h, a), sign, g in walk(G, 0, w):
+        i = _position(keys, h * k + a - 1)
         if i is not None:
             out.append((i, sign))
     if g != 0:

@@ -15,6 +15,7 @@ quotients, and extract the transition group of a complete graph.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -314,10 +315,18 @@ def graph_to_json(g: LabeledGraph) -> dict:
             "alphabet": list(g.alphabet)}
 
 
-def _vertex_id(value, where: str):
+def _vertex_id(value, where: str, seen: dict):
+    """A vertex id checked against the ids read so far (seen): JSON
+    values that Python counts as equal (0 and false, 1, true and 1.0)
+    would name one vertex, so they are refused."""
     if isinstance(value, (list, dict)):
         raise ValueError("graph JSON %s: vertex id must not be an array "
                          "or object, got %r" % (where, value))
+    first = seen.setdefault(value, value)
+    if type(first) is not type(value):
+        raise ValueError("graph JSON %s: vertex id %s would merge with "
+                         "vertex id %s" % (where, json.dumps(value),
+                                           json.dumps(first)))
     return value
 
 
@@ -330,7 +339,8 @@ def graph_from_json(data: dict) -> LabeledGraph:
     vertices = data["vertices"]
     if not isinstance(vertices, list):
         raise ValueError("graph JSON field 'vertices': list required")
-    vertices = [_vertex_id(v, "field 'vertices'") for v in vertices]
+    seen: dict = {}
+    vertices = [_vertex_id(v, "field 'vertices'", seen) for v in vertices]
     raw_edges = data["edges"]
     if not isinstance(raw_edges, list):
         raise ValueError("graph JSON field 'edges': list required")
@@ -353,10 +363,10 @@ def graph_from_json(data: dict) -> LabeledGraph:
                              "got %r" % (k, e["label"]))
         if e["label"] not in letter_of:
             raise ValueError("graph JSON edge %d: unknown label %r" % (k, e["label"]))
-        edges.add((_vertex_id(e["src"], "edge %d src" % k),
+        edges.add((_vertex_id(e["src"], "edge %d src" % k, seen),
                    letter_of[e["label"]],
-                   _vertex_id(e["dst"], "edge %d dst" % k)))
-    basepoint = _vertex_id(data.get("basepoint"), "field 'basepoint'")
+                   _vertex_id(e["dst"], "edge %d dst" % k, seen)))
+    basepoint = _vertex_id(data.get("basepoint"), "field 'basepoint'", seen)
     return LabeledGraph(frozenset(vertices), edges, basepoint=basepoint,
                         alphabet=alphabet)
 

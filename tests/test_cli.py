@@ -381,6 +381,20 @@ _EDGE = {"src": 0, "label": "a", "dst": 1}
     ("fold", {"vertices": [0], "edges": [], "basepoint": [0]},
      "graph JSON field 'basepoint': vertex id must not be an array or "
      "object, got [0]"),
+    ("fold", {"vertices": [0, False], "basepoint": 0,
+              "edges": [dict(_EDGE, dst=False)]},
+     "graph JSON field 'vertices': vertex id false would merge with vertex "
+     "id 0"),
+    ("fold", {"vertices": [1, True, 1.0], "edges": []},
+     "graph JSON field 'vertices': vertex id true would merge with vertex "
+     "id 1"),
+    ("fold", {"vertices": [0, 1], "edges": [dict(_EDGE, dst=1.0)]},
+     "graph JSON edge 0 dst: vertex id 1.0 would merge with vertex id 1"),
+    ("fold", {"vertices": [0, 1], "edges": [dict(_EDGE, src=False)]},
+     "graph JSON edge 0 src: vertex id false would merge with vertex id 0"),
+    ("fold", {"vertices": [1, 2], "edges": [], "basepoint": True},
+     "graph JSON field 'basepoint': vertex id true would merge with vertex "
+     "id 1"),
     ("fold", {"vertices": [0, 1], "edges": [dict(_EDGE, label=["a"])]},
      "graph JSON edge 0: label must be a string, got ['a']"),
     ("fold", {"vertices": [0, 1], "edges": [_EDGE, dict(_EDGE, label=1)]},
@@ -400,7 +414,8 @@ _EDGE = {"src": 0, "label": "a", "dst": 1}
     ("extend", {"degree": True, "gens": {"a": [0], "b": [0]}},
      "group JSON field 'degree': positive integer required"),
 ], ids=["vertex-array", "src-array", "dst-object", "basepoint-array",
-        "label-array", "label-int", "alphabet-int", "alphabet-str",
+        "vertex-zero-false", "vertex-one-true-float", "dst-float",
+        "src-false", "basepoint-true", "label-array", "label-int", "alphabet-int", "alphabet-str",
         "alphabet-mixed", "image-float", "image-bool", "image-str",
         "degree-bool"])
 def test_malformed_json_input_is_bad_input(tmp_path, capsys, command, data,

@@ -1,0 +1,241 @@
+"""Spanning trees by edge exchange.
+
+Without an rng, `spanning_tree_avoiding(G, e, f)` is the group's
+breadth-first tree with e and f exchanged out of it, and basis indices
+are read by bisection over the sorted tree-edge keys.  The trees are
+checked for being spanning trees that avoid e and f, against the tree
+index and the Nielsen basis, and certificates over them against
+certificates over a tree found by a fresh search of the Cayley graph
+minus e and f (`cayley.search`, the oracle).  The base tree is searched
+once per group and does not keep the group alive.
+"""
+
+import gc
+import random
+import weakref
+
+import pytest
+
+from test_golden import CERT_CASES
+from treelike import extension, rewriting
+from treelike.cayley import cayley_graph, search
+from treelike.constellations import sample_constellations
+from treelike.extension import dissolving_certificate, extension_group
+from treelike.groups import FinGroup, builtin
+from treelike.rewriting import (SpanningTree, expand, nielsen_basis, rewrite,
+                                spanning_tree_avoiding)
+from treelike.words import concat, invert_word, random_reduced_word, reduce_word
+
+DISCONNECTS = "deleting the given edges disconnects the Cayley graph"
+# (group, edge pairs checked)
+EXCHANGE_GROUPS = (("C2xC2", 40), ("S3", 40), ("C2xC2^2", 40), ("S3^2", 40),
+                   ("C3^3", 40), ("A5", 40), ("D4^2", 8))
+
+
+def _group(name):
+    if "^" in name:
+        base, p = name.split("^")
+        return extension_group(builtin(base), int(p))
+    return builtin(name)
+
+
+def _cyclic(n):
+    return FinGroup.from_perms(("a",), [tuple(range(1, n)) + (0,)],
+                               name="C%done" % n)
+
+
+def _edges(G):
+    return sorted(cayley_graph(G).pos_edges)
+
+
+def _oracle(G, e, f):
+    """The breadth-first tree of the Cayley graph minus e and f."""
+    parent = search(G, 0, lambda d: d != e and d != f)
+    if len(parent) < G.order():
+        raise ValueError(DISCONNECTS)
+    k = G.n_letters
+    edges = frozenset((u, x) if x > 0 else (v, -x)
+                      for v, (u, x) in list(parent.items())[1:])
+    return SpanningTree(G, edges, tuple(map(parent.get, sorted(parent))),
+                        tuple(sorted(g * k + a - 1 for g, a in edges)))
+
+
+def _check_spanning(G, tree, e=None, f=None):
+    """A spanning tree of G rooted at 1 that avoids e and f, whose keys
+    and index lookups agree with its edge set."""
+    n, k = G.order(), G.n_letters
+    assert len(tree.tree_edges) == len(tree.parent) - 1 == n - 1
+    assert tree.parent[0] is None
+    pointed = set()
+    for v in range(1, n):
+        u, x = tree.parent[v]
+        assert G.step(u, x) == v
+        pointed.add((u, x) if x > 0 else (v, -x))
+    assert pointed == tree.tree_edges
+    for v in range(n):
+        seen = 0
+        while v:
+            v = tree.parent[v][0]
+            seen += 1
+            assert seen < n
+    assert e not in tree.tree_edges and f not in tree.tree_edges
+    assert tree.keys == tuple(sorted(g * k + a - 1
+                                     for g, a in tree.tree_edges))
+    index = tree.index
+    assert [tree.index_of(d) for d in _edges(G)] == [index.get(d)
+                                                     for d in _edges(G)]
+
+
+def _subtree(tree, root):
+    return {v for v in range(len(tree.parent)) if root in _ancestors(tree, v)}
+
+
+def _ancestors(tree, v):
+    out = {v}
+    while tree.parent[v] is not None:
+        v = tree.parent[v][0]
+        out.add(v)
+    return out
+
+
+def _tree_edge(tree, v):
+    u, x = tree.parent[v]
+    return (u, x) if x > 0 else (v, -x)
+
+
+@pytest.mark.parametrize("name,pairs", EXCHANGE_GROUPS,
+                         ids=[name for name, _ in EXCHANGE_GROUPS])
+def test_exchanged_trees_span_and_avoid_the_pair(name, pairs):
+    G = _group(name)
+    base = spanning_tree_avoiding(G)
+    _check_spanning(G, base)
+    rng = random.Random(17)
+    for _ in range(pairs):
+        e, f = rng.sample(_edges(G), 2)
+        tree = spanning_tree_avoiding(G, e, f)
+        _check_spanning(G, tree, e, f)
+        # two exchanges at most: only e and f leave the base tree
+        assert base.tree_edges - tree.tree_edges == base.tree_edges & {e, f}
+        assert len(tree.tree_edges - base.tree_edges) == len(
+            base.tree_edges & {e, f})
+
+
+def test_pairs_near_the_root_and_nested():
+    G = _group("C2xC2^2")
+    base = spanning_tree_avoiding(G)
+    children = [v for v in range(1, G.order()) if base.parent[v][0] == 0]
+    for c in children:
+        e = _tree_edge(base, c)
+        below = sorted(_subtree(base, c) - {c})
+        assert below
+        # f at the root as well, then f inside e's subtree, near and deep
+        for f in ([_tree_edge(base, d) for d in children if d != c]
+                  + [_tree_edge(base, below[0]),
+                     _tree_edge(base, below[-1])]):
+            for pair in ((e, f), (f, e)):
+                tree = spanning_tree_avoiding(G, *pair)
+                _check_spanning(G, tree, *pair)
+                assert len(tree.tree_edges ^ base.tree_edges) == 4
+
+
+def test_pair_outside_the_tree_keeps_the_base_tree():
+    G = _group("S3^2")
+    base = spanning_tree_avoiding(G)
+    outside = [d for d in _edges(G) if d not in base.tree_edges]
+    rng = random.Random(5)
+    for _ in range(10):
+        e, f = rng.sample(outside, 2)
+        tree = spanning_tree_avoiding(G, e, f)
+        assert tree == base
+        assert tree.parent is base.parent and tree.keys is base.keys
+
+
+def test_single_edge_and_one_letter_groups():
+    C5 = _cyclic(5)
+    for e in _edges(C5):
+        _check_spanning(C5, spanning_tree_avoiding(C5, e), e)
+        _check_spanning(C5, spanning_tree_avoiding(C5, None, e), None, e)
+    for e, f in ((d, g) for d in _edges(C5) for g in _edges(C5) if d != g):
+        for rng in (None, random.Random(0)):
+            with pytest.raises(ValueError, match="^%s$" % DISCONNECTS):
+                spanning_tree_avoiding(C5, e, f, rng=rng)
+        with pytest.raises(ValueError, match="^%s$" % DISCONNECTS):
+            _oracle(C5, e, f)
+    C1 = _cyclic(1)
+    assert spanning_tree_avoiding(C1, (0, 1)).tree_edges == frozenset()
+
+
+def test_index_lookup_and_round_trip_on_exchanged_trees():
+    rng = random.Random(23)
+    for name in ("C2xC2", "S3", "D4", "C2xC2^2", "A5"):
+        G = _group(name)
+        for _ in range(6):
+            e, f = rng.sample(_edges(G), 2)
+            tree = spanning_tree_avoiding(G, e, f)
+            basis = nielsen_basis(G, tree)
+            assert [bw.edge for bw in basis] == list(tree.index)
+            assert all(tree.index_of(bw.edge) == i
+                       for i, bw in enumerate(basis))
+            for _ in range(20):
+                w = random_reduced_word(rng, G.n_letters, rng.randint(0, 10))
+                closed = concat(w, invert_word(tree.path_word(G.evaluate(w))))
+                assert (expand(rewrite(G, tree, closed), basis)
+                        == reduce_word(closed))
+
+
+def _certificates(G, pairs):
+    targets = (builtin("C3"), builtin("A5"))
+    return [dissolving_certificate(G, c, u, v, S)
+            for c, u, v in pairs for S in targets]
+
+
+def _without_tree(cert):
+    return {name: getattr(cert, name) for name in cert.__dataclass_fields__
+            if name != "tree_edges"}
+
+
+@pytest.mark.parametrize("name,base,p,count,seed",
+                         CERT_CASES + [("d4_2_pairs", "D4", 2, 10, 29)],
+                         ids=[case[0] for case in CERT_CASES] + ["d4_2_pairs"])
+def test_certificates_match_the_search_oracle(monkeypatch, name, base, p,
+                                              count, seed):
+    G = extension_group(builtin(base), p)
+    pairs = list(sample_constellations(G, random.Random(seed), count))
+    got = _certificates(G, pairs)
+    with monkeypatch.context() as m:
+        m.setattr(extension, "spanning_tree_avoiding", _oracle)
+        want = _certificates(G, pairs)
+    assert [_without_tree(c) for c in got] == [_without_tree(c) for c in want]
+    for cert in got:
+        assert cert.e not in cert.tree_edges
+        assert cert.f not in cert.tree_edges
+        assert len(cert.tree_edges) == G.order() - 1
+
+
+def test_one_base_search_per_group(monkeypatch):
+    G = extension_group(builtin("S3"), 2)
+    pairs = list(sample_constellations(G, random.Random(8), 20))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(rewriting, "search", counted)
+    certs = _certificates(G, pairs)
+    assert len(certs) == 40 and calls == [G]
+
+
+def _certify_and_forget():
+    G = extension_group(builtin("C2xC2"), 2)
+    for c, u, v in sample_constellations(G, random.Random(3), 3):
+        dissolving_certificate(G, c, u, v, builtin("C3"))
+    tree = spanning_tree_avoiding(G, (0, 1), (1, 2))
+    _check_spanning(G, tree, (0, 1), (1, 2))
+    return weakref.ref(G)
+
+
+def test_base_tree_does_not_keep_the_group_alive():
+    ref = _certify_and_forget()
+    gc.collect()
+    assert ref() is None

@@ -93,7 +93,7 @@ def test_evaluate_frozen_examples():
     assert got_ba == ExtElement(gab, tuple(sorted([((0, 2), 1), ((gb, 1), 1)])))
     assert got_ab != got_ba
     assert got_ab.base == got_ba.base
-    assert got_ab.support() == 2
+    assert len(got_ab.cocycle) == 2
 
 
 def test_evaluate_is_product_of_letter_images():
@@ -122,7 +122,7 @@ def test_cocycle_equals_traversal_counts_mod_p():
             got = ext_evaluate(G, p, w)
             assert got.base == end == G.evaluate(w)
             want = {e: c % p for e, c in counts.items() if c % p}
-            assert got.cocycle_dict() == want
+            assert dict(got.cocycle) == want
 
 
 def test_order_formula_and_enumeration():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -8,7 +9,6 @@ from treelike.extension import dissolving_certificate, extension_group
 from treelike.groups import FinGroup, builtin
 from treelike.rewriting import (
     BasisWord,
-    basis_index,
     expand,
     exponent_sums,
     graph_subgroup_basis,
@@ -30,6 +30,11 @@ from treelike.words import (
     random_reduced_word,
     reduce_word,
 )
+
+
+def basis_index(basis):
+    """Position of each basis word, keyed by its edge."""
+    return {bw.edge: i for i, bw in enumerate(basis)}
 
 
 def _trivial_group():
@@ -63,6 +68,14 @@ def test_spanning_tree_errors():
     G = builtin("C2xC2")
     with pytest.raises(ValueError, match="must be distinct"):
         spanning_tree_avoiding(G, (0, 1), (0, 1))
+    for bad in ((0, 3), (0, 0), (-1, 1), (4, 1)):
+        for rng in (None, random.Random(1)):
+            with pytest.raises(ValueError, match="^%s is not a positive "
+                               "edge of the Cayley graph$"
+                               % re.escape(repr(bad))):
+                spanning_tree_avoiding(G, bad, (0, 1), rng=rng)
+            with pytest.raises(ValueError, match="not a positive edge"):
+                spanning_tree_avoiding(G, (0, 1), bad, rng=rng)
     line = FinGroup.from_perms(("a",), [(1, 0)], name="C2one")
     with pytest.raises(ValueError, match="disconnects"):
         spanning_tree_avoiding(line, (0, 1), (1, 1))

@@ -3,11 +3,14 @@
 Spanning trees (plain, avoiding a seeded edge pair, and shuffled by an
 rng) and the lifted components behind `dissolves` are compared with
 values frozen in tests/golden/search_order.json, so the order in which
-the search discovers vertices cannot drift.  `components` is checked
-against an independent union-find, and the search itself against its
-contract.  To rewrite that file after an intended change of content,
-run `PYTHONPATH=src python tests/test_search.py` from the repository
-root.
+the search discovers vertices cannot drift.  A tree avoiding an edge
+pair without an rng is the plain tree with the two edges exchanged
+(tests/test_exchange.py checks it against a fresh search that avoids
+them), so its frozen entries pin the exchange order as well.
+`components` is checked against an independent union-find, and the
+search itself against its contract.  To rewrite that file after an
+intended change of content, run `PYTHONPATH=src python
+tests/test_search.py` from the repository root.
 """
 
 import json

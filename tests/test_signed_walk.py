@@ -122,7 +122,7 @@ def test_cocycles_follow_walk():
                 counts[edge] = (counts.get(edge, 0) + sign) % ctx.p
             got = ctx.evaluate(w)
             assert got.base == base
-            assert got.cocycle_dict() == {e: c for e, c in counts.items() if c}
+            assert dict(got.cocycle) == {e: c for e, c in counts.items() if c}
 
 
 @pytest.mark.parametrize("x", (0, 4, -4))

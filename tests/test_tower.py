@@ -120,7 +120,7 @@ def test_support_bounded_by_word_length():
     for _ in range(100):
         w = random_reduced_word(rng, 2, rng.randint(0, 12))
         for n in (1, 2):
-            assert t.evaluate(n, w).support() <= len(w)
+            assert len(t.evaluate(n, w).cocycle) <= len(w)
 
 
 def test_commutator_nontrivial_above_base():
@@ -131,7 +131,7 @@ def test_commutator_nontrivial_above_base():
     assert t.evaluate(1, comm) != t.identity(1)
     lvl2 = t.evaluate(2, comm)
     assert lvl2 != t.identity(2)
-    assert lvl2.support() <= len(comm)
+    assert len(lvl2.cocycle) <= len(comm)
 
 
 def test_level_guards():
