@@ -12,13 +12,12 @@ which components, spanning trees and lifts all run.  It also computes
 path spans, the covering subgraph of a folded basepointed graph (the
 part of the Cayley graph swept out by paths from 1 whose labels are
 readable in the given graph from its basepoint), border edge sets of a
-vertex set, and the two-edge connectivity check used to route spanning
-trees around a chosen edge pair.
+vertex set, and whether the Cayley graph stays connected after deleting
+two edges.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
@@ -126,19 +125,16 @@ def covering_subgraph(A: LabeledGraph, G: FinGroup) -> CayleySubgraph:
     return CayleySubgraph(G, frozenset(vertices), frozenset(edges))
 
 
-def search(G: FinGroup, root: int, admit: Callable[[Edge], bool],
-           rng: Optional[random.Random] = None) -> Dict[int, Optional[tuple]]:
+def search(G: FinGroup, root: int, admit: Callable[[Edge], bool]
+           ) -> Dict[int, Optional[tuple]]:
     """FIFO breadth-first search from root through the positive edges
     that admit accepts: the parent map {v: (u, x)} with step(u, x) = v,
     in discovery order, None at the root.  Rows are tried in the order
-    1, -1, 2, -2, ...; admit sees only edges to unseen vertices.  An rng
-    shuffles the rows at each dequeued vertex."""
+    1, -1, 2, -2, ...; admit sees only edges to unseen vertices."""
     rows = G.rows()
     parent: Dict[int, Optional[tuple]] = {root: None}
     queue = [root]
     for u in queue:
-        if rng is not None:
-            rng.shuffle(rows)
         for x, row in rows:
             v = row[u]
             if v not in parent and admit((u, x) if x > 0 else (v, -x)):

@@ -278,26 +278,34 @@ def _scan_flags(p, samples: int) -> None:
     p.add_argument("--detail-limit", type=int, default=50)
 
 
+# integer flags as (default, help); each subcommand declares those it reads
+_SHARED = {
+    "--seed": (0, "seed for every randomized step (default 0)"),
+    "--budget-enum": (DEFAULT_ENUM_BUDGET, "group enumeration budget"),
+    "--budget-homs": (S_EQUAL_BUDGET,
+                      "assignment-scan budget for word equality"),
+    "--max-level": (MAX_LEVEL, "highest tower level"),
+}
+
+
+def _subcommand(sub, name: str, text: str, *shared: str):
+    """Subparser with the given _SHARED flags, then --out and --config."""
+    p = sub.add_parser(name, help=text)
+    for flag in shared:
+        default, about = _SHARED[flag]
+        p.add_argument(flag, type=int, default=default, help=about)
+    p.add_argument("--out", metavar="PATH",
+                   help="also write the JSON report to PATH")
+    p.add_argument("--config", metavar="PATH",
+                   help="flat key-value JSON file of defaults for this "
+                        "subcommand")
+    return p
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     # built on first use, not at import, so a caller that replaces the
     # cmd_* functions before the first main() call dispatches to them
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for every randomized step (default 0)")
-    common.add_argument("--budget-enum", type=int,
-                        default=DEFAULT_ENUM_BUDGET,
-                        help="group enumeration budget")
-    common.add_argument("--budget-homs", type=int, default=S_EQUAL_BUDGET,
-                        help="assignment-scan budget for word equality")
-    common.add_argument("--max-level", type=int, default=MAX_LEVEL,
-                        help="highest tower level")
-    common.add_argument("--out", metavar="PATH",
-                        help="also write the JSON report to PATH")
-    common.add_argument("--config", metavar="PATH",
-                        help="flat key-value JSON file of defaults for "
-                             "this subcommand")
-
     parser = _Parser(prog="treelike",
                      description="finite quotients, constellations, and "
                                  "separation experiments on labelled "
@@ -307,23 +315,22 @@ def _build_parser() -> _Parser:
 
     for name, text in (("fold", "fold a graph or a bouquet of generators"),
                        ("core", "fold, then strip non-basepoint spurs")):
-        p = sub.add_parser(name, parents=[common], help=text)
+        p = _subcommand(sub, name, text)
         p.add_argument("input", nargs="+",
                        help="a graph .json file, or generator words")
         p.add_argument("--alphabet", help="comma-separated letter names")
         p.add_argument("--dot", metavar="PATH", help="write DOT drawing")
         p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("member", parents=[common],
-                       help="subgroup membership for a word")
+    p = _subcommand(sub, "member", "subgroup membership for a word")
     p.add_argument("word", help="word to test (reduced automatically)")
     p.add_argument("--graph", metavar="PATH", help="graph .json file")
     p.add_argument("--gens", help="comma-separated generator words")
     p.add_argument("--alphabet", help="comma-separated letter names")
     p.set_defaults(func=cmd_member)
 
-    p = sub.add_parser("extend", parents=[common],
-                       help="universal extension order and equalities")
+    p = _subcommand(sub, "extend", "universal extension order and "
+                    "equalities", "--seed", "--budget-enum", "--budget-homs")
     p.add_argument("group", help="builtin name, .json file, or NAME^p")
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--p", type=int, help="prime for a C_p-extension")
@@ -337,9 +344,8 @@ def _build_parser() -> _Parser:
                    help="witness-mode sample count")
     p.set_defaults(func=cmd_extend)
 
-    p = sub.add_parser("dissolve", parents=[common],
-                       help="dissolving checks of a quotient against a "
-                            "base group")
+    p = _subcommand(sub, "dissolve", "dissolving checks of a quotient "
+                    "against a base group", "--seed", "--budget-enum")
     p.add_argument("--H", required=True, help="quotient group")
     p.add_argument("--G", required=True, help="base group")
     p.add_argument("--mode", choices=("exhaustive", "sampled"),
@@ -347,8 +353,8 @@ def _build_parser() -> _Parser:
     _scan_flags(p, samples=1000)
     p.set_defaults(func=cmd_dissolve)
 
-    p = sub.add_parser("tower", parents=[common],
-                       help="iterated-extension campaign")
+    p = _subcommand(sub, "tower", "iterated-extension campaign",
+                    "--seed", "--budget-enum", "--max-level")
     p.add_argument("--base", help="base group")
     p.add_argument("--primes", help="comma-separated primes, lowest "
                                     "level first")
@@ -363,8 +369,9 @@ def _build_parser() -> _Parser:
     _scan_flags(p, samples=200)
     p.set_defaults(func=cmd_tower)
 
-    p = sub.add_parser("rz", parents=[common],
-                       help="product-separation experiment")
+    # rz reads no seed; --seed stays so that existing rz command lines run
+    p = _subcommand(sub, "rz", "product-separation experiment",
+                    "--seed", "--budget-enum", "--max-level")
     p.add_argument("--h1", required=True,
                    help="comma-separated generators of the first factor")
     p.add_argument("--h2", required=True,

@@ -208,9 +208,8 @@ def sample_constellations(G: FinGroup, rng: random.Random, count: int,
 class DissolveVerdict:
     """Outcome of one dissolving check.
 
-    status: 'dissolved' (fibers over g disjoint, certified),
-    'counterexample' (witness words u, v with equal image in H), or
-    'inconclusive' (witnesses exceeded the extraction length bound).
+    status: 'dissolved' (fibers over g disjoint, certified) or
+    'counterexample' (witness words u, v with equal image in H).
     """
 
     status: str
@@ -261,8 +260,7 @@ class Dissolver:
                 {g: frozenset(s) for g, s in fibers.items()}, parent)
         return self._lifts[X.pos_edges]
 
-    def dissolves(self, c: Constellation,
-                  max_witness_len: Optional[int] = None) -> DissolveVerdict:
+    def dissolves(self, c: Constellation) -> DissolveVerdict:
         fibers_x, parent_x = self.lift(c.X)
         fibers_t, parent_t = self.lift(c.T)
         fx = fibers_x.get(c.g, frozenset())
@@ -271,20 +269,15 @@ class Dissolver:
         if not common:
             return DissolveVerdict("dissolved", fiber_x=len(fx), fiber_t=len(ft))
         h = min(common)
-        u = path_label(parent_x, h)
-        v = path_label(parent_t, h)
-        if max_witness_len is not None and max(len(u), len(v)) > max_witness_len:
-            return DissolveVerdict("inconclusive",
-                                   fiber_x=len(fx), fiber_t=len(ft))
-        return DissolveVerdict("counterexample", u=u, v=v,
+        return DissolveVerdict("counterexample", u=path_label(parent_x, h),
+                               v=path_label(parent_t, h),
                                fiber_x=len(fx), fiber_t=len(ft))
 
 
-def dissolves(H: FinGroup, G: FinGroup, c: Constellation,
-              max_witness_len: Optional[int] = None) -> DissolveVerdict:
+def dissolves(H: FinGroup, G: FinGroup, c: Constellation) -> DissolveVerdict:
     """Whether phi: H ->> G dissolves the constellation c, certified by
     fiber disjointness of the lifted components (see module docstring)."""
-    return Dissolver(H, G).dissolves(c, max_witness_len)
+    return Dissolver(H, G).dissolves(c)
 
 
 def dissolves_all(H: FinGroup, G: FinGroup, mode: str = "exhaustive",

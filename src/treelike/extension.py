@@ -210,8 +210,7 @@ class ExtContext:
         d = x // u % self.p
         return x + shift[b] + ((d + s) % self.p - d) * u
 
-    def fin_group(self, name: Optional[str] = None,
-                  enum_budget: Optional[int] = None) -> FinGroup:
+    def fin_group(self, enum_budget: Optional[int] = None) -> FinGroup:
         """The extension as an A-generated FinGroup; needs an enumerated
         G.  Its enumeration keys are packed integer codes (see the module
         docstring); element(), id_of(), element_of(), gens and mul/inv
@@ -219,7 +218,7 @@ class ExtContext:
         G = self.G
         gens = [self.letter(a) for a in range(1, G.n_letters + 1)]
         return FinGroup(G.alphabet, gens, self.identity, self.mul, self.inv,
-                        name=name or "%s^%d" % (G.name, self.p),
+                        name="%s^%d" % (G.name, self.p),
                         enum_budget=(G.enum_budget if enum_budget is None
                                      else enum_budget),
                         step=self._code_step,
@@ -237,9 +236,9 @@ def ext_order(G: FinGroup, n_letters: int, p: int) -> int:
     return G.order() * p ** (G.order() * (n_letters - 1) + 1)
 
 
-def extension_group(G: FinGroup, p: int, name: Optional[str] = None,
+def extension_group(G: FinGroup, p: int,
                     enum_budget: Optional[int] = None) -> FinGroup:
-    return ExtContext(G, p).fin_group(name, enum_budget)
+    return ExtContext(G, p).fin_group(enum_budget)
 
 
 # -- equality oracle for general simple S ------------------------------

@@ -285,13 +285,6 @@ class FinGroup:
                     return None
         return phi
 
-    def to_json(self) -> dict:
-        if self.degree is None:
-            raise ValueError("only permutation groups serialize to JSON")
-        return {"degree": self.degree,
-                "gens": {name: list(self.gens[i])
-                         for i, name in enumerate(self.alphabet)}}
-
 
 def canonical_morphism(H: FinGroup, G: FinGroup) -> Optional[list]:
     """Morphism table H ->> G extending letter |-> letter, or None."""

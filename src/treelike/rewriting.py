@@ -17,7 +17,6 @@ edge keys, so neither a search nor the full index is needed per tree.
 
 from __future__ import annotations
 
-import random
 import weakref
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
@@ -78,21 +77,17 @@ _BASES = weakref.WeakKeyDictionary()
 _DISCONNECTED = "deleting the given edges disconnects the Cayley graph"
 
 
-def _tree_parts(G: FinGroup, parent: Dict[int, Optional[tuple]]
-                ) -> Tuple[frozenset, tuple, tuple]:
-    """Edge set, parent tuple and sorted edge keys of a search parent map
-    that spans G."""
-    k = G.n_letters
-    edges = frozenset((u, x) if x > 0 else (v, -x)
-                      for v, (u, x) in list(parent.items())[1:])
-    return (edges, tuple(map(parent.get, sorted(parent))),
-            tuple(sorted(g * k + a - 1 for g, a in edges)))
-
-
 def _base(G: FinGroup) -> Tuple[frozenset, tuple, tuple]:
+    """Edge set, parent tuple and sorted edge keys of G's breadth-first
+    tree."""
     base = _BASES.get(G)
     if base is None:
-        base = _BASES[G] = _tree_parts(G, search(G, 0, lambda d: True))
+        parent = search(G, 0, lambda d: True)
+        k = G.n_letters
+        edges = frozenset((u, x) if x > 0 else (v, -x)
+                          for v, (u, x) in list(parent.items())[1:])
+        base = _BASES[G] = (edges, tuple(map(parent.get, sorted(parent))),
+                            tuple(sorted(g * k + a - 1 for g, a in edges)))
     return base
 
 
@@ -139,19 +134,16 @@ def _exchange(G: FinGroup, parent: list, cut: Edge, e: Edge, f: Edge
 
 
 def spanning_tree_avoiding(G: FinGroup, e: Optional[Edge] = None,
-                           f: Optional[Edge] = None,
-                           rng: Optional[random.Random] = None
-                           ) -> SpanningTree:
+                           f: Optional[Edge] = None) -> SpanningTree:
     """Spanning tree of the Cayley graph minus the (optional) positive
     edges e and f.  Raises if the remaining graph does not span, which
     cannot happen for separated groups (their Cayley graphs stay
     connected after removing any two positive edges).
 
-    Without an rng the tree is G's breadth-first enumeration tree, built
-    once per group and held while G lives, with e and then f exchanged
-    for the first edge leaving the subtree each one cuts off; the result
-    depends only on G, e and f.  An rng instead runs a fresh search
-    around e and f that shuffles the neighbor order to vary the tree."""
+    The tree is G's breadth-first enumeration tree, built once per group
+    and held while G lives, with e and then f exchanged for the first
+    edge leaving the subtree each one cuts off; the result depends only
+    on G, e and f."""
     if e is not None and e == f:
         raise ValueError("edges must be distinct")
     for d in (e, f):
@@ -159,11 +151,6 @@ def spanning_tree_avoiding(G: FinGroup, e: Optional[Edge] = None,
                                   and 0 < d[1] <= G.n_letters):
             raise ValueError("%r is not a positive edge of the Cayley "
                              "graph" % (d,))
-    if rng is not None:
-        parent = search(G, 0, lambda d: d != e and d != f, rng)
-        if len(parent) < G.order():
-            raise ValueError(_DISCONNECTED)
-        return SpanningTree(G, *_tree_parts(G, parent))
     edges, parent, keys = _base(G)
     tree = list(parent)
     swaps = [(d, _exchange(G, tree, d, e, f)) for d in (e, f) if d is not None]

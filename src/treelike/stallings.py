@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .groups import FinGroup
 from .words import DEFAULT_ALPHABET, Word, is_reduced
@@ -203,12 +203,10 @@ def stallings_graph(generators: Sequence[Word],
     return core(fold(bouquet(generators, alphabet)))
 
 
-def read_word(g: LabeledGraph, start, w: Sequence[int],
-              maps: Optional[dict] = None):
+def read_word(g: LabeledGraph, start, w: Sequence[int]):
     """Endpoint of the unique path labelled w from start, or None if w is
-    not readable.  Requires g folded; maps, when given, is the signed
-    transition map transition_maps(g), so repeated reads build it once."""
-    t = transition_maps(g) if maps is None else maps
+    not readable.  Requires g folded."""
+    t = transition_maps(g)
     cur = start
     for x in w:
         cur = t.get((cur, x))
@@ -278,30 +276,6 @@ def transition_group(g: LabeledGraph, name: str = "T") -> FinGroup:
     perms = [tuple(pos[t[(v, a)]] for v in verts)
              for a in range(1, g.n_letters + 1)]
     return FinGroup.from_perms(g.alphabet, perms, name=name)
-
-
-def canonical_form(g: LabeledGraph) -> tuple:
-    """Canonical value for folded connected basepointed graphs: vertices
-    renumbered by BFS from the basepoint following letters in order.
-    Two such graphs are isomorphic (as labelled basepointed graphs) iff
-    their canonical forms are equal."""
-    if g.basepoint is None:
-        raise ValueError("canonical form needs a basepoint")
-    t = transition_maps(g)
-    number = {g.basepoint: 0}
-    queue = [g.basepoint]
-    while queue:
-        v = queue.pop(0)
-        for a in range(1, g.n_letters + 1):
-            for x in (a, -a):
-                w = t.get((v, x))
-                if w is not None and w not in number:
-                    number[w] = len(number)
-                    queue.append(w)
-    if len(number) != len(g.vertices):
-        raise ValueError("graph is not connected")
-    edges = frozenset((number[s], a, number[d]) for s, a, d in g.pos_edges)
-    return (len(number), edges, g.alphabet)
 
 
 def graph_to_json(g: LabeledGraph) -> dict:

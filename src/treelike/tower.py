@@ -280,8 +280,8 @@ def treelike_campaign(spec: TowerSpec, levels: int = 1,
     return report
 
 
-def rz_experiment(spec: TowerSpec, cores: Sequence[LabeledGraph], w: Word,
-                  max_level: Optional[int] = None) -> dict:
+def rz_experiment(spec: TowerSpec, cores: Sequence[LabeledGraph], w: Word
+                  ) -> dict:
     """Separation experiment for w against the product H_1 ... H_k.
 
     Ground truth comes from the saturation oracle.  When w is outside
@@ -310,10 +310,7 @@ def rz_experiment(spec: TowerSpec, cores: Sequence[LabeledGraph], w: Word,
         return report
     gens = [graph_subgroup_basis(g) for g in cores]
     tower = Tower(spec)
-    top = min(spec.max_level, len(spec.primes))
-    if max_level is not None:
-        top = min(top, max_level)
-    for n in range(top + 1):
+    for n in range(min(spec.max_level, len(spec.primes)) + 1):
         try:
             G = tower.group(n)
             order = G.order()

@@ -12,6 +12,7 @@ import json
 import random
 import time
 
+from test_exchange import search_tree
 from treelike.cayley import (borders, cayley_graph, connected_without_two_edges,
                              path_span)
 from treelike.cli import main
@@ -21,8 +22,7 @@ from treelike.extension import (CertificateError, dissolving_certificate,
                                 free_object_pair_check, s_equal)
 from treelike.groups import builtin, canonical_morphism
 from treelike.rational import ProductAutomaton, member_product
-from treelike.rewriting import (exponent_sums, nielsen_basis, rewrite,
-                                spanning_tree_avoiding)
+from treelike.rewriting import exponent_sums, nielsen_basis, rewrite
 from treelike.stallings import member, stallings_graph
 from treelike.tower import Tower, TowerSpec, project, rz_experiment, tower_equal
 from treelike.words import (concat, invert_word, parse_word,
@@ -118,7 +118,7 @@ def test_criterion_05_rewriting_exponent_sums():
     checked = bad = 0
     while checked < 500:
         G = builtin(names[checked % len(names)])
-        tree = spanning_tree_avoiding(G, rng=rng)
+        tree = search_tree(G, rng=rng)
         index = {bw.edge: i for i, bw in enumerate(nielsen_basis(G, tree))}
         w = random_reduced_word(rng, 2, rng.randint(1, 10))
         closed = concat(w, invert_word(tree.path_word(G.evaluate(w))))

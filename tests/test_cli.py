@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import treelike
+from test_stallings import canonical_form
 from treelike.cli import _build_parser, main
 from treelike.stallings import (
     bouquet,
-    canonical_form,
     core,
     fold,
     graph_from_json,
@@ -363,6 +363,46 @@ def test_config_errors(tmp_path, capsys):
     assert code == 3
     code, _, err = _run(capsys, "rz", "--config", str(tmp_path / "no.json"))
     assert code == 3
+
+
+# each subcommand declares only the flags it reads; these are the ones
+# it does not declare, with a short valid command line to add them to
+_UNDECLARED = {
+    ("fold", "a b"): ("--seed", "--budget-enum", "--budget-homs",
+                      "--max-level"),
+    ("core", "a b"): ("--seed", "--budget-enum", "--budget-homs",
+                      "--max-level"),
+    ("member", "a", "--gens", "a"): ("--seed", "--budget-enum",
+                                     "--budget-homs", "--max-level"),
+    ("extend", "C2xC2", "--p", "2"): ("--max-level",),
+    ("dissolve", "--H", "C3^2", "--G", "C3"): ("--budget-homs",
+                                               "--max-level"),
+    ("tower", "--base", "C3", "--primes", "2", "--mode", "sampled",
+     "--samples", "3"): ("--budget-homs",),
+    ("rz", "--h1", "a", "--h2", "b", "--w", "a b"): ("--budget-homs",),
+}
+_FLAG_VALUES = {"--seed": "1", "--budget-enum": "10", "--budget-homs": "-5",
+                "--max-level": "-1"}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (argv, flag) for argv, flags in _UNDECLARED.items() for flag in flags],
+    ids=["%s%s" % (argv[0], flag) for argv, flags in _UNDECLARED.items()
+         for flag in flags])
+def test_undeclared_flags_are_bad_input(capsys, argv, flag):
+    code, report, err = _run(capsys, *argv, flag, _FLAG_VALUES[flag])
+    assert (code, report) == (3, None)
+    assert err == "error: unrecognized arguments: %s %s\n" % (
+        flag, _FLAG_VALUES[flag])
+
+
+def test_config_key_of_an_undeclared_flag_is_bad_input(tmp_path, capsys):
+    cfg = tmp_path / "dissolve.json"
+    cfg.write_text(json.dumps({"max_level": 2}))
+    code, report, err = _run(capsys, "dissolve", "--H", "C3^2", "--G", "C3",
+                             "--config", str(cfg))
+    assert (code, report) == (3, None)
+    assert err == "error: unrecognized arguments: --max-level 2\n"
 
 
 _EDGE = {"src": 0, "label": "a", "dst": 1}

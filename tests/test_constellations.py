@@ -304,14 +304,6 @@ def test_dissolver_requires_morphism():
         Dissolver(builtin("C3"), builtin("C2xC2"))
 
 
-def test_inconclusive_when_witnesses_too_long():
-    G, X, g, T = _span_example()
-    c = Constellation(X, g, T)
-    verdict = dissolves(G, G, c, max_witness_len=0)
-    assert verdict.status == "inconclusive"
-    assert not verdict.dissolved
-
-
 def test_dissolver_memoizes_lifts():
     G, X, g, T = _span_example()
     dis = Dissolver(extension_group(G, 2), G)

@@ -1,13 +1,14 @@
 """Spanning trees by edge exchange.
 
-Without an rng, `spanning_tree_avoiding(G, e, f)` is the group's
-breadth-first tree with e and f exchanged out of it, and basis indices
-are read by bisection over the sorted tree-edge keys.  The trees are
-checked for being spanning trees that avoid e and f, against the tree
-index and the Nielsen basis, and certificates over them against
-certificates over a tree found by a fresh search of the Cayley graph
-minus e and f (`cayley.search`, the oracle).  The base tree is searched
-once per group and does not keep the group alive.
+`spanning_tree_avoiding(G, e, f)` is the group's breadth-first tree
+with e and f exchanged out of it, and basis indices are read by
+bisection over the sorted tree-edge keys.  The trees are checked for
+being spanning trees that avoid e and f, against the tree index and the
+Nielsen basis, and certificates over them against certificates over a
+tree found by a fresh search of the Cayley graph minus e and f
+(`search_tree`, the oracle, which other tests also use to draw shuffled
+trees).  The base tree is searched once per group and does not keep the
+group alive.
 """
 
 import gc
@@ -48,9 +49,23 @@ def _edges(G):
     return sorted(cayley_graph(G).pos_edges)
 
 
-def _oracle(G, e, f):
-    """The breadth-first tree of the Cayley graph minus e and f."""
-    parent = search(G, 0, lambda d: d != e and d != f)
+def search_tree(G, e=None, f=None, rng=None):
+    """The breadth-first tree of the Cayley graph minus the (optional)
+    edges e and f, by a fresh search that tries the rows in the order 1,
+    -1, 2, -2, ...; an rng shuffles the rows at each dequeued vertex, so
+    successive calls draw different trees."""
+    rows = G.rows()
+    parent = {0: None}
+    queue = [0]
+    for u in queue:
+        if rng is not None:
+            rng.shuffle(rows)
+        for x, row in rows:
+            v = row[u]
+            d = (u, x) if x > 0 else (v, -x)
+            if v not in parent and d != e and d != f:
+                parent[v] = (u, x)
+                queue.append(v)
     if len(parent) < G.order():
         raise ValueError(DISCONNECTS)
     k = G.n_letters
@@ -156,13 +171,26 @@ def test_single_edge_and_one_letter_groups():
         _check_spanning(C5, spanning_tree_avoiding(C5, e), e)
         _check_spanning(C5, spanning_tree_avoiding(C5, None, e), None, e)
     for e, f in ((d, g) for d in _edges(C5) for g in _edges(C5) if d != g):
+        with pytest.raises(ValueError, match="^%s$" % DISCONNECTS):
+            spanning_tree_avoiding(C5, e, f)
         for rng in (None, random.Random(0)):
             with pytest.raises(ValueError, match="^%s$" % DISCONNECTS):
-                spanning_tree_avoiding(C5, e, f, rng=rng)
-        with pytest.raises(ValueError, match="^%s$" % DISCONNECTS):
-            _oracle(C5, e, f)
+                search_tree(C5, e, f, rng)
     C1 = _cyclic(1)
     assert spanning_tree_avoiding(C1, (0, 1)).tree_edges == frozenset()
+
+
+def test_shuffled_search_trees_span_and_vary():
+    # the trees other tests draw with an rng
+    G = _group("S3")
+    rng = random.Random(4)
+    shapes = set()
+    for _ in range(20):
+        tree = search_tree(G, rng=rng)
+        _check_spanning(G, tree)
+        shapes.add(tree.tree_edges)
+    assert len(shapes) > 1
+    assert search_tree(G) == spanning_tree_avoiding(G)
 
 
 def test_index_lookup_and_round_trip_on_exchanged_trees():
@@ -203,7 +231,7 @@ def test_certificates_match_the_search_oracle(monkeypatch, name, base, p,
     pairs = list(sample_constellations(G, random.Random(seed), count))
     got = _certificates(G, pairs)
     with monkeypatch.context() as m:
-        m.setattr(extension, "spanning_tree_avoiding", _oracle)
+        m.setattr(extension, "spanning_tree_avoiding", search_tree)
         want = _certificates(G, pairs)
     assert [_without_tree(c) for c in got] == [_without_tree(c) for c in want]
     for cert in got:

@@ -17,14 +17,15 @@ from pathlib import Path
 
 import pytest
 
+from test_exchange import search_tree
+from test_stallings import canonical_form
 from treelike.cayley import covering_subgraph, path_span, walk
 from treelike.extension import ExtContext
 from treelike.groups import FinGroup, builtin
 from treelike.rational import ProductAutomaton
 from treelike.rewriting import graph_subgroup_basis, rewrite, spanning_tree_avoiding
-from treelike.stallings import (canonical_form, complete_arbitrary, read_word,
-                                stallings_graph, transition_group,
-                                transition_maps)
+from treelike.stallings import (complete_arbitrary, stallings_graph,
+                                transition_group, transition_maps)
 from treelike.tower import Tower, TowerSpec
 from treelike.words import random_reduced_word
 
@@ -97,7 +98,7 @@ def test_rewrite_factors_follow_walk():
     rng = random.Random(8)
     for G, w in _walk_cases():
         closed = w + G.witness(G.inv_id(G.evaluate(w)))
-        tree = spanning_tree_avoiding(G, rng=rng)
+        tree = search_tree(G, rng=rng)
         expected = [(tree.index[edge], sign)
                     for edge, sign, _ in walk(G, 0, closed)
                     if edge in tree.index]
@@ -157,7 +158,7 @@ def _readable_words(graph, length):
             for x in (1, -1, 2, -2):
                 if w and x == -w[-1]:
                     continue
-                u = read_word(graph, v, (x,), maps)
+                u = maps.get((v, x))
                 if u is not None:
                     nxt.append((w + (x,), u))
         words.extend(w for w, _ in nxt)

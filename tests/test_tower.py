@@ -255,9 +255,8 @@ def test_rz_separation_frozen():
 
 
 def test_rz_inconclusive_when_capped():
-    spec = _spec()
-    report = rz_experiment(spec, _cores(("a",), ("b",)), parse_word("b a"),
-                           max_level=0)
+    report = rz_experiment(_spec(max_level=0), _cores(("a",), ("b",)),
+                           parse_word("b a"))
     assert not report["member"]
     assert report["separated_at"] is None
     assert report["inconclusive"]
