@@ -5,10 +5,11 @@ The Cayley graph of G has the elements as vertices and one positive edge
 implicit.  Subgraphs are value objects holding a vertex set and a set of
 positive edges over a fixed group.
 
-This module holds the signed walk of a word, which path spans, kernel
-rewriting and cocycles all read, and the one search of the Cayley graph,
-a breadth-first search over the step tables through admitted edges,
-which components, spanning trees and lifts all run.  It also computes
+This module holds the signed walk of a word, which kernel rewriting and
+cocycles read (path spans take the same walk over the step tables), and
+the one search of the Cayley graph, a breadth-first search over the
+step tables through admitted edges, which components, spanning trees
+and lifts all run.  It also computes
 path spans, the covering subgraph of a folded basepointed graph (the
 part of the Cayley graph swept out by paths from 1 whose labels are
 readable in the given graph from its basepoint), border edge sets of a
@@ -78,13 +79,22 @@ def walk(G, start, w: Sequence[int]) -> Iterator[Tuple[tuple, int, object]]:
 def path_span(G: FinGroup, start: int, w: Sequence[int]
               ) -> Tuple[CayleySubgraph, int, TraversalCount]:
     """Walk w from start: the subgraph spanned by the traversed edges,
-    the endpoint, and per-edge signed traversal counts."""
+    the endpoint, and per-edge signed traversal counts.  The signed walk
+    of `walk`, read off the step tables."""
+    rows = dict(G.rows())
     counts: TraversalCount = {}
     vertices = {start}
     cur = start
-    for e, sign, cur in walk(G, start, w):
-        counts[e] = counts.get(e, 0) + sign
-        vertices.add(cur)
+    for x in w:
+        if x not in rows:
+            raise ValueError("letter %r outside alphabet" % (x,))
+        nxt = rows[x][cur]
+        if x > 0:
+            counts[cur, x] = counts.get((cur, x), 0) + 1
+        else:
+            counts[nxt, -x] = counts.get((nxt, -x), 0) - 1
+        vertices.add(nxt)
+        cur = nxt
     return (CayleySubgraph(G, frozenset(vertices), frozenset(counts)),
             cur, counts)
 

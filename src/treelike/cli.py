@@ -288,11 +288,14 @@ _SHARED = {
 }
 
 
-def _subcommand(sub, name: str, text: str, *shared: str):
-    """Subparser with the given _SHARED flags, then --out and --config."""
+def _subcommand(sub, name: str, text: str, *shared: str, unread=()):
+    """Subparser with the given _SHARED flags, then --out and --config.
+    The flags in `unread` are accepted and not read."""
     p = sub.add_parser(name, help=text)
     for flag in shared:
         default, about = _SHARED[flag]
+        if flag in unread:
+            about = "accepted and not read by %s" % name
         p.add_argument(flag, type=int, default=default, help=about)
     p.add_argument("--out", metavar="PATH",
                    help="also write the JSON report to PATH")
@@ -371,7 +374,8 @@ def _build_parser() -> _Parser:
 
     # rz reads no seed; --seed stays so that existing rz command lines run
     p = _subcommand(sub, "rz", "product-separation experiment",
-                    "--seed", "--budget-enum", "--max-level")
+                    "--seed", "--budget-enum", "--max-level",
+                    unread=("--seed",))
     p.add_argument("--h1", required=True,
                    help="comma-separated generators of the first factor")
     p.add_argument("--h2", required=True,
@@ -390,7 +394,10 @@ def _build_parser() -> _Parser:
 def _splice_config(argv: Sequence[str]) -> List[str]:
     """Pull --config FILE out of argv and splice the file's key-value
     pairs back in as flags right after the subcommand, so flags given
-    explicitly win (argparse keeps the last occurrence)."""
+    explicitly win (argparse keeps the last occurrence).  Each pair is
+    one --name=value token (a bare --name for true), so a subcommand
+    that does not take the flag names it with its value and never reads
+    the value as a positional argument."""
     argv = list(argv)
     path = None
     rest: List[str] = []
@@ -421,9 +428,9 @@ def _splice_config(argv: Sequence[str]) -> List[str]:
             if value:
                 flags.append(name)
         elif isinstance(value, list):
-            flags.extend([name, ",".join(str(x) for x in value)])
+            flags.append(name + "=" + ",".join(str(x) for x in value))
         else:
-            flags.extend([name, str(value)])
+            flags.append(name + "=" + str(value))
     for pos, tok in enumerate(rest):
         if not tok.startswith("-"):
             return rest[:pos + 1] + flags + rest[pos + 1:]

@@ -35,6 +35,8 @@ than EXHAUSTIVE_PAIR_BUDGET candidate pairs are refused before the first.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -42,7 +44,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from .cayley import (CayleySubgraph, component_of, intersect, path_label,
                      path_span, search)
 from .groups import EnumerationBudgetError, FinGroup
-from .words import Word, reduced_word_sampler, word_str
+from .words import Word, word_str
 
 EXHAUSTIVE_EDGE_BUDGET = 16
 EXHAUSTIVE_PAIR_BUDGET = 10 ** 8
@@ -161,35 +163,156 @@ def enumerate_constellations(G: FinGroup,
                 yield Constellation(X, g, T)
 
 
+# the sampling law draws v from at most this many words
+V_DRAWS = 64
+
+
+def _locate(r: int, weights: List[Tuple[int, int]]) -> Tuple[int, int]:
+    """(item, rank) of the (item, integer weight) pair whose range holds
+    the rank r, and r less the weights before it.  A rank uniform below
+    the total weight picks each item with probability proportional to its
+    weight, and leaves a rank uniform below that weight."""
+    for item, w in weights:
+        if r < w:
+            return item, r
+        r -= w
+    raise ValueError("rank beyond the total weight")
+
+
+class ReducedWordCounts:
+    """Counts of the reduced words of length 1..max_len over the letters
+    of G by image, length and last letter, and the integer weights with
+    which sample_constellations draws from its law.
+
+    Letters have indices 0, 1, 2, 3, ... in the order 1, -1, 2, -2, ...
+    of G.rows(), so index i ^ 1 is the inverse of index i.  E[k][i] maps
+    y to the number of reduced words of length k that read 1 -> y and
+    end in letter i, and C[k] maps y to the number of all of them.  A
+    word of length k ending in letter j at row_j[y] extends each word of
+    length k - 1 at y that does not end in j ^ 1, so E[k][j] maps row_j[y]
+    to C[k - 1][y] - E[k - 1][j ^ 1][y] (rows are permutations: no two y
+    collide).  The tables hold only the states some word reaches.
+
+    The weights.  With M = max_len and m = 2|A|, a word has probability
+    (m - 1)^(M - L) / D under the law (L its length, D = M m (m - 1)^(M - 1)),
+    so a word reads g with probability q_g = n_g / D, where
+    n_g = sum_L C[L][g] (m - 1)^(M - L).  Summed over the pairs reading g,
+    the law's P(u) P(v) (1 - (1 - q_g)^V_DRAWS) / q_g gives g the weight
+    n_g (D^V_DRAWS - (D - n_g)^V_DRAWS), and u and v are independent given
+    g, each with probability P(w) / q_g.  draw_word unranks such a word
+    from one rank r uniform below n_g, by the recursive method of
+    Nijenhuis and Wilf: r picks the length L by the weights
+    C[L][g] (m - 1)^(M - L); what is left of r, divided by (m - 1)^(M - L),
+    is uniform below C[L][g] and picks the letters backwards from g,
+    letter k by the weights E[k][i][y] of the letters i that do not
+    cancel letter k + 1."""
+
+    def __init__(self, G: FinGroup, max_len: int):
+        rows = G.rows()
+        self.letters = [x for x, _ in rows]
+        self.rows = [row for _, row in rows]
+        self.max_len = max_len
+        self.E: List[Optional[list]] = [None]
+        self.C: List[Optional[dict]] = [None]
+        layer = [{row[0]: 1} for row in self.rows]
+        for k in range(1, max_len + 1):
+            if k > 1:
+                layer = [{row[y]: c for y, n in self.C[-1].items()
+                          if (c := n - layer[j ^ 1].get(y, 0))}
+                         for j, row in enumerate(self.rows)]
+            total: Dict[int, int] = {}
+            for ends in layer:
+                for y, n in ends.items():
+                    total[y] = total.get(y, 0) + n
+            self.E.append(layer)
+            self.C.append(total)
+        m = len(rows)
+        self._scale = [(m - 1) ** (max_len - k) for k in range(max_len + 1)]
+        self.n_words: Dict[int, int] = {}
+        for k in range(1, max_len + 1):
+            for g, c in self.C[k].items():
+                self.n_words[g] = self.n_words.get(g, 0) + c * self._scale[k]
+        D = max_len * m * (m - 1) ** (max_len - 1)
+        hit = D ** V_DRAWS
+        miss: Dict[int, int] = {}      # (D - n_g)^V_DRAWS; many g share n_g
+        self.image_weights: Dict[int, int] = {}
+        for g, n in sorted(self.n_words.items()):
+            if g:
+                if n not in miss:
+                    miss[n] = (D - n) ** V_DRAWS
+                self.image_weights[g] = n * (hit - miss[n])
+        self._images = list(self.image_weights)
+        self._cumulative = list(
+            itertools.accumulate(self.image_weights.values()))
+
+    def length_weights(self, g: int) -> List[Tuple[int, int]]:
+        """(L, weight) of the length of a word drawn from g."""
+        return [(k, self.C[k][g] * self._scale[k])
+                for k in range(1, self.max_len + 1) if g in self.C[k]]
+
+    def letter_weights(self, y: int, k: int, after: Optional[int]
+                       ) -> List[Tuple[int, int]]:
+        """(letter index, weight) of letter k of a word whose first k
+        letters read 1 -> y and whose letter k + 1 has index `after`
+        (None for the last letter)."""
+        bar = -1 if after is None else after ^ 1
+        return [(i, ends[y]) for i, ends in enumerate(self.E[k])
+                if i != bar and y in ends]
+
+    def draw_image(self, rng: random.Random) -> int:
+        """g != 1 with probability proportional to image_weights[g]."""
+        r = rng.randrange(self._cumulative[-1])
+        return self._images[bisect.bisect_right(self._cumulative, r)]
+
+    def draw_word(self, rng: random.Random, g: int) -> Word:
+        """A reduced word reading g, unranked from one rank drawn below
+        n_words[g]: its length, then its letters from the last to the
+        first."""
+        lengths = self.length_weights(g)
+        L, r = _locate(rng.randrange(self.n_words[g]), lengths)
+        r //= self._scale[L]                    # uniform below C[L][g]
+        y, after = g, None
+        out = []
+        for k in range(L, 0, -1):
+            after, r = _locate(r, self.letter_weights(y, k, after))
+            out.append(self.letters[after])
+            y = self.rows[after ^ 1][y]
+        return tuple(reversed(out))
+
+
 def sample_constellations(G: FinGroup, rng: random.Random, count: int,
                           max_len: int = 8
                           ) -> Iterator[Tuple[Constellation, Word, Word]]:
-    """Yield `count` random triples (constellation, u, v): reduced word
-    pairs with equal nonidentity image in G whose path spans X, T form a
-    constellation, u reading 1 -> g in X and v in T.  Draws are rejection
-    sampled; gives up once attempts exceed 1000 * count.
+    """Yield `count` random triples (constellation, u, v): reduced words
+    u, v of length 1..max_len with the same image g != 1 in G, whose
+    path spans X, T form the constellation (X, g, T), u reading 1 -> g
+    in X and v in T.
 
-    RNG stream: each word (u, then up to 64 candidates v) is one
-    rng.randint(1, max_len) for its length and then the letter draws of
-    reduced_word_sampler(rng, G.n_letters), the calls of
-    random_reduced_word(rng, G.n_letters, rng.randint(1, max_len));
-    G.evaluate draws nothing.  So a seed fixes the triples and the rng
-    state after sampling."""
-    draw = reduced_word_sampler(rng, G.n_letters)
+    The law is that of a rejection sampler: draw u with its length
+    uniform on 1..max_len and then uniformly; draw words the same way,
+    up to V_DRAWS of them, until one, v, reads the image g of u; keep
+    the triple if it is a constellation.  So an accepted pair has
+    probability proportional to P(u) P(v) (1 - (1 - q_g)^V_DRAWS) / q_g,
+    q_g the probability that a word reads g.  No word is rejected here:
+    ReducedWordCounts draws g and then u and v from g, with integer
+    weights, so the law is exact.  A triple that is no constellation is
+    thrown away, and the next attempt draws g again.
+
+    Stalls: raises ValueError before the first draw when no word of
+    length 1..max_len reads an element other than 1, and after
+    1000 * count attempts that yield fewer than `count` triples."""
+    counts = ReducedWordCounts(G, max_len)
+    if not counts.image_weights:
+        raise ValueError("constellation sampling stalled: no reduced word of "
+                         "length 1..%d reads an element other than 1 in %s"
+                         % (max_len, G.name))
     yielded = 0
     for _ in range(1000 * count):
         if yielded == count:
             return
-        u = draw(rng.randint(1, max_len))
-        g = G.evaluate(u)
-        v = None
-        for _ in range(64):
-            cand = draw(rng.randint(1, max_len))
-            if G.evaluate(cand) == g:
-                v = cand
-                break
-        if v is None:
-            continue
+        g = counts.draw_image(rng)
+        u = counts.draw_word(rng, g)
+        v = counts.draw_word(rng, g)
         X, end_u, _ = path_span(G, 0, u)
         T, end_v, _ = path_span(G, 0, v)
         assert end_u == end_v == g
@@ -200,8 +323,8 @@ def sample_constellations(G: FinGroup, rng: random.Random, count: int,
         yielded += 1
         yield c, u, v
     if yielded < count:
-        raise RuntimeError("constellation sampling stalled: %d of %d after "
-                           "%d attempts" % (yielded, count, 1000 * count))
+        raise ValueError("constellation sampling stalled: %d of %d after "
+                         "%d attempts" % (yielded, count, 1000 * count))
 
 
 @dataclass(frozen=True)

@@ -317,6 +317,23 @@ def test_counts_below_one_are_refused(capsys, argv, name, value):
     assert err == "error: %s must be at least 1, got %d\n" % (name, value)
 
 
+@pytest.mark.parametrize("argv", [
+    ("dissolve", "--H", "C3^2", "--G", "C3^2", "--mode", "sampled"),
+    ("dissolve", "--H", "C2xC2^2", "--G", "C2xC2^2", "--mode", "sampled"),
+    ("dissolve", "--H", "S3^2", "--G", "S3^2", "--mode", "sampled"),
+    # level 1 is not enumerable: the certificate path samples level 0
+    ("tower", "--base", "C3^2", "--primes", "2", "--mode", "sampled"),
+], ids=["dissolve-C3^2", "dissolve-C2xC2^2", "dissolve-S3^2", "tower-C3^2"])
+def test_stalled_sampling_is_bad_input(capsys, argv):
+    # one-letter words have no second spelling: no constellation exists,
+    # which is no evidence about dissolving, so not the FAIL code 1
+    code, report, err = _run(capsys, *argv, "--max-len", "1",
+                             "--samples", "1")
+    assert (code, report) == (3, None)
+    assert err == ("error: constellation sampling stalled: 0 of 1 after "
+                   "1000 attempts\n")
+
+
 def test_exact_mode_ignores_samples(capsys):
     argv = ("extend", "C2xC2", "--S", "C3", "--eq", "a b", "b a",
             "--eq", "a", "b", "--eq-mode", "exact")
@@ -402,7 +419,25 @@ def test_config_key_of_an_undeclared_flag_is_bad_input(tmp_path, capsys):
     code, report, err = _run(capsys, "dissolve", "--H", "C3^2", "--G", "C3",
                              "--config", str(cfg))
     assert (code, report) == (3, None)
-    assert err == "error: unrecognized arguments: --max-level 2\n"
+    assert err == "error: unrecognized arguments: --max-level=2\n"
+
+
+@pytest.mark.parametrize("command", ["fold", "core"])
+def test_config_values_are_not_read_as_input_words(tmp_path, capsys,
+                                                   command):
+    # fold and core take one or more input words after the subcommand,
+    # where the config flags are spliced in
+    cfg = tmp_path / "graph.json"
+    cfg.write_text(json.dumps({"max_level": 2}))
+    code, report, err = _run(capsys, command, "a b", "--config", str(cfg))
+    assert (code, report) == (3, None)
+    assert err == "error: unrecognized arguments: --max-level=2\n"
+    dot = tmp_path / "graph.dot"
+    cfg.write_text(json.dumps({"alphabet": ["a", "b"], "dot": str(dot)}))
+    code, report, _ = _run(capsys, command, "a b", "--config", str(cfg))
+    assert code == 0
+    assert report == _run(capsys, command, "a b", "--alphabet", "a,b")[1]
+    assert dot.read_text().startswith("digraph")
 
 
 _EDGE = {"src": 0, "label": "a", "dst": 1}

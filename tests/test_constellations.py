@@ -1,6 +1,8 @@
+import collections
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -217,14 +219,21 @@ def test_sample_constellations():
 
 
 def test_sample_constellations_stalls_without_any():
-    with pytest.raises(RuntimeError, match="sampling stalled"):
-        list(sample_constellations(_trivial_group(), random.Random(0), 1))
+    # every word reads 1: refused before the first draw
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="^constellation sampling stalled: "
+                       "no reduced word of length 1..8 reads an element "
+                       "other than 1 in 1$"):
+        list(sample_constellations(_trivial_group(), rng, 1))
+    assert rng.getstate() == state
 
 
 def _sample_by_words(G, rng, count, max_len):
-    """The word-level formulation of sample_constellations: every draw is
-    a random_reduced_word evaluated by G.evaluate, then two path spans
-    and a validated Constellation."""
+    """The rejection sampler that fixes the law of sample_constellations:
+    u is a random_reduced_word of length uniform on 1..max_len, v the
+    first of up to V_DRAWS such words that reads u's image in G, and the
+    triple is kept when its path spans form a constellation."""
     yielded = 0
     for _ in range(1000 * count):
         if yielded == count:
@@ -232,7 +241,7 @@ def _sample_by_words(G, rng, count, max_len):
         u = random_reduced_word(rng, G.n_letters, rng.randint(1, max_len))
         g = G.evaluate(u)
         v = None
-        for _ in range(64):
+        for _ in range(constellations.V_DRAWS):
             cand = random_reduced_word(rng, G.n_letters,
                                        rng.randint(1, max_len))
             if G.evaluate(cand) == g:
@@ -248,32 +257,188 @@ def _sample_by_words(G, rng, count, max_len):
             continue
         yielded += 1
         yield c, u, v
-    raise RuntimeError("stalled")
+    raise ValueError("constellation sampling stalled")
 
 
 def _drawn(sampler, G, seed, count, max_len):
-    """(triples, stalled, next rng.random()) of one sampling run."""
-    rng = random.Random(seed)
+    """(triples, stalled) of one sampling run."""
     out = []
     try:
-        for c, u, v in sampler(G, rng, count, max_len):
+        for c, u, v in sampler(G, random.Random(seed), count, max_len):
             out.append((c.g, sorted(c.X.pos_edges), sorted(c.T.pos_edges),
                         u, v))
-    except RuntimeError:
-        return out, True, rng.random()
-    return out, False, rng.random()
+    except ValueError as exc:
+        assert "constellation sampling stalled" in str(exc)
+        return out, True
+    return out, False
+
+
+def _word_probability(counts, w, g):
+    """Probability that counts.draw_word(rng, g) returns w, from the
+    weights it draws with: the length, then the letters backwards."""
+    def share(weights, item):
+        weights = dict(weights)
+        return Fraction(weights.get(item, 0), sum(weights.values()))
+
+    p = share(counts.length_weights(g), len(w))
+    y, after = g, None
+    for k in range(len(w), 0, -1):
+        if not p:
+            return p
+        i = counts.letters.index(w[k - 1])
+        p *= share(counts.letter_weights(y, k, after), i)
+        y, after = counts.rows[i ^ 1][y], i
+    assert not p or y == 0
+    return p
 
 
 @pytest.mark.parametrize("name", ["C3^2", "C2xC2^2", "S3^2", "D4^2"])
 def test_sampling_keeps_the_word_level_rng_stream(name):
-    # max_len 1 stalls (a one-letter word has no second spelling), so it
-    # pins the stream of a run that gives up; 3 and 8 yield every triple
+    # the word-level rejection sampler, which draws its words from the
+    # RNG stream of random_reduced_word, and the table sampler stall on
+    # the same runs (max_len 1: a one-letter word has no second
+    # spelling) and draw triples inside each other's law: every triple
+    # either yields is a constellation whose words read g in G and have
+    # positive probability under the table weights
     G = group_arg(name)
     for max_len, count in ((1, 1), (3, 2), (8, 3)):
+        counts = constellations.ReducedWordCounts(G, max_len)
         for seed in range(4):
             got = _drawn(sample_constellations, G, seed, count, max_len)
             want = _drawn(_sample_by_words, G, seed, count, max_len)
-            assert got == want, (name, max_len, seed)
+            assert got[1] == want[1] == (max_len == 1), (name, max_len, seed)
+            for g, xs, ts, u, v in got[0] + want[0]:
+                assert G.evaluate(u) == G.evaluate(v) == g
+                assert counts.image_weights[g] > 0
+                assert _word_probability(counts, u, g) > 0
+                assert _word_probability(counts, v, g) > 0
+                assert sorted(path_span(G, 0, u)[0].pos_edges) == xs
+                assert sorted(path_span(G, 0, v)[0].pos_edges) == ts
+
+
+def _reduced_words(n_letters, max_len):
+    """Every reduced word of length 1..max_len."""
+    letters = [x for b in range(1, n_letters + 1) for x in (b, -b)]
+    words, layer = [], [()]
+    for _ in range(max_len):
+        layer = [w + (x,) for w in layer for x in letters
+                 if not w or w[-1] != -x]
+        words += layer
+    return words
+
+
+def _accepted_pairs(G, max_len):
+    """{(u, v): g} over the word pairs whose spans form a constellation."""
+    words = _reduced_words(G.n_letters, max_len)
+    spans = {w: path_span(G, 0, w) for w in words}
+    return {(u, v): spans[u][1] for u in words for v in words
+            if spans[u][1] == spans[v][1]
+            and is_constellation(spans[u][0], spans[u][1], spans[v][0])}
+
+
+def _normalized(weights):
+    total = sum(weights.values())
+    return {key: Fraction(w) / total for key, w in weights.items()}
+
+
+def _rejection_law(G, max_len, pairs):
+    """Closed form of the rejection law on the accepted pairs: P(u) P(v)
+    (1 - (1 - q_g)^V_DRAWS) / q_g, normalized; P(w) is 1/max_len over the
+    number of reduced words of length |w|."""
+    m = 2 * G.n_letters
+    P = {w: Fraction(1, max_len * m * (m - 1) ** (len(w) - 1))
+         for w in _reduced_words(G.n_letters, max_len)}
+    q = collections.Counter()
+    for w, p in P.items():
+        q[G.evaluate(w)] += p
+    n = constellations.V_DRAWS
+    return _normalized({(u, v): P[u] * P[v] * (1 - (1 - q[g]) ** n) / q[g]
+                        for (u, v), g in pairs.items()})
+
+
+def _table_law(G, max_len, pairs):
+    """The table sampler's law on the accepted pairs: g, then u and v
+    from g, each by its own weights, normalized over the accepted pairs
+    (a rejected triple starts a new draw of g)."""
+    counts = constellations.ReducedWordCounts(G, max_len)
+    images = _normalized(counts.image_weights)
+    words = _reduced_words(G.n_letters, max_len)
+    for g in images:
+        # draw_word puts all its mass on the words that read g
+        assert sum(_word_probability(counts, w, g) for w in words
+                   if G.evaluate(w) == g) == 1
+    return _normalized({(u, v): images.get(g, 0)
+                        * _word_probability(counts, u, g)
+                        * _word_probability(counts, v, g)
+                        for (u, v), g in pairs.items()})
+
+
+@pytest.mark.parametrize("name", ["C3", "C2xC2", "S3"])
+@pytest.mark.parametrize("max_len", [1, 2, 3])
+def test_table_law_equals_rejection_law(name, max_len):
+    G = builtin(name)
+    pairs = _accepted_pairs(G, max_len)
+    assert pairs or max_len == 1
+    assert _table_law(G, max_len, pairs) == _rejection_law(G, max_len, pairs)
+
+
+def test_reduced_word_counts_match_enumeration():
+    G = builtin("S3")
+    counts = constellations.ReducedWordCounts(G, 4)
+    for w in _reduced_words(2, 4):
+        k, y, i = len(w), G.evaluate(w), counts.letters.index(w[-1])
+        assert counts.E[k][i][y] == sum(
+            1 for x in _reduced_words(2, k)
+            if len(x) == k and x[-1] == w[-1] and G.evaluate(x) == y)
+    assert sum(sum(c.values()) for c in counts.C[1:]) == 4 + 12 + 36 + 108
+
+
+class _FixedDraw:
+    """A stand-in rng whose randrange returns a preset value."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def randrange(self, total):
+        assert 0 <= self.r < total
+        return self.r
+
+
+def test_locate_splits_the_ranks_by_weight():
+    weights = [(7, 2), (8, 0), (9, 3)]
+    got = [constellations._locate(r, weights) for r in range(5)]
+    assert got == [(7, 0), (7, 1), (9, 0), (9, 1), (9, 2)]
+    with pytest.raises(ValueError, match="rank beyond"):
+        constellations._locate(5, weights)
+
+
+@pytest.mark.parametrize("name,max_len", [("C3", 3), ("C2xC2", 4),
+                                          ("S3", 3), ("C3^2", 2)])
+def test_draw_word_unranks_every_word_by_its_weight(name, max_len):
+    # over the n_g ranks, draw_word returns each word reading g exactly
+    # (m - 1)^(max_len - |w|) times: the law of a word of uniform length
+    # drawn uniformly, conditioned on reading g; and that is the law the
+    # weight functions give
+    G = group_arg(name)
+    counts = constellations.ReducedWordCounts(G, max_len)
+    m = 2 * G.n_letters
+    words = _reduced_words(G.n_letters, max_len)
+    for g, n_g in counts.n_words.items():
+        drawn = collections.Counter(counts.draw_word(_FixedDraw(r), g)
+                                    for r in range(n_g))
+        assert drawn == {w: (m - 1) ** (max_len - len(w)) for w in words
+                         if G.evaluate(w) == g}
+        for w, times in drawn.items():
+            assert _word_probability(counts, w, g) == Fraction(times, n_g)
+
+
+def test_draw_image_splits_the_range_by_weight():
+    counts = constellations.ReducedWordCounts(builtin("S3"), 3)
+    low = 0
+    for g, w in counts.image_weights.items():
+        assert counts.draw_image(_FixedDraw(low)) == g
+        assert counts.draw_image(_FixedDraw(low + w - 1)) == g
+        low += w
 
 
 def test_identity_never_dissolves():
