@@ -189,7 +189,7 @@ def cmd_extend(args):
     if args.p is not None:
         ctx = ExtContext(G, args.p)
         report["p"] = args.p
-        report["ext_order"] = ext_order(G, G.n_letters, args.p)
+        report["ext_order"] = ext_order(G.order(), G.n_letters, args.p)
     else:
         S = builtin(args.S)
         report["S"] = S.name

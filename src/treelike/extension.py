@@ -201,14 +201,23 @@ class ExtContext:
         return ExtElement(base, tuple(c))
 
     def _code_step(self, x: int, letter: int) -> int:
-        """step() on codes.  A code only exists after _encode, so the
-        layout is built: move the base, then add the sign to the digit
-        of the traversed edge mod p."""
+        """step() on codes.  A code only exists after _encode or
+        keyed_walk, so the layout is built: move the base, then add the
+        sign to the digit of the traversed edge mod p."""
         shift, units, s = self._moves[letter]
         b = x % self._n
         u = units[b]
         d = x // u % self.p
         return x + shift[b] + ((d + s) % self.p - d) * u
+
+    def keyed_walk(self) -> tuple:
+        """(key, step) for closures over ExtElements, enumerating
+        nothing: packed codes and their step over an enumerated G, else
+        the ExtElements themselves and step()."""
+        if isinstance(self.G, FinGroup):
+            self._code_layout()
+            return self._encode, self._code_step
+        return (lambda x: x), self.step
 
     def fin_group(self, enum_budget: Optional[int] = None) -> FinGroup:
         """The extension as an A-generated FinGroup; needs an enumerated
@@ -222,7 +231,8 @@ class ExtContext:
                         enum_budget=(G.enum_budget if enum_budget is None
                                      else enum_budget),
                         step=self._code_step,
-                        exact_order=lambda: ext_order(G, G.n_letters, self.p),
+                        exact_order=lambda: ext_order(G.order(), G.n_letters,
+                                                      self.p),
                         codec=(self._encode, self._decode))
 
 
@@ -231,9 +241,9 @@ def ext_evaluate(G: FinGroup, p: int, w: Sequence[int]) -> ExtElement:
     return ExtContext(G, p).evaluate(w)
 
 
-def ext_order(G: FinGroup, n_letters: int, p: int) -> int:
-    """Predicted order |G| * p^(|G|(|A|-1)+1) of the C_p-extension."""
-    return G.order() * p ** (G.order() * (n_letters - 1) + 1)
+def ext_order(m: int, n_letters: int, p: int) -> int:
+    """Order m * p^(m(|A|-1)+1) of the C_p-extension of an order-m G."""
+    return m * p ** (m * (n_letters - 1) + 1)
 
 
 def extension_group(G: FinGroup, p: int,

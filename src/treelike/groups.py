@@ -225,21 +225,18 @@ class FinGroup:
             j = tables[-x][j]
         return j
 
+    def keyed_walk(self) -> tuple:
+        """(key, step) for closures over ids: an id is its own key, and
+        step(i, x) reads the step rows, fetched once."""
+        tables = dict(self.rows())
+        return _same, lambda i, x: tables[x][i]
+
     def subgroup(self, ids: Iterable[int]) -> frozenset:
-        """Ids of the subgroup generated by the given ids.  Closing 1
-        under right multiplication by the generators suffices: in a
-        finite group every inverse is a positive power."""
-        gens = [g for g in set(ids) if g]
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.mul_ids(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return frozenset(seen)
+        """Ids of the subgroup generated by the given ids: the closure
+        of 1 under their witness words."""
+        _, step = self.keyed_walk()
+        return frozenset(closure(step, (0,), [self.witness(g)
+                                              for g in set(ids) if g]))
 
     def order_of(self, i: int) -> int:
         n, j = 1, i
@@ -284,6 +281,24 @@ class FinGroup:
                 if phi[self.step(i, a)] != other.step(phi[i], a):
                     return None
         return phi
+
+
+def closure(step: Callable, start: Iterable, words: Sequence[Word]) -> set:
+    """start * <words>: start closed under right multiplication by the
+    words, each walked through step(x, letter) of a keyed_walk.  In a
+    finite group every inverse is a positive power."""
+    seen = set(start)
+    frontier = list(seen)
+    while frontier:
+        x = frontier.pop()
+        for w in words:
+            y = x
+            for letter in w:
+                y = step(y, letter)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
 
 
 def canonical_morphism(H: FinGroup, G: FinGroup) -> Optional[list]:

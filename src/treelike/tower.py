@@ -2,7 +2,8 @@
 
 A tower starts from a separated finite A-generated base group G_0 and
 sets G_n = the universal C_{p_n}-extension of G_{n-1}.  Orders grow as
-|G_n| * p^(|G_n|(|A|-1)+1), so levels beyond 1 cannot be enumerated.
+|G_n| = m * p^(m(|A|-1)+1) for m = |G_{n-1}|, so levels beyond 1 cannot
+be enumerated.
 Level n's arithmetic is an ExtContext whose base is the ExtContext of
 level n-1 (the base group itself at level 1): a level-n element is an
 ExtElement holding its level-(n-1) projection and a sparse cocycle
@@ -11,9 +12,9 @@ Multiplication shifts the right cocycle by the left base element, one
 level down, and never touches elements outside the operands' supports.
 Equality of elements is group equality, level by level, by the
 faithfulness argument of the single-step model; ExtElement ordering
-keeps each cocycle's keys in canonical order.  When a level fits the
-enumeration budget, `Tower.group` enumerates the next one over its
-element ids instead, exactly as the CLI's NAME^p^q does.
+keeps each cocycle's keys in canonical order.  For the campaigns, when
+a level fits the enumeration budget, `Tower.group` enumerates the next
+one over its element ids instead, exactly as the CLI's NAME^p^q does.
 
 The campaign runner gathers finite-level evidence for tree-likeness of
 the inverse limit: at each enumerable level it checks that the next
@@ -21,7 +22,9 @@ level dissolves all (or sampled) constellations; when the next level is
 too large to enumerate, it falls back to per-word-pair border
 certificates.  The separation experiment follows a reduced word that
 lies outside a product of finitely generated subgroups and reports the
-first level whose finite quotient separates it from the product.
+first level whose finite quotient separates it from the product; it
+closes subgroups and product sets over each level's signed walk and
+enumerates no level above the base.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from typing import Dict, List, Optional, Sequence
 from .constellations import (EXHAUSTIVE_EDGE_BUDGET, dissolves_all,
                              require_counts, sample_constellations)
 from .extension import (CertificateError, ExtContext, ExtElement, _is_prime,
-                        dissolving_certificate, extension_group)
+                        dissolving_certificate, ext_order, extension_group)
 from .groups import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError, FinGroup,
-                     builtin, group_from_json)
+                     builtin, closure, group_from_json)
 from .rational import member_product
 from .rewriting import graph_subgroup_basis
 from .stallings import LabeledGraph
@@ -153,10 +156,24 @@ class Tower:
         self._check_level(n)
         return self._context(n).evaluate(w)
 
+    def order(self, n: int) -> int:
+        """|G_n|, enumerating nothing above the base: |G_n| = m *
+        p^(m(|A|-1)+1) for m = |G_{n-1}|.  A level above the base whose
+        order exceeds the spec's enum_budget is refused."""
+        self._check_level(n)
+        if n == 0:
+            return self.spec.base.order()
+        order = ext_order(self.order(n - 1), self.spec.base.n_letters,
+                          self.prime(n))
+        if order > self.spec.enum_budget:
+            raise EnumerationBudgetError(self.spec.enum_budget,
+                                         "level %d of the tower" % n)
+        return order
+
     def group(self, n: int) -> FinGroup:
         """G_n as an enumerable FinGroup over the ids of G_{n-1} (level 0
-        is the base itself); enumeration overflow propagates for large
-        levels."""
+        is the base itself), for the campaigns; enumeration overflow
+        propagates for large levels."""
         self._check_level(n)
         got = self._groups.get(n)
         if got is None:
@@ -280,16 +297,39 @@ def treelike_campaign(spec: TowerSpec, levels: int = 1,
     return report
 
 
+def _separation_level(tower: Tower, n: int, gens: List[List[Word]],
+                      w: Word) -> dict:
+    """rz's entry for G_n: its order, the subgroup orders, the size of
+    the product set and whether [w] lies in it, each set a closure over
+    the keyed walk of G_n (ids at level 0, packed codes at level 1,
+    ExtElements above).  A refused level raises EnumerationBudgetError."""
+    order = tower.order(n)
+    key, step = tower._context(n).keyed_walk()
+    one = key(tower.identity(n))
+    product = {one}
+    for words in gens:
+        if len(product) < order:        # P H = P once P is all of G_n
+            product = closure(step, product, words)
+    return {
+        "level": n,
+        "order": order,
+        "subgroup_orders": [len(closure(step, (one,), words))
+                            for words in gens],
+        "product_size": len(product),
+        "contains": key(tower.evaluate(n, w)) in product,
+    }
+
+
 def rz_experiment(spec: TowerSpec, cores: Sequence[LabeledGraph], w: Word
                   ) -> dict:
     """Separation experiment for w against the product H_1 ... H_k.
 
     Ground truth comes from the saturation oracle.  When w is outside
     the product, the experiment walks up the tower looking for the first
-    enumerable level whose quotient separates [w] from the product of
-    the subgroup images (computed by closure and explicit product-set
-    enumeration) and reports it, or reports the level where enumeration
-    overflowed."""
+    level whose quotient separates [w] from the product of the subgroup
+    images and reports it, or reports the first level whose exact order
+    exceeds the enumeration budget.  P H_1 ... H_k is {1} closed under
+    each factor's Nielsen basis words in turn."""
     w = tuple(w)
     if not is_reduced(w):
         raise ValueError("word must be reduced")
@@ -312,30 +352,12 @@ def rz_experiment(spec: TowerSpec, cores: Sequence[LabeledGraph], w: Word
     tower = Tower(spec)
     for n in range(min(spec.max_level, len(spec.primes)) + 1):
         try:
-            G = tower.group(n)
-            order = G.order()
+            entry = _separation_level(tower, n, gens, w)
         except EnumerationBudgetError:
             report["levels"].append({"level": n, "overflow": True})
             break
-        sub_ids = [G.subgroup(G.evaluate(g) for g in gen_words)
-                   for gen_words in gens]
-        product = {0}
-        for ids in sub_ids:         # P * H_i as a union of left cosets x H_i
-            cosets = set()
-            for x in product:
-                if x not in cosets:
-                    cosets.update(G.mul_ids(x, h) for h in ids)
-            product = cosets
-        wid = G.evaluate(w)
-        contains = wid in product
-        report["levels"].append({
-            "level": n,
-            "order": order,
-            "subgroup_orders": [len(s) for s in sub_ids],
-            "product_size": len(product),
-            "contains": contains,
-        })
-        if not contains:
+        report["levels"].append(entry)
+        if not entry["contains"]:
             report["separated_at"] = n
             break
     report["inconclusive"] = report["separated_at"] is None

@@ -133,7 +133,7 @@ def test_order_formula_and_enumeration():
         (_trivial_group(), 2, 4),
     ]
     for G, p, want in cases:
-        assert ext_order(G, G.n_letters, p) == want
+        assert ext_order(G.order(), G.n_letters, p) == want
         assert extension_group(G, p).order() == want
 
 

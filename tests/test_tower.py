@@ -1,14 +1,20 @@
+import json
 import random
 
 import pytest
 
-from treelike.extension import ext_evaluate
+import treelike.cli
+import treelike.extension
+import treelike.tower
+from treelike.extension import ExtContext, ext_evaluate, extension_group
 from treelike.groups import builtin
+from treelike.rewriting import graph_subgroup_basis
 from treelike.stallings import stallings_graph
 from treelike.tower import (
     MAX_LEVEL,
     Tower,
     TowerSpec,
+    _separation_level,
     project,
     rz_experiment,
     tower_equal,
@@ -266,3 +272,125 @@ def test_rz_inconclusive_when_capped():
 def test_rz_requires_reduced_word():
     with pytest.raises(ValueError, match="reduced"):
         rz_experiment(_spec(), _cores(("a",)), (1, -1))
+
+
+def _enumerated_level(K, n, gens, w):
+    """Reference for rz's entry at level n, over the enumerated group K
+    of that level: subgroups closed by mul_ids, the product set as a
+    union of left cosets x H_i, all by element ids."""
+    def span(ids):
+        seen, frontier = {0}, [0]
+        while frontier:
+            x = frontier.pop()
+            for g in ids:
+                y = K.mul_ids(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        return seen
+
+    subs = [span([K.evaluate(g) for g in words]) for words in gens]
+    product = {0}
+    for ids in subs:
+        cosets = set()
+        for x in product:
+            if x not in cosets:
+                cosets.update(K.mul_ids(x, h) for h in ids)
+        product = cosets
+    return {"level": n, "order": K.order(),
+            "subgroup_orders": [len(ids) for ids in subs],
+            "product_size": len(product),
+            "contains": K.evaluate(w) in product}
+
+
+@pytest.mark.parametrize("name,p", [("C2xC2", 2), ("C2xC2", 3), ("S3", 2),
+                                    ("D4", 2)])
+def test_separation_level_matches_enumerated_extension(name, p):
+    """The lazy level walk of rz (closures over the signed walk, order by
+    formula) agrees with the enumerated extension_group by ids."""
+    base = builtin(name)
+    K = extension_group(base, p)
+    rng = random.Random(sum(map(ord, name)) * p)
+    seen = set()
+    for _ in range(6):
+        factors = [[random_reduced_word(rng, 2, rng.randint(1, 4))
+                    for _ in range(rng.randint(1, 2))]
+                   for _ in range(rng.randint(2, 3))]
+        gens = [graph_subgroup_basis(stallings_graph(f)) for f in factors]
+        tower = Tower(TowerSpec(base, (p,)))
+        for _ in range(4):
+            w = random_reduced_word(rng, 2, rng.randint(0, 8))
+            for n, ref in ((0, base), (1, K)):
+                got = _separation_level(tower, n, gens, w)
+                assert got == _enumerated_level(ref, n, gens, w)
+                seen.add((n, got["contains"]))
+    assert (1, True) in seen and (1, False) in seen
+
+
+def test_separation_level_two_matches_multiplication():
+    """Above level 1 the closures walk ExtElements; with a budget past
+    |G_2| = 128 * 3^129 they agree with closing under Tower.mul."""
+    tower = Tower(_spec(primes=(2, 3), enum_budget=10 ** 70))
+
+    def span(start, elems):
+        seen, frontier = set(start), list(start)
+        while frontier:
+            x = frontier.pop()
+            for g in elems:
+                y = tower.mul(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        return seen
+
+    rng = random.Random(89)
+    one = tower.identity(2)
+    for _ in range(4):
+        gens = [graph_subgroup_basis(stallings_graph(
+            [random_reduced_word(rng, 2, rng.randint(1, 4))]))
+            for _ in range(2)]
+        elems = [[tower.evaluate(2, g) for g in words] for words in gens]
+        product = {one}
+        for hs in elems:
+            product = span(product, hs)
+        inside = reduce_word(sum((words[0] * rng.randint(1, 5)
+                                  for words in gens), ()))
+        for w in (inside, random_reduced_word(rng, 2, rng.randint(0, 8))):
+            assert _separation_level(tower, 2, gens, w) == {
+                "level": 2, "order": 128 * 3 ** 129,
+                "subgroup_orders": [len(span({one}, hs)) for hs in elems],
+                "product_size": len(product),
+                "contains": tower.evaluate(2, w) in product}
+
+
+def test_rz_budget_at_exact_level_order(capsys, monkeypatch):
+    """|S3^2| = 6 * 2^7 = 768: that budget admits level 1 and 767 refuses
+    it, from the formula alone; rz enumerates no level above the base."""
+    def enumerated(*args, **kwargs):
+        raise AssertionError("rz enumerated a tower level")
+
+    monkeypatch.setattr(Tower, "group", enumerated)
+    monkeypatch.setattr(ExtContext, "fin_group", enumerated)
+    for module in (treelike.tower, treelike.extension, treelike.cli):
+        monkeypatch.setattr(module, "extension_group", enumerated)
+
+    def rz(budget):
+        code = treelike.cli.main(["rz", "--base", "S3", "--primes", "2",
+                                  "--h1", "a", "--h2", "b", "--w", "b a",
+                                  "--budget-enum", str(budget)])
+        return code, json.loads(capsys.readouterr().out)
+
+    code, report = rz(768)
+    assert code == 0 and report["separated_at"] == 1
+    assert report["levels"][1]["order"] == 768
+    assert not report["levels"][1]["contains"]
+    code, report = rz(767)
+    assert code == 1 and report["inconclusive"]
+    zero, one = report["levels"]
+    assert zero["contains"] and one == {"level": 1, "overflow": True}
+    code, report = rz(1)
+    assert code == 1
+    assert report["levels"][0] == {"level": 0, "order": 6,
+                                   "subgroup_orders": [2, 3],
+                                   "product_size": 6, "contains": True}
+    assert report["levels"][1] == {"level": 1, "overflow": True}

@@ -47,7 +47,7 @@ def test_walk_bfs_matches_multiplying_bfs(name, p):
     G = builtin(name)
     H = extension_group(G, p)
     old = _multiplied(G, p)
-    assert H.order() == old.order() == ext_order(G, G.n_letters, p)
+    assert H.order() == old.order() == ext_order(G.order(), G.n_letters, p)
     for i in range(H.order()):
         assert H.element(i) == old.element(i)
         assert H.witness(i) == old.witness(i)
