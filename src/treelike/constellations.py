@@ -29,13 +29,20 @@ component computations, which is how `dissolves` certifies its verdicts.
 The exhaustive scan counts with int masks over edges, over G and over H:
 the constellations of a candidate pair (X, T) are the bits g of
 vx & vt & ~comp0[mx & mt], dissolved iff lift_X & lift_T & fiber_g == 0.
-Only the entries a report lists are built as objects.  Scans over more
-than EXHAUSTIVE_PAIR_BUDGET candidate pairs are refused before the first.
+Both masks are symmetric in X and T, so the count visits each unordered
+pair once and weighs it 2.  The report lists its entries in the ordered
+order X, T, g: a listing prefix walks the ordered pairs while the
+constellation list has room, and the failures after it come from the
+smallest failing ordered positions the count saw.  Only the entries a
+report lists are built as objects.  Scans over more than
+EXHAUSTIVE_PAIR_BUDGET ordered candidate pairs are refused before the
+first.
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
 import random
 from dataclasses import dataclass
@@ -466,33 +473,73 @@ def _record(report: dict, dis: Dissolver, c: Constellation,
 
 def _scan_exhaustive(dis: Dissolver, report: dict, edge_budget: int,
                      detail_limit: Optional[int]) -> None:
-    """Count the dissolved constellations of every candidate pair (see
+    """Count and list the constellations of every candidate pair (see
     the module docstring).  fibers[vs] is the mask of H-ids over the
-    vertex mask vs; a pair needs the per-g check only when its lifts
-    meet the fibers over its g's, or while the report lists entries."""
+    vertex mask vs, and over[vs] lists the g of vs ascending.
+
+    Two passes.  The listing prefix walks the ordered pairs (X, T), at
+    position X * n + T, and their g ascending while the constellation
+    list has room: it stops at position `end`.  The count visits
+    each unordered pair {X, T} once with weight 2: the g of a pair and
+    the meet of its lifts are symmetric in X and T, and a pair X = T has
+    no g.  It keeps the smallest failing ordered positions from `end` on,
+    as many as the failure list still wants, in a bounded heap; those
+    pairs are listed last, in ordered order."""
     G = dis.G
     candidates, comp0 = _candidate_pass(G, edge_budget)
-    lifts = [sum(1 << h for h in dis._component(m)) for m, _ in candidates]
-    fibers = [0]
-    for g in range(G.order()):      # fibers[vs] for vs < 2^(g + 1)
+    rows = [(m, v, sum(1 << h for h in dis._component(m)), j)
+            for j, (m, v) in enumerate(candidates)]
+    outside = [~c for c in comp0]
+    fibers, over = [0], [()]
+    for g in range(G.order()):      # tables for vs < 2^(g + 1)
         fg = sum(1 << h for h, x in enumerate(dis.phi) if x == g)
         fibers += [f | fg for f in fibers]
+        over += [gs + (g,) for gs in over]
+    fiber = [fibers[1 << g] for g in range(G.order())]
     limit = float("inf") if detail_limit is None else detail_limit
     listed, failures = report["constellations"], report["failures"]
-    total = failed = 0
-    for (mx, vx), lx in zip(candidates, lifts):
-        for (mt, vt), lt in zip(candidates, lifts):
-            gs = vx & vt & ~comp0[mx & mt]
-            common = lx & lt & fibers[gs]
-            if not common and len(listed) >= limit:
-                total += gs.bit_count()
+    n = len(rows)
+
+    def record(pos: int) -> None:
+        """List the g of the ordered pair at pos while the lists want them."""
+        (mx, vx, lx, _), (mt, vt, lt, _) = rows[pos // n], rows[pos % n]
+        gs = vx & vt & outside[mx & mt]
+        if not gs:
+            return
+        common = lx & lt & fibers[gs]
+        X, T = _subgraph(G, mx, vx), _subgraph(G, mt, vt)
+        for g in over[gs]:
+            if len(listed) < limit or common & fiber[g] and len(failures) < limit:
+                _record(report, dis, Constellation(X, g, T), detail_limit)
+
+    end = 0
+    while end < n * n and len(listed) < limit:
+        record(end)
+        end += 1
+    wanted = max(limit - len(failures), 0)
+    later: List[int] = []           # negated positions: a max-heap
+    total = failed = 0              # over unordered pairs, each worth 2
+    for mx, vx, lx, i in rows:
+        for mt, vt, lt, j in rows[i + 1:]:
+            gs = vx & vt & outside[mx & mt]
+            if not gs:
                 continue
-            for g in _bits(gs):
-                total += 1
-                bad = common & fibers[1 << g]
-                failed += bad != 0
-                if len(listed) < limit or bad and len(failures) < limit:
-                    c = Constellation(_subgraph(G, mx, vx), g,
-                                      _subgraph(G, mt, vt))
-                    _record(report, dis, c, detail_limit)
-    report.update(total=total, dissolved=total - failed)
+            total += len(over[gs])
+            common = lx & lt & fibers[gs]
+            if not common:
+                continue
+            for g in over[gs]:
+                if common & fiber[g]:
+                    failed += 1
+            if not wanted:
+                continue
+            for pos in (i * n + j, j * n + i):
+                if pos < end:
+                    continue
+                if len(later) < wanted:
+                    heapq.heappush(later, -pos)
+                elif -pos > later[0]:
+                    heapq.heapreplace(later, -pos)
+    for pos in sorted(-p for p in later):
+        record(pos)
+    report.update(total=2 * total, dissolved=2 * (total - failed))

@@ -270,16 +270,21 @@ class FinGroup:
 
         phi(h) := [witness(h)]_other; phi is a well-defined morphism iff
         it commutes with every generator step, which is checked over the
-        whole table.
+        whole table.  Ids are in BFS order, so witness(h) is the witness
+        of step(h, -x) < h followed by its last letter x, and phi is
+        filled in id order through the step rows of both groups.
         """
         if self.alphabet != other.alphabet:
             raise ValueError("alphabets differ")
-        self._enumerate()
-        phi = [other.evaluate(self._witness[i]) for i in range(len(self._elems))]
-        for i in range(len(self._elems)):
-            for a in range(1, len(self.gens) + 1):
-                if phi[self.step(i, a)] != other.step(phi[i], a):
-                    return None
+        rows, target = dict(self.rows()), dict(other.rows())
+        phi = [0] * self.order()
+        for h in range(1, len(phi)):
+            x = self._witness[h][-1]
+            phi[h] = target[x][phi[rows[-x][h]]]
+        for x, row in rows.items():
+            image = target[x]
+            if x > 0 and any(phi[row[h]] != image[p] for h, p in enumerate(phi)):
+                return None
         return phi
 
 

@@ -150,23 +150,69 @@ def _object_model_entries(H, name):
     return G, entries
 
 
+def _scan_by_ordered_pairs(dis, report, edge_budget, detail_limit):
+    """The scan as one loop over the ordered candidate pairs (X, T) and
+    the g of each pair ascending: it counts every ordered pair and lists
+    each constellation in turn while the report lists have room."""
+    G = dis.G
+    candidates, comp0 = constellations._candidate_pass(G, edge_budget)
+    lifts = [sum(1 << h for h in dis._component(m)) for m, _ in candidates]
+    fibers = [0]
+    for g in range(G.order()):
+        fg = sum(1 << h for h, x in enumerate(dis.phi) if x == g)
+        fibers += [f | fg for f in fibers]
+    limit = float("inf") if detail_limit is None else detail_limit
+    listed, failures = report["constellations"], report["failures"]
+    total = failed = 0
+    for (mx, vx), lx in zip(candidates, lifts):
+        for (mt, vt), lt in zip(candidates, lifts):
+            gs = vx & vt & ~comp0[mx & mt]
+            common = lx & lt & fibers[gs]
+            for g in constellations._bits(gs):
+                total += 1
+                bad = common & fibers[1 << g]
+                failed += bad != 0
+                if len(listed) < limit or bad and len(failures) < limit:
+                    c = Constellation(constellations._subgraph(G, mx, vx), g,
+                                      constellations._subgraph(G, mt, vt))
+                    constellations._record(report, dis, c, detail_limit)
+    report.update(total=total, dissolved=total - failed)
+
+
+def _mid_pair_limit(entries):
+    """A limit at which the constellation list fills inside one pair's
+    g's, before a failure of that pair if the scan has such a place."""
+    pair = [(e["x_edges"], e["t_edges"]) for e in entries]
+    inside = [k for k in range(1, len(entries)) if pair[k - 1] == pair[k]]
+    failing = [k for k in inside
+               if entries[k]["verdict"] == "counterexample"]
+    return (failing or inside)[0]
+
+
 # D4 ->> C2xC2 dissolves 18,954 of the 50,094 constellations; the other
 # quotients dissolve all of them or none
 @pytest.mark.parametrize("quotient,base", [
     ("C3^2", "C3"), ("C3", "C3"), ("C2xC2^2", "C2xC2"), ("D4", "C2xC2")])
-def test_mask_scan_agrees_with_object_model(quotient, base):
+def test_mask_scan_agrees_with_object_model(quotient, base, monkeypatch):
     H = group_arg(quotient)
     G, entries = _object_model_entries(H, base)
     failures = [e for e in entries if e["verdict"] == "counterexample"]
     assert {e["verdict"] for e in entries} <= {"dissolved", "counterexample"}
-    for limit in (None, 0, 7):
+    limits = (None, -1, 0, 1, 7, len(failures), _mid_pair_limit(entries))
+    reports = []
+    for limit in limits:
         got = dissolves_all(H, G, detail_limit=limit)
-        cut = len(entries) if limit is None else limit
+        cut = len(entries) if limit is None else max(limit, 0)
         assert got["total"] == len(entries)
         assert got["dissolved"] == len(entries) - len(failures)
         assert got["constellations"] == entries[:cut]
         assert got["failures"] == failures[:cut]
         assert got.get("failures_truncated", False) == (len(failures) > cut)
+        reports.append(got)
+    monkeypatch.setattr(constellations, "_scan_exhaustive",
+                        _scan_by_ordered_pairs)
+    for limit, got in zip(limits, reports):
+        assert got == dissolves_all(H, G, detail_limit=limit), limit
 
 
 def test_pair_budget_limit_is_exact(monkeypatch):

@@ -4,6 +4,7 @@ import random
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
+from treelike.cli import group_arg
 from treelike.groups import (
     BUILTIN_NAMES,
     EnumerationBudgetError,
@@ -155,9 +156,13 @@ def test_canonical_morphism_exists_d4_to_c2xc2():
             assert phi[D4.mul_ids(x, y)] == G4.mul_ids(phi[x], phi[y])
 
 
+def _c4():
+    return FinGroup.from_perms(("a", "b"), [(1, 2, 3, 0), (3, 0, 1, 2)],
+                               name="C4")
+
+
 def test_canonical_morphism_none_c2xc2_to_c4():
-    C4 = FinGroup.from_perms(("a", "b"),
-                             [(1, 2, 3, 0), (3, 0, 1, 2)], name="C4")
+    C4 = _c4()
     G4 = builtin("C2xC2")
     assert canonical_morphism(G4, C4) is None
     # witness of the obstruction: a^2 closes in C2xC2 but not in C4
@@ -170,6 +175,33 @@ def test_canonical_morphism_identity():
     G = builtin("S3")
     phi = canonical_morphism(G, G)
     assert phi == list(range(G.order()))
+
+
+def _morphism_by_witnesses(H, G):
+    """The defining construction: phi(h) = [witness(h)]_G, a morphism iff
+    it commutes with every generator step."""
+    phi = [G.evaluate(H.witness(h)) for h in range(H.order())]
+    for h in range(H.order()):
+        for a in range(1, H.n_letters + 1):
+            if phi[H.step(h, a)] != G.step(phi[h], a):
+                return None
+    return phi
+
+
+# the quotients the tests dissolve, certify or compose, and pairs with no
+# morphism (None)
+@pytest.mark.parametrize("quotient,base,exists", [
+    ("C3^2", "C3", True), ("C3^3", "C3", True), ("C3^5", "C3", True),
+    ("C2xC2^2", "C2xC2", True), ("C2xC2^2", "D4", True),
+    ("D4", "C2xC2", True), ("S3^2", "S3", True), ("D4^2", "D4", True),
+    ("S3", "S3", True), ("S3", "C2", False), ("S3", "C3", False),
+    ("C3", "C2xC2", False), ("C2xC2", "C4", False), ("D4", "S3", False)])
+def test_canonical_morphism_matches_witness_evaluation(quotient, base, exists):
+    H = group_arg(quotient)
+    G = _c4() if base == "C4" else group_arg(base)
+    want = _morphism_by_witnesses(H, G)
+    assert (want is not None) == exists
+    assert canonical_morphism(H, G) == want
 
 
 def test_canonical_morphism_alphabet_mismatch():
