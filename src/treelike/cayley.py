@@ -5,16 +5,16 @@ The Cayley graph of G has the elements as vertices and one positive edge
 implicit.  Subgraphs are value objects holding a vertex set and a set of
 positive edges over a fixed group.
 
-This module holds the signed walk of a word, which kernel rewriting and
-cocycles read (path spans take the same walk over the step tables), and
-the one search of the Cayley graph, a breadth-first search over the
-step tables through admitted edges, which components, spanning trees
-and lifts all run.  It also computes
-path spans, the covering subgraph of a folded basepointed graph (the
-part of the Cayley graph swept out by paths from 1 whose labels are
-readable in the given graph from its basepoint), border edge sets of a
-vertex set, and whether the Cayley graph stays connected after deleting
-two edges.
+This module holds the signed walk of a word, which path spans, kernel
+rewriting and cocycles read, and the one search of the Cayley graph, a
+breadth-first search over the step tables through admitted edges, which
+components, spanning trees and lifts all run.  It also computes path
+spans (over any group-like object with n_letters and step, unenumerated
+extension levels included), the covering subgraph of a folded
+basepointed graph (the part of the Cayley graph swept out by paths from
+1 whose labels are readable in the given graph from its basepoint),
+border edge sets of a vertex set, and whether the Cayley graph stays
+connected after deleting two edges.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ TraversalCount = Dict[Edge, int]        # signed traversal counts
 
 @dataclass(frozen=True)
 class CayleySubgraph:
-    """Subgraph of the Cayley graph of `group`: element-id vertices plus
-    positive edges (g, a); both endpoints of every edge are vertices."""
+    """Subgraph of the Cayley graph of `group`: vertices (element ids,
+    or the elements of an unenumerated level) plus positive edges
+    (g, a); both endpoints of every edge are vertices."""
 
     group: FinGroup
     vertices: frozenset
@@ -76,27 +77,19 @@ def walk(G, start, w: Sequence[int]) -> Iterator[Tuple[tuple, int, object]]:
         cur = nxt
 
 
-def path_span(G: FinGroup, start: int, w: Sequence[int]
-              ) -> Tuple[CayleySubgraph, int, TraversalCount]:
+def path_span(G, start, w: Sequence[int]
+              ) -> Tuple[CayleySubgraph, object, TraversalCount]:
     """Walk w from start: the subgraph spanned by the traversed edges,
-    the endpoint, and per-edge signed traversal counts.  The signed walk
-    of `walk`, read off the step tables."""
-    rows = dict(G.rows())
+    the endpoint, and per-edge signed traversal counts, all read off
+    `walk`, so G is any group-like object with n_letters and step."""
     counts: TraversalCount = {}
     vertices = {start}
-    cur = start
-    for x in w:
-        if x not in rows:
-            raise ValueError("letter %r outside alphabet" % (x,))
-        nxt = rows[x][cur]
-        if x > 0:
-            counts[cur, x] = counts.get((cur, x), 0) + 1
-        else:
-            counts[nxt, -x] = counts.get((nxt, -x), 0) - 1
-        vertices.add(nxt)
-        cur = nxt
+    end = start
+    for e, sign, end in walk(G, start, w):
+        counts[e] = counts.get(e, 0) + sign
+        vertices.add(end)
     return (CayleySubgraph(G, frozenset(vertices), frozenset(counts)),
-            cur, counts)
+            end, counts)
 
 
 def covering_subgraph(A: LabeledGraph, G: FinGroup) -> CayleySubgraph:

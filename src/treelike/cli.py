@@ -189,7 +189,13 @@ def cmd_extend(args):
     if args.p is not None:
         ctx = ExtContext(G, args.p)
         report["p"] = args.p
-        report["ext_order"] = ext_order(G.order(), G.n_letters, args.p)
+        order = ext_order(G.order(), G.n_letters, args.p)
+        if order >= 10 ** 4300:
+            # json refuses an int of more than 4,300 digits (CPython
+            # 3.11+): such an order is reported as the exact string |G|*p^r
+            order = "%d*%d^%d" % (G.order(), args.p,
+                                  G.order() * (G.n_letters - 1) + 1)
+        report["ext_order"] = order
     else:
         S = builtin(args.S)
         report["S"] = S.name
@@ -222,13 +228,21 @@ def cmd_extend(args):
     return report, EXIT_OK
 
 
+def _detail_limit(args) -> int:
+    if args.detail_limit < 0:
+        raise CliInputError("--detail-limit must be at least 0, got %d"
+                            % args.detail_limit)
+    return args.detail_limit
+
+
 def cmd_dissolve(args):
+    detail_limit = _detail_limit(args)
     H = group_arg(args.H, args.budget_enum)
     G = group_arg(args.G, args.budget_enum)
     report = dissolves_all(H, G, mode=args.mode,
                            edge_budget=args.edge_budget,
                            samples=args.samples, max_len=args.max_len,
-                           seed=args.seed, detail_limit=args.detail_limit)
+                           seed=args.seed, detail_limit=detail_limit)
     ok = report["all_dissolved"]
     _status(ok, "" if ok else "%d of %d constellations not dissolved"
             % (report["total"] - report["dissolved"], report["total"]))
@@ -239,14 +253,31 @@ def cmd_tower(args):
     if not args.base or not args.primes:
         raise CliInputError("tower: --base and --primes are required "
                             "(directly or via --config)")
+    detail_limit = _detail_limit(args)
     report = treelike_campaign(_tower_spec(args), levels=args.levels,
                                mode=args.mode, step=args.step,
                                edge_budget=args.edge_budget,
                                samples=args.samples, max_len=args.max_len,
-                               detail_limit=args.detail_limit)
+                               detail_limit=detail_limit)
     ok = report["all_dissolved"]
-    _status(ok)
+    _status(ok, "" if ok else _tower_failure(report["levels"]))
     return report, EXIT_OK if ok else EXIT_FAIL
+
+
+def _tower_failure(levels: List[dict]) -> str:
+    """What the first failing level of a campaign report failed."""
+    for entry in levels:
+        n = entry["level"]
+        if entry.get("overflow") == "level":
+            return "level %d not enumerable" % n
+        sub = entry.get("dissolves")
+        if sub and not sub["all_dissolved"]:
+            return "level %d: %d of %d constellations not dissolved" % (
+                n, sub["total"] - sub["dissolved"], sub["total"])
+        certs = entry.get("certificates")
+        if certs and certs["succeeded"] < certs["total"]:
+            return "level %d: %d of %d certificates failed" % (
+                n, certs["total"] - certs["succeeded"], certs["total"])
 
 
 def cmd_rz(args):

@@ -184,18 +184,22 @@ class FinGroup:
         self._enumerate()
         return list(self._tables.items())
 
-    def evaluate(self, w: Sequence[int]) -> int:
-        """Element id of [w]_G, walked through the step tables."""
-        self._enumerate()
+    def _walk(self, i: int, w: Iterable[int]) -> int:
+        """Id reached from id i by walking w through the step tables,
+        which the caller has built."""
         tables = self._tables
-        i = 0
         for x in w:
-            row = tables.get(x)
-            if row is None:
-                raise ValueError("letter %r outside alphabet of size %d"
-                                 % (x, len(self.gens)))
-            i = row[i]
+            i = tables[x][i]
         return i
+
+    def evaluate(self, w: Sequence[int]) -> int:
+        """Element id of [w]_G: w walked from 0."""
+        self._enumerate()       # so a KeyError below is a bad letter
+        try:
+            return self._walk(0, w)
+        except KeyError as exc:
+            raise ValueError("letter %r outside alphabet of size %d"
+                             % (exc.args[0], len(self.gens))) from None
 
     def element_of(self, w: Sequence[int]):
         """Raw element of [w]_G, the product of its letter images: no
@@ -209,21 +213,12 @@ class FinGroup:
         return x
 
     def mul_ids(self, i: int, j: int) -> int:
-        """Id of element(i) * element(j): walk witness(j) from i."""
-        self._enumerate()
-        tables = self._tables
-        for x in self._witness[j]:
-            i = tables[x][i]
-        return i
+        """Id of element(i) * element(j): witness(j) walked from i."""
+        return self._walk(i, self.witness(j))
 
     def inv_id(self, i: int) -> int:
-        """Id of element(i)^-1: walk witness(i) backwards from 0."""
-        self._enumerate()
-        tables = self._tables
-        j = 0
-        for x in reversed(self._witness[i]):
-            j = tables[-x][j]
-        return j
+        """Id of element(i)^-1: witness(i) walked backwards from 0."""
+        return self._walk(0, [-x for x in reversed(self.witness(i))])
 
     def keyed_walk(self) -> tuple:
         """(key, step) for closures over ids: an id is its own key, and

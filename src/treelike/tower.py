@@ -12,9 +12,12 @@ Multiplication shifts the right cocycle by the left base element, one
 level down, and never touches elements outside the operands' supports.
 Equality of elements is group equality, level by level, by the
 faithfulness argument of the single-step model; ExtElement ordering
-keeps each cocycle's keys in canonical order.  For the campaigns, when
-a level fits the enumeration budget, `Tower.group` enumerates the next
-one over its element ids instead, exactly as the CLI's NAME^p^q does.
+keeps each cocycle's keys in canonical order.  This chain is the only
+one: for the campaigns `Tower.group` enumerates level 1 as the
+fin_group of its ExtContext, keyed by packed codes, when its order fits
+the enumeration budget, and refuses every level above 1 before any
+work, at every budget, because the base of such a level is never
+enumerated.
 
 The campaign runner gathers finite-level evidence for tree-likeness of
 the inverse limit: at each enumerable level it checks that the next
@@ -29,14 +32,15 @@ enumerates no level above the base.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .constellations import (EXHAUSTIVE_EDGE_BUDGET, dissolves_all,
                              require_counts, sample_constellations)
 from .extension import (CertificateError, ExtContext, ExtElement, _is_prime,
-                        dissolving_certificate, ext_order, extension_group)
+                        dissolving_certificate, ext_order)
 from .groups import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError, FinGroup,
                      builtin, closure, group_from_json)
 from .rational import member_product
@@ -109,7 +113,6 @@ class Tower:
     def __init__(self, spec: TowerSpec):
         self.spec = spec
         self._contexts: List = [spec.base]
-        self._groups: Dict[int, FinGroup] = {0: spec.base}
 
     def _check_level(self, n: int) -> None:
         if n < 0:
@@ -171,16 +174,24 @@ class Tower:
         return order
 
     def group(self, n: int) -> FinGroup:
-        """G_n as an enumerable FinGroup over the ids of G_{n-1} (level 0
-        is the base itself), for the campaigns; enumeration overflow
-        propagates for large levels."""
+        """G_n as an enumerable FinGroup, for the campaigns: the base at
+        level 0, and at level 1 the extension of the base keyed by packed
+        codes (the fin_group of level 1's ExtContext), built once.  A
+        level n >= 2 is refused at every budget, before any work, even
+        its order formula, since its base G_{n-1} is never enumerated;
+        level 1 is refused as in order() when its order exceeds the
+        spec's enum_budget."""
         self._check_level(n)
-        got = self._groups.get(n)
-        if got is None:
-            got = extension_group(self.group(n - 1), self.prime(n),
-                                  enum_budget=self.spec.enum_budget)
-            self._groups[n] = got
-        return got
+        if n > 1:
+            raise EnumerationBudgetError(
+                self.spec.enum_budget, "level %d of the tower, whose base "
+                "level is never enumerated," % n)
+        self.order(n)
+        return self._level_one if n else self.spec.base
+
+    @functools.cached_property
+    def _level_one(self) -> FinGroup:
+        return self._context(1).fin_group(self.spec.enum_budget)
 
 
 def tower_evaluate(spec: TowerSpec, n: int, w: Sequence[int]):
@@ -262,13 +273,11 @@ def treelike_campaign(spec: TowerSpec, levels: int = 1,
             all_ok = False
             break
         entry = {"level": n, "order": order}
-        H = None
         if step == "identity":
             H = G
         else:
             try:
                 H = tower.group(n + 1)
-                H.order()
             except EnumerationBudgetError:
                 H = None
         if H is not None:
@@ -279,7 +288,7 @@ def treelike_campaign(spec: TowerSpec, levels: int = 1,
             entry["dissolves"] = sub
             all_ok &= sub["all_dissolved"]
         else:
-            # next level too large: certify sampled word pairs directly
+            # next level not enumerable: certify sampled word pairs directly
             S = _cyclic_group(tower.prime(n + 1))
             certs = {"total": 0, "succeeded": 0}
             for c, u, v in sample_constellations(G, rng, samples, max_len):

@@ -191,6 +191,17 @@ def test_extend_group_tower_name(capsys):
     assert report["ext_order"] == 48 * 3 ** (48 + 1)
 
 
+def test_extend_reports_a_huge_order_as_its_formula(capsys):
+    """|C5^5| = 78,125, so its C_2-extension has an order of 23,524
+    digits, more than json converts to text by default (CPython 3.11+):
+    the report carries the exact string |G|*p^r instead."""
+    code = main(["extend", "C5^5", "--p", "2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    report = json.loads(out)
+    assert report["ext_order"] == "78125*2^%d" % (78125 * (2 - 1) + 1)
+
+
 def test_dissolve_extension_passes(capsys):
     code, report, err = _run(capsys, "dissolve", "--H", "C3^2", "--G", "C3")
     assert code == 0
@@ -315,6 +326,32 @@ def test_counts_below_one_are_refused(capsys, argv, name, value):
     code, report, err = _run(capsys, *argv)
     assert (code, report) == (3, None)
     assert err == "error: %s must be at least 1, got %d\n" % (name, value)
+
+
+@pytest.mark.parametrize("argv", [
+    ("dissolve", "--H", "D4", "--G", "C2xC2"),
+    ("tower", "--base", "C2xC2", "--primes", "2"),
+], ids=["dissolve", "tower"])
+def test_negative_detail_limit_is_refused(capsys, argv):
+    for limit in ("-1", "-7"):
+        code, report, err = _run(capsys, *argv, "--detail-limit", limit)
+        assert (code, report) == (3, None)
+        assert err == "error: --detail-limit must be at least 0, got %s\n" \
+            % limit
+    code, report, _ = _run(capsys, *argv, "--detail-limit", "0")
+    assert code in (0, 1) and report is not None
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("--primes", "2", "--step", "identity"),
+     "FAIL: level 0: 50094 of 50094 constellations not dissolved\n"),
+    (("--primes", "2,2,2", "--levels", "3", "--mode", "sampled",
+      "--samples", "50"), "FAIL: level 2 not enumerable\n"),
+], ids=["identity", "overflow"])
+def test_tower_fail_line_names_the_failing_level(capsys, argv, line):
+    code, report, err = _run(capsys, "tower", "--base", "C2xC2", *argv)
+    assert code == 1 and not report["all_dissolved"]
+    assert err == line
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,8 @@
 """The signed walk and the signed transition map.
 
 `cayley.walk` is the one walk of a word through a Cayley graph; path
-spans, kernel rewriting and cocycles must read it edge by edge.  The
+spans, kernel rewriting and cocycles must read it edge by edge, and a
+path span runs over an unenumerated extension level as well.  The
 readers of `stallings.transition_maps` (basis words, canonical forms,
 completions, transition groups, the product automaton) are compared
 with values frozen in tests/golden/signed_maps.json, and the covering
@@ -20,7 +21,7 @@ import pytest
 from test_exchange import search_tree
 from test_stallings import canonical_form
 from treelike.cayley import covering_subgraph, path_span, walk
-from treelike.extension import ExtContext
+from treelike.extension import ExtContext, extension_group
 from treelike.groups import FinGroup, builtin
 from treelike.rational import ProductAutomaton
 from treelike.rewriting import graph_subgroup_basis, rewrite, spanning_tree_avoiding
@@ -124,6 +125,24 @@ def test_cocycles_follow_walk():
             got = ctx.evaluate(w)
             assert got.base == base
             assert dict(got.cocycle) == {e: c for e, c in counts.items() if c}
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_path_span_over_unenumerated_extension(name):
+    """path_span walks an ExtContext, which has a step and no step
+    tables, and agrees through id_of with the enumerated extension:
+    the same vertices, endpoint and signed counts, in walk order."""
+    G = builtin(name)
+    ctx, H = ExtContext(G, 2), extension_group(G, 2)
+    rng = random.Random(10)
+    for _ in range(300):
+        w = random_reduced_word(rng, G.n_letters, rng.randint(0, 12))
+        span, end, counts = path_span(ctx, ctx.identity, w)
+        want_span, want_end, want = path_span(H, 0, w)
+        assert H.id_of(end) == want_end
+        assert {H.id_of(v) for v in span.vertices} == want_span.vertices
+        assert [((H.id_of(v), a), c) for (v, a), c in counts.items()] \
+            == list(want.items())
 
 
 @pytest.mark.parametrize("x", (0, 4, -4))

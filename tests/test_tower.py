@@ -5,7 +5,6 @@ import pytest
 
 import treelike.cli
 import treelike.extension
-import treelike.tower
 from treelike.extension import ExtContext, ext_evaluate, extension_group
 from treelike.groups import builtin
 from treelike.rewriting import graph_subgroup_basis
@@ -371,7 +370,7 @@ def test_rz_budget_at_exact_level_order(capsys, monkeypatch):
 
     monkeypatch.setattr(Tower, "group", enumerated)
     monkeypatch.setattr(ExtContext, "fin_group", enumerated)
-    for module in (treelike.tower, treelike.extension, treelike.cli):
+    for module in (treelike.extension, treelike.cli):
         monkeypatch.setattr(module, "extension_group", enumerated)
 
     def rz(budget):

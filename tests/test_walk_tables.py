@@ -180,14 +180,12 @@ def test_refused_level_builds_no_code_layout(monkeypatch):
 
     monkeypatch.setattr(ExtContext, "_code_layout", counted)
     t = Tower(TowerSpec(builtin("S3"), (2, 2)))
-    H = t.group(2)
     with pytest.raises(EnumerationBudgetError):
-        H.order()
-    with pytest.raises(EnumerationBudgetError):
-        H.id_of(H.identity)
-    # level 2's exact order enumerates level 1, the extension of G_0
-    assert built == [t.group(0)]
+        t.group(2)
+    # level 2 is refused by the order formula, building no code layout
+    assert built == []
     assert t.group(1).order() == 768
+    assert built == [t.group(0)]
 
 
 # -- ids multiply through the step tables -------------------------------
@@ -230,15 +228,26 @@ def test_budget_limit_is_exact():
     assert calls == []
 
 
-def test_tower_level_two_refused_before_enumeration():
-    t = Tower(TowerSpec(builtin("C2xC2"), (2, 2)))
-    H = t.group(2)
-    calls = _counting(H)
-    with pytest.raises(EnumerationBudgetError):
-        H.order()
-    assert H._elems is None
-    assert calls == []
-    assert t.group(1).order() == 128
+def test_tower_level_two_refused_before_enumeration(monkeypatch):
+    """|G_2| = 128 * 2^129 over C2xC2: refused by the formula under 10^6,
+    and under 10^42, which admits that order, because level 1 is never
+    enumerated as the base of a group; no FinGroup is built either way."""
+    built = []
+    fin_group = ExtContext.fin_group
+
+    def counted(self, *args):
+        built.append(self.G)
+        return fin_group(self, *args)
+
+    monkeypatch.setattr(ExtContext, "fin_group", counted)
+    for budget in (10**6, 10**42):
+        built.clear()
+        t = Tower(TowerSpec(builtin("C2xC2"), (2, 2), enum_budget=budget))
+        with pytest.raises(EnumerationBudgetError):
+            t.group(2)
+        assert built == []
+        assert t.group(1).order() == 128
+        assert built == [t.group(0)]
 
 
 @pytest.mark.parametrize("argv", [
