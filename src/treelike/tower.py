@@ -12,12 +12,11 @@ Multiplication shifts the right cocycle by the left base element, one
 level down, and never touches elements outside the operands' supports.
 Equality of elements is group equality, level by level, by the
 faithfulness argument of the single-step model; ExtElement ordering
-keeps each cocycle's keys in canonical order.  This chain is the only
-one: for the campaigns `Tower.group` enumerates level 1 as the
-fin_group of its ExtContext, keyed by packed codes, when its order fits
-the enumeration budget, and refuses every level above 1 before any
-work, at every budget, because the base of such a level is never
-enumerated.
+keeps each cocycle's keys in canonical order.  For the campaigns,
+`Tower.group` enumerates a level as the fin_group of an ExtContext over
+the enumerated level below, keyed by packed codes, exactly as the CLI's
+NAME^p^q does; the order formula refuses a level whose order exceeds
+the enumeration budget before any work.
 
 The campaign runner gathers finite-level evidence for tree-likeness of
 the inverse limit: at each enumerable level it checks that the next
@@ -32,7 +31,6 @@ enumerates no level above the base.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -108,11 +106,13 @@ def project(e: ExtElement):
 class Tower:
     """Lazy chain of per-level arithmetic over a TowerSpec: the base
     FinGroup (element ids) at level 0 and an ExtContext over the level
-    below at each level n >= 1."""
+    below at each level n >= 1; and, for the campaigns, enumerable
+    FinGroups over the ids of the level below."""
 
     def __init__(self, spec: TowerSpec):
         self.spec = spec
         self._contexts: List = [spec.base]
+        self._groups: List[FinGroup] = [spec.base]
 
     def _check_level(self, n: int) -> None:
         if n < 0:
@@ -175,23 +175,16 @@ class Tower:
 
     def group(self, n: int) -> FinGroup:
         """G_n as an enumerable FinGroup, for the campaigns: the base at
-        level 0, and at level 1 the extension of the base keyed by packed
-        codes (the fin_group of level 1's ExtContext), built once.  A
-        level n >= 2 is refused at every budget, before any work, even
-        its order formula, since its base G_{n-1} is never enumerated;
-        level 1 is refused as in order() when its order exceeds the
-        spec's enum_budget."""
-        self._check_level(n)
-        if n > 1:
-            raise EnumerationBudgetError(
-                self.spec.enum_budget, "level %d of the tower, whose base "
-                "level is never enumerated," % n)
+        level 0, else the fin_group of an ExtContext over the FinGroup of
+        level n-1, built once.  A level is refused as in order(), from
+        the formula alone, when its order exceeds the spec's
+        enum_budget."""
         self.order(n)
-        return self._level_one if n else self.spec.base
-
-    @functools.cached_property
-    def _level_one(self) -> FinGroup:
-        return self._context(1).fin_group(self.spec.enum_budget)
+        while len(self._groups) <= n:
+            k = len(self._groups)
+            self._groups.append(ExtContext(self._groups[-1], self.prime(k))
+                                .fin_group(self.spec.enum_budget))
+        return self._groups[n]
 
 
 def tower_evaluate(spec: TowerSpec, n: int, w: Sequence[int]):

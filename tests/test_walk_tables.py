@@ -229,9 +229,9 @@ def test_budget_limit_is_exact():
 
 
 def test_tower_level_two_refused_before_enumeration(monkeypatch):
-    """|G_2| = 128 * 2^129 over C2xC2: refused by the formula under 10^6,
-    and under 10^42, which admits that order, because level 1 is never
-    enumerated as the base of a group; no FinGroup is built either way."""
+    """|G_2| = 128 * 2^129 over C2xC2: a budget one below it refuses
+    level 2 by the order formula, building no FinGroup; that exact budget
+    admits it as the extension of level 1's FinGroup, still unenumerated."""
     built = []
     fin_group = ExtContext.fin_group
 
@@ -240,14 +240,18 @@ def test_tower_level_two_refused_before_enumeration(monkeypatch):
         return fin_group(self, *args)
 
     monkeypatch.setattr(ExtContext, "fin_group", counted)
-    for budget in (10**6, 10**42):
-        built.clear()
-        t = Tower(TowerSpec(builtin("C2xC2"), (2, 2), enum_budget=budget))
-        with pytest.raises(EnumerationBudgetError):
-            t.group(2)
-        assert built == []
-        assert t.group(1).order() == 128
-        assert built == [t.group(0)]
+    order = 128 * 2 ** 129
+    t = Tower(TowerSpec(builtin("C2xC2"), (2, 2), enum_budget=order - 1))
+    with pytest.raises(EnumerationBudgetError):
+        t.group(2)
+    assert built == []
+    assert t.group(1).order() == 128
+    assert built == [t.group(0)]
+    t = Tower(TowerSpec(builtin("C2xC2"), (2, 2), enum_budget=order))
+    H = t.group(2)
+    assert built[1:] == [t.group(0), t.group(1)]
+    assert H._elems is None and H.name == "C2xC2^2^2"
+    assert t.group(2) is H and len(built) == 3
 
 
 @pytest.mark.parametrize("argv", [
