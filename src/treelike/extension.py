@@ -61,7 +61,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .cayley import Edge, borders, component_of, intersect, path_span, walk
 from .constellations import Constellation, require_counts
 from .groups import EnumerationBudgetError, FinGroup
-from .rewriting import exponent_sums, rewrite, spanning_tree_avoiding
+from .rewriting import (SpanningTree, exponent_sums, rewrite,
+                        spanning_tree_avoiding)
 from .words import Word, concat, invert_word, reduce_word
 
 S_EQUAL_BUDGET = 10**8
@@ -432,9 +433,10 @@ class Certificate:
     nontrivial because o divides neither exponent
     (free_object_pair_check).
 
-    tree_edges is the tree of that cross-check: G's breadth-first tree
-    with e and f exchanged out of it (spanning_tree_avoiding), one of
-    many trees that would serve; no other field depends on it.
+    tree is the tree of that cross-check: G's base tree with e and f
+    exchanged out of it (spanning_tree_avoiding), one of many trees
+    that would serve; no other field depends on it.  Its edge set,
+    tree_edges, is derived on demand.
     """
 
     e: Edge
@@ -449,7 +451,11 @@ class Certificate:
     cp_edges: frozenset
     u_border_sum: int
     v_border_sum: int
-    tree_edges: frozenset
+    tree: SpanningTree
+
+    @property
+    def tree_edges(self) -> frozenset:
+        return self.tree.tree_edges
 
 
 def _check_path_inside(G: FinGroup, X, w: Sequence[int], end: int,
@@ -520,7 +526,7 @@ def dissolving_certificate(G: FinGroup, c: Constellation, u: Word, v: Word,
                        z=z, d_edges=d_edges, c_edges=c_edges,
                        dp_edges=dp_edges, cp_edges=cp_edges,
                        u_border_sum=u_sum, v_border_sum=v_sum,
-                       tree_edges=tree.tree_edges)
+                       tree=tree)
 
 
 def certificate_to_json(cert: Certificate) -> dict:

@@ -9,40 +9,93 @@ element with the traversal sign.  Consequently the exponent sum of a
 basis element in the rewritten word equals the signed traversal count of
 its edge, which is what the border certificates consume.
 
-Each group's breadth-first tree is searched once and kept while the
-group lives; a tree avoiding two edges is derived from it by at most two
-edge exchanges, and basis indices are read by bisection over its sorted
-edge keys, so neither a search nor the full index is needed per tree.
+Each group's base tree is the breadth-first tree of its own
+enumeration: the parent of element v is step(v, -x) for x the last
+letter of witness(v), read once per group and kept while the group
+lives, so no search of the Cayley graph runs.  Every other tree is that
+base plus at most two edge exchanges.  An exchange writes the few parent
+entries it reverses into a small overlay, and basis indices are read by
+bisection over the base's sorted edge keys, corrected for the swapped
+keys, so a tree costs its exchanges rather than |G|.
 """
 
 from __future__ import annotations
 
 import weakref
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, filterfalse, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cayley import Edge, path_label, search, walk
+from .cayley import Edge, path_label, walk
 from .groups import FinGroup
 from .stallings import LabeledGraph, transition_maps, _sorted
 from .words import Word, concat, invert_word
 
 
-@dataclass(frozen=True)
+def _key(k: int, edge: Edge) -> int:
+    """Integer key g|A| + a - 1 of the positive edge (g, a)."""
+    return edge[0] * k + edge[1] - 1
+
+
 class SpanningTree:
-    """Spanning tree of the Cayley graph rooted at the identity.
+    """Spanning tree of the Cayley graph rooted at the identity: a base
+    tree, given by its parent tuple and sorted edge keys, with an
+    overlay {v: parent} of the entries its exchanges reversed and the
+    (cut key, link key) pairs they swapped.
 
     parent[v] = (u, x) with step(u, x) = v for every non-root vertex;
     tree_edges holds the underlying positive edges and keys their sorted
-    integer keys g|A| + a - 1, which locate basis indices by bisection.
+    integer keys g|A| + a - 1.  tree_edges, keys, parent and index are
+    derived on demand; a tree without exchanges hands out its base's
+    tuples.
+    Two trees are equal when their groups and parent maps are.
     """
 
-    group: FinGroup
-    tree_edges: frozenset
-    parent: tuple  # parent[v] = (u, signed letter) or None at the root
-    keys: tuple = field(compare=False, repr=False)
+    def __init__(self, group: FinGroup, parent: tuple, keys: tuple,
+                 overlay: Optional[Dict[int, tuple]] = None,
+                 swaps: Sequence[Tuple[int, int]] = ()):
+        self.group = group
+        self._k = group.n_letters
+        self._base_parent, self._base_keys = parent, keys
+        self._overlay = overlay or {}
+        self._swaps = tuple(swaps)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SpanningTree):
+            return NotImplemented
+        return self.group is other.group and self.parent == other.parent
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.parent))
+
+    @cached_property
+    def parent(self) -> tuple:
+        """parent[v] = (u, signed letter), None at the root."""
+        if not self._overlay:
+            return self._base_parent
+        parent = list(self._base_parent)
+        for v, up in self._overlay.items():
+            parent[v] = up
+        return tuple(parent)
+
+    @cached_property
+    def keys(self) -> tuple:
+        """Sorted keys of the tree edges."""
+        if not self._swaps:
+            return self._base_keys
+        keys = list(self._base_keys)
+        for cut, link in self._swaps:
+            del keys[bisect_left(keys, cut)]
+            insort(keys, link)
+        return tuple(keys)
+
+    @cached_property
+    def tree_edges(self) -> frozenset:
+        """The positive edges of the tree."""
+        k = self._k
+        return frozenset((key // k, key % k + 1) for key in self.keys)
 
     @cached_property
     def index(self) -> Dict[Edge, int]:
@@ -55,63 +108,79 @@ class SpanningTree:
                         count()))
 
     def index_of(self, edge: Edge) -> Optional[int]:
-        """index[edge] without building index; None for a tree edge."""
-        return _position(self.keys, edge[0] * self.group.n_letters
-                         + edge[1] - 1)
+        """index.get(edge) without building index: the edge's key minus
+        the number of tree keys below it, or None for a tree edge.  The
+        base keys below it are counted by bisection, then each swap
+        takes its cut key out and puts its link key in."""
+        key = _key(self._k, edge)
+        keys = self._base_keys
+        i = bisect_left(keys, key)
+        tree = i < len(keys) and keys[i] == key
+        for cut, link in self._swaps:
+            if key == cut:
+                tree = False
+            elif key == link:
+                tree = True
+            i += (link < key) - (cut < key)
+        return None if tree else key - i
 
     def path_word(self, v: int) -> Word:
         """Label of the tree path from the root to v."""
         return path_label(self.parent, v)
 
 
-def _position(keys: Sequence[int], key: int) -> Optional[int]:
-    """Basis index of the edge with the given key: the key minus the
-    number of tree keys below it, or None when the edge is a tree edge."""
-    i = bisect_left(keys, key)
-    return None if i < len(keys) and keys[i] == key else key - i
-
-
-# FinGroup -> (tree_edges, parent, keys) of its breadth-first tree; the
-# value holds no reference to the group, so the group is not kept alive
+# FinGroup -> (parent, keys) of its base tree; the value holds no
+# reference to the group, so the group is not kept alive
 _BASES = weakref.WeakKeyDictionary()
 _DISCONNECTED = "deleting the given edges disconnects the Cayley graph"
 
 
-def _base(G: FinGroup) -> Tuple[frozenset, tuple, tuple]:
-    """Edge set, parent tuple and sorted edge keys of G's breadth-first
-    tree."""
+def _base(G: FinGroup) -> Tuple[tuple, tuple]:
+    """Parent tuple and sorted edge keys of G's enumeration tree, which
+    is the tree a breadth-first search from 1 trying the rows in the
+    order 1, -1, 2, -2, ... would find: the enumeration discovered v
+    from step(v, -x) by the last letter x of witness(v)."""
     base = _BASES.get(G)
     if base is None:
-        parent = search(G, 0, lambda d: True)
-        k = G.n_letters
-        edges = frozenset((u, x) if x > 0 else (v, -x)
-                          for v, (u, x) in list(parent.items())[1:])
-        base = _BASES[G] = (edges, tuple(map(parent.get, sorted(parent))),
-                            tuple(sorted(g * k + a - 1 for g, a in edges)))
+        rows, k = dict(G.rows()), G.n_letters
+        parent, keys = [None], []
+        for v in range(1, G.order()):
+            x = G.witness(v)[-1]
+            u = rows[-x][v]
+            parent.append((u, x))
+            keys.append(_key(k, (u, x) if x > 0 else (v, -x)))
+        keys.sort()
+        base = _BASES[G] = (tuple(parent), tuple(keys))
     return base
 
 
-def _exchange(G: FinGroup, parent: list, cut: Edge, e: Edge, f: Edge
-              ) -> Optional[Edge]:
-    """Replace the tree edge cut by the first edge, other than e and f,
-    that leaves the subtree below it, scanning that subtree breadth-first
-    in row order; the subtree hangs from the new edge by reversing the
-    parent pointers from the attaching vertex up to its root.  Returns
-    the new edge, or None when cut is not a tree edge."""
+def _exchange(G: FinGroup, base: tuple, overlay: dict, cut: Edge, e: Edge,
+              f: Edge) -> Optional[Edge]:
+    """Replace the tree edge cut of the tree base + overlay by the first
+    edge, other than e and f, that leaves the subtree below it, scanning
+    that subtree breadth-first in row order; the subtree hangs from the
+    new edge by reversing the parent pointers from the attaching vertex
+    up to its root, which are written into overlay.  Returns the new
+    edge, or None when cut is not a tree edge."""
+
+    def parent(v: int) -> Optional[tuple]:
+        return overlay.get(v) or base[v]
+
     g, a = cut
     h = G.step(g, a)
-    if parent[h] == (g, a):
+    if parent(h) == (g, a):
         root = h
-    elif parent[g] == (h, -a):
+    elif parent(g) == (h, -a):
         root = g
     else:
         return None
 
     def below(v: int) -> bool:
         while v != root:
-            if parent[v] is None:
+            up = parent(v)
+            if up is None:
                 return False
-            v = parent[v][0]
+            v = up[0]
         return True
 
     rows = G.rows()
@@ -119,14 +188,14 @@ def _exchange(G: FinGroup, parent: list, cut: Edge, e: Edge, f: Edge
     for u in queue:
         for x, row in rows:
             v = row[u]
-            if parent[v] == (u, x):
+            if parent(v) == (u, x):
                 queue.append(v)
                 continue
             d = (u, x) if x > 0 else (v, -x)
             if d != e and d != f and not below(v):
                 link, cur = (v, -x), u
                 while True:
-                    link, parent[cur] = parent[cur], link
+                    link, overlay[cur] = parent(cur), link
                     if cur == root:
                         return d
                     cur, link = link[0], (cur, -link[1])
@@ -140,10 +209,10 @@ def spanning_tree_avoiding(G: FinGroup, e: Optional[Edge] = None,
     cannot happen for separated groups (their Cayley graphs stay
     connected after removing any two positive edges).
 
-    The tree is G's breadth-first enumeration tree, built once per group
-    and held while G lives, with e and then f exchanged for the first
-    edge leaving the subtree each one cuts off; the result depends only
-    on G, e and f."""
+    The tree is G's base tree, read off its enumeration once and held
+    while G lives, with e and then f exchanged for the first edge leaving the
+    subtree each one cuts off; the result depends only on G, e and f,
+    and copies nothing of the size of G."""
     if e is not None and e == f:
         raise ValueError("edges must be distinct")
     for d in (e, f):
@@ -151,19 +220,16 @@ def spanning_tree_avoiding(G: FinGroup, e: Optional[Edge] = None,
                                   and 0 < d[1] <= G.n_letters):
             raise ValueError("%r is not a positive edge of the Cayley "
                              "graph" % (d,))
-    edges, parent, keys = _base(G)
-    tree = list(parent)
-    swaps = [(d, _exchange(G, tree, d, e, f)) for d in (e, f) if d is not None]
-    swaps = [(cut, link) for cut, link in swaps if link is not None]
-    if not swaps:
-        return SpanningTree(G, edges, parent, keys)
-    k, keys = G.n_letters, list(keys)
-    for (g, a), (h, b) in swaps:
-        del keys[bisect_left(keys, g * k + a - 1)]
-        insort(keys, h * k + b - 1)
-    cuts, links = zip(*swaps)
-    return SpanningTree(G, edges.difference(cuts).union(links), tuple(tree),
-                        tuple(keys))
+    parent, keys = _base(G)
+    k = G.n_letters
+    overlay: Dict[int, tuple] = {}
+    swaps = []
+    for d in (e, f):
+        if d is not None:
+            link = _exchange(G, parent, overlay, d, e, f)
+            if link is not None:
+                swaps.append((_key(k, d), _key(k, link)))
+    return SpanningTree(G, parent, keys, overlay, swaps)
 
 
 @dataclass(frozen=True)
@@ -190,15 +256,16 @@ def rewrite(G: FinGroup, tree: SpanningTree, w: Sequence[int]
     """Rewrite a closed path at 1 into (basis index, +-1) factors.
 
     Streams over the walk: tree edges are dropped, every non-tree edge
-    (g, a) contributes its basis index tree.index_of((g, a)) with the
-    traversal sign; neither a basis word nor the index is built.  The concatenation of the
-    corresponding basis words (nielsen_basis) reduces to red(w).
+    contributes its basis index tree.index_of(edge) with the traversal
+    sign; neither a basis word nor the index is built.  The
+    concatenation of the corresponding basis words (nielsen_basis)
+    reduces to red(w).
     """
-    keys, k = tree.keys, G.n_letters
+    index_of = tree.index_of
     out = []
     g = 0
-    for (h, a), sign, g in walk(G, 0, w):
-        i = _position(keys, h * k + a - 1)
+    for edge, sign, g in walk(G, 0, w):
+        i = index_of(edge)
         if i is not None:
             out.append((i, sign))
     if g != 0:

@@ -162,15 +162,19 @@ class Tower:
     def order(self, n: int) -> int:
         """|G_n|, enumerating nothing above the base: |G_n| = m *
         p^(m(|A|-1)+1) for m = |G_{n-1}|.  A level above the base whose
-        order exceeds the spec's enum_budget is refused."""
+        order exceeds the spec's enum_budget is refused, by bit length
+        before the power is computed when that already decides it."""
         self._check_level(n)
         if n == 0:
             return self.spec.base.order()
-        order = ext_order(self.order(n - 1), self.spec.base.n_letters,
-                          self.prime(n))
-        if order > self.spec.enum_budget:
-            raise EnumerationBudgetError(self.spec.enum_budget,
-                                         "level %d of the tower" % n)
+        m, p, budget = self.order(n - 1), self.prime(n), self.spec.enum_budget
+        k = self.spec.base.n_letters
+        # |G_n| >= 2^bits, so bits >= bit_length(budget) refuses the
+        # level without the power, which may be too large to compute
+        bits = m.bit_length() - 1 + (m * (k - 1) + 1) * (p.bit_length() - 1)
+        order = ext_order(m, k, p) if bits < budget.bit_length() else None
+        if order is None or order > budget:
+            raise EnumerationBudgetError(budget, "level %d of the tower" % n)
         return order
 
     def group(self, n: int) -> FinGroup:

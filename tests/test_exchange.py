@@ -1,24 +1,28 @@
 """Spanning trees by edge exchange.
 
-`spanning_tree_avoiding(G, e, f)` is the group's breadth-first tree
-with e and f exchanged out of it, and basis indices are read by
-bisection over the sorted tree-edge keys.  The trees are checked for
-being spanning trees that avoid e and f, against the tree index and the
-Nielsen basis, and certificates over them against certificates over a
-tree found by a fresh search of the Cayley graph minus e and f
+`spanning_tree_avoiding(G, e, f)` is the group's base tree, the
+breadth-first tree of its enumeration, with e and f exchanged out of it
+on an overlay, and basis indices are read by bisection over the base's
+sorted tree-edge keys corrected for the swapped keys.  The trees are
+checked for being spanning trees that avoid e and f, against the tree
+index and the Nielsen basis, against trees built by copying the base
+whole, and certificates over them against certificates over a tree
+found by a fresh search of the Cayley graph minus e and f
 (`search_tree`, the oracle, which other tests also use to draw shuffled
-trees).  The base tree is searched once per group and does not keep the
-group alive.
+trees).  The base tree is read once per group, runs no search and does
+not keep the group alive, and a certificate allocates nothing of the
+size of the group.
 """
 
 import gc
 import random
+import tracemalloc
 import weakref
 
 import pytest
 
 from test_golden import CERT_CASES
-from treelike import extension, rewriting
+from treelike import cayley, extension, rewriting
 from treelike.cayley import cayley_graph, search
 from treelike.constellations import sample_constellations
 from treelike.extension import dissolving_certificate, extension_group
@@ -69,9 +73,9 @@ def search_tree(G, e=None, f=None, rng=None):
     if len(parent) < G.order():
         raise ValueError(DISCONNECTS)
     k = G.n_letters
-    edges = frozenset((u, x) if x > 0 else (v, -x)
-                      for v, (u, x) in list(parent.items())[1:])
-    return SpanningTree(G, edges, tuple(map(parent.get, sorted(parent))),
+    edges = [(u, x) if x > 0 else (v, -x)
+             for v, (u, x) in list(parent.items())[1:]]
+    return SpanningTree(G, tuple(map(parent.get, sorted(parent))),
                         tuple(sorted(g * k + a - 1 for g, a in edges)))
 
 
@@ -102,13 +106,14 @@ def _check_spanning(G, tree, e=None, f=None):
 
 
 def _subtree(tree, root):
-    return {v for v in range(len(tree.parent)) if root in _ancestors(tree, v)}
+    return {v for v in range(len(tree.parent))
+            if root in _ancestors(tree.parent, v)}
 
 
-def _ancestors(tree, v):
+def _ancestors(parent, v):
     out = {v}
-    while tree.parent[v] is not None:
-        v = tree.parent[v][0]
+    while parent[v] is not None:
+        v = parent[v][0]
         out.add(v)
     return out
 
@@ -219,7 +224,7 @@ def _certificates(G, pairs):
 
 def _without_tree(cert):
     return {name: getattr(cert, name) for name in cert.__dataclass_fields__
-            if name != "tree_edges"}
+            if name != "tree"}
 
 
 @pytest.mark.parametrize("name,base,p,count,seed",
@@ -241,17 +246,28 @@ def test_certificates_match_the_search_oracle(monkeypatch, name, base, p,
 
 
 def test_one_base_search_per_group(monkeypatch):
+    """One base tree per group, read off its enumeration: no search."""
     G = extension_group(builtin("S3"), 2)
     pairs = list(sample_constellations(G, random.Random(8), 20))
-    calls = []
+    built = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return search(*args, **kwargs)
+    class Bases(weakref.WeakKeyDictionary):
+        def __setitem__(self, key, value):
+            built.append(key)
+            super().__setitem__(key, value)
 
-    monkeypatch.setattr(rewriting, "search", counted)
+    def no_search(*args, **kwargs):
+        raise AssertionError("the base tree is read off the enumeration")
+
+    monkeypatch.setattr(rewriting, "_BASES", Bases())
+    with monkeypatch.context() as m:
+        m.setattr(cayley, "search", no_search)
+        m.setattr(rewriting, "search", no_search, raising=False)
+        base = spanning_tree_avoiding(G)
     certs = _certificates(G, pairs)
-    assert len(certs) == 40 and calls == [G]
+    assert len(certs) == 40 and built == [G]
+    parent, keys = rewriting._BASES[G]
+    assert base.parent is parent and base.keys is keys
 
 
 def _certify_and_forget():
@@ -267,3 +283,119 @@ def test_base_tree_does_not_keep_the_group_alive():
     ref = _certify_and_forget()
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("name", [name for name, _ in EXCHANGE_GROUPS])
+def test_base_tree_is_the_breadth_first_search_tree(name):
+    G = _group(name)
+    parent, keys = rewriting._base(G)
+    want = search_tree(G)
+    assert parent == want.parent and keys == want.keys
+    searched = search(G, 0, lambda d: True)
+    assert parent == tuple(map(searched.get, range(G.order())))
+    tree = spanning_tree_avoiding(G)
+    assert tree.tree_edges == want.tree_edges and tree == want
+
+
+# groups whose seeded pairs are checked against a copy-built reference
+OVERLAY_GROUPS = ("C2xC2^2", "S3^2", "C3^3", "A5", "D4^2")
+
+
+def _copy_exchange(G, parent, cut, e, f):
+    """The exchange of spanning_tree_avoiding, on a full list copy of the
+    parent map: the first edge other than e and f leaving the subtree
+    below cut, in breadth-first row order, and the path to it reversed."""
+    g, a = cut
+    h = G.step(g, a)
+    if parent[h] == (g, a):
+        root = h
+    elif parent[g] == (h, -a):
+        root = g
+    else:
+        return None
+    queue = [root]
+    for u in queue:
+        for x, row in G.rows():
+            v = row[u]
+            if parent[v] == (u, x):
+                queue.append(v)
+                continue
+            d = (u, x) if x > 0 else (v, -x)
+            if d not in (e, f) and root not in _ancestors(parent, v):
+                path = [u]
+                while path[-1] != root:
+                    path.append(parent[path[-1]][0])
+                ups = [(v, -x)] + [(w, -parent[w][1]) for w in path[:-1]]
+                for w, up in zip(path, ups):
+                    parent[w] = up
+                return d
+    raise ValueError(DISCONNECTS)
+
+
+def _copy_built(G, e, f):
+    """(parent, keys, tree_edges) of the tree avoiding e and f, built by
+    copying the base tree's parent map and edge set whole."""
+    base = search_tree(G)
+    parent, edges = list(base.parent), set(base.tree_edges)
+    for d in (e, f):
+        link = _copy_exchange(G, parent, d, e, f)
+        if link is not None:
+            edges.remove(d)
+            edges.add(link)
+    k = G.n_letters
+    return (tuple(parent), tuple(sorted(g * k + a - 1 for g, a in edges)),
+            frozenset(edges))
+
+
+def _seeded_pairs(G, n, seed):
+    rng = random.Random(seed)
+    edges = _edges(G)
+    base = spanning_tree_avoiding(G).tree_edges
+    inside = sorted(base)
+    pairs = [tuple(rng.sample(edges, 2)) for _ in range(n)]
+    # both in the base tree, so that both exchanges swap keys
+    pairs += [tuple(rng.sample(inside, 2)) for _ in range(n)]
+    return pairs
+
+
+@pytest.mark.parametrize("name", OVERLAY_GROUPS)
+def test_index_of_reads_the_index_on_exchanged_trees(name):
+    G = _group(name)
+    edges = _edges(G)
+    for e, f in _seeded_pairs(G, 3, 41):
+        tree = spanning_tree_avoiding(G, e, f)
+        index = tree.index
+        assert [tree.index_of(d) for d in edges] == [index.get(d)
+                                                     for d in edges]
+
+
+@pytest.mark.parametrize("name", OVERLAY_GROUPS)
+def test_lazy_tree_matches_a_copy_built_tree(name):
+    G = _group(name)
+    for e, f in _seeded_pairs(G, 3, 41):
+        tree = spanning_tree_avoiding(G, e, f)
+        parent, keys, edges = _copy_built(G, e, f)
+        assert tree.parent == parent
+        assert tree.keys == keys
+        assert tree.tree_edges == edges
+        reference = SpanningTree(G, parent, keys)
+        assert tree == reference and hash(tree) == hash(reference)
+        base = spanning_tree_avoiding(G)
+        assert (tree == base) == (not base.tree_edges & {e, f})
+
+
+def test_d4_squared_certificate_allocates_nothing_group_sized():
+    G = _group("D4^2")
+    pairs = list(sample_constellations(G, random.Random(29), 3))
+    S = builtin("A5")
+    for c, u, v in pairs:       # warm-up: base tree, exponent, tables
+        dissolving_certificate(G, c, u, v, S)
+    c, u, v = pairs[-1]
+    tracemalloc.start()
+    try:
+        cert = dissolving_certificate(G, c, u, v, S)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 1024
+    assert len(cert.tree_edges) == G.order() - 1

@@ -2,7 +2,11 @@
 integer codes, id arithmetic through the step tables, and refusal of
 over-budget extension groups by their exact order."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from treelike.groups import EnumerationBudgetError, FinGroup, builtin
 from treelike.tower import Tower, TowerSpec
 from treelike.words import random_reduced_word
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 WALK_CASES = [("C3", 2), ("S3", 2), ("C2xC2", 2), ("D4", 2),
               ("C3", 3), ("C2xC2", 3)]
 
@@ -252,6 +257,33 @@ def test_tower_level_two_refused_before_enumeration(monkeypatch):
     assert built[1:] == [t.group(0), t.group(1)]
     assert H._elems is None and H.name == "C2xC2^2^2"
     assert t.group(2) is H and len(built) == 3
+
+
+def _limited():
+    """Cap the child's address space at 1 GiB."""
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_tower_level_far_over_budget_refused_by_bit_length():
+    """|G_3| over C2xC2 is a power with about 2^136 bits, which no
+    budget admits; a budget admitting |G_2| refuses level 3 at once
+    instead of computing it.  Run in a child process with a memory cap
+    and a timeout, so a regression fails rather than hangs."""
+    code = ("from treelike.groups import builtin\n"
+            "from treelike.tower import Tower, TowerSpec\n"
+            "t = Tower(TowerSpec(builtin('C2xC2'), (2, 2, 2), "
+            "enum_budget=10**42))\n"
+            "assert t.order(2) == 128 * 2 ** 129\n"
+            "t.order(3)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=30,
+                          preexec_fn=_limited if os.name == "posix" else None)
+    assert proc.returncode == 1
+    assert proc.stderr.rstrip().endswith(
+        "EnumerationBudgetError: level 3 of the tower exceeds budget of %d "
+        "elements" % 10 ** 42)
 
 
 @pytest.mark.parametrize("argv", [
