@@ -12,7 +12,8 @@ components, spanning trees and lifts all run.  It also computes path
 spans (over any group-like object with n_letters and step, unenumerated
 extension levels included), the covering subgraph of a folded
 basepointed graph (the part of the Cayley graph swept out by paths from
-1 whose labels are readable in the given graph from its basepoint),
+1 whose labels are readable in the given graph from its basepoint, found
+by `stallings.breadth_first` over the product of the two graphs),
 border edge sets of a vertex set, and whether the Cayley graph stays
 connected after deleting two edges.
 """
@@ -24,7 +25,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
 from .groups import FinGroup
-from .stallings import LabeledGraph, transition_maps
+from .stallings import LabeledGraph, breadth_first, transition_maps
 from .words import Word
 
 Edge = Tuple[int, int]                  # (element id, base letter)
@@ -106,26 +107,16 @@ def covering_subgraph(A: LabeledGraph, G: FinGroup) -> CayleySubgraph:
     if A.n_letters != G.n_letters:
         raise ValueError("alphabet sizes differ")
     t = transition_maps(A)
-    start = (A.basepoint, 0)
-    seen = {start}
-    queue = [start]
-    vertices = {0}
-    edges = set()
-    while queue:
-        p, g = queue.pop()
-        for a in range(1, A.n_letters + 1):
-            for x in (a, -a):
-                q = t.get((p, x))
-                if q is None:
-                    continue
-                h = G.step(g, x)
-                edges.add((g, a) if x > 0 else (h, a))
-                vertices.add(h)
-                s = (q, h)
-                if s not in seen:
-                    seen.add(s)
-                    queue.append(s)
-    return CayleySubgraph(G, frozenset(vertices), frozenset(edges))
+    signed = [x for a in range(1, A.n_letters + 1) for x in (a, -a)]
+    reached = breadth_first(
+        [(A.basepoint, 0)],
+        lambda s: [((t[(s[0], x)], G.step(s[1], x)), x)
+                   for x in signed if (s[0], x) in t])
+    # each traversed Cayley edge is crossed forward from some reached state
+    edges = {(g, a) for p, g in reached for a in range(1, A.n_letters + 1)
+             if (p, a) in t}
+    return CayleySubgraph(G, frozenset(g for _, g in reached),
+                          frozenset(edges))
 
 
 def search(G: FinGroup, root: int, admit: Callable[[Edge], bool]
@@ -134,6 +125,7 @@ def search(G: FinGroup, root: int, admit: Callable[[Edge], bool]
     that admit accepts: the parent map {v: (u, x)} with step(u, x) = v,
     in discovery order, None at the root.  Rows are tried in the order
     1, -1, 2, -2, ...; admit sees only edges to unseen vertices."""
+    # not breadth_first: testing admit on unseen vertices only keeps scans fast
     rows = G.rows()
     parent: Dict[int, Optional[tuple]] = {root: None}
     queue = [root]

@@ -426,9 +426,10 @@ def _splice_config(argv: Sequence[str]) -> List[str]:
     """Pull --config FILE out of argv and splice the file's key-value
     pairs back in as flags right after the subcommand, so flags given
     explicitly win (argparse keeps the last occurrence).  Each pair is
-    one --name=value token (a bare --name for true), so a subcommand
-    that does not take the flag names it with its value and never reads
-    the value as a positional argument."""
+    one --name=value token, so a subcommand that does not take the flag
+    names it with its value and never reads the value as a positional
+    argument.  No flag takes a boolean, so a boolean value is bad
+    input."""
     argv = list(argv)
     path = None
     rest: List[str] = []
@@ -456,9 +457,9 @@ def _splice_config(argv: Sequence[str]) -> List[str]:
         name = "--" + str(key).replace("_", "-")
         value = data[key]
         if isinstance(value, bool):
-            if value:
-                flags.append(name)
-        elif isinstance(value, list):
+            raise CliInputError("%s: key %r: no flag takes a boolean, got "
+                                "%s" % (path, key, json.dumps(value)))
+        if isinstance(value, list):
             flags.append(name + "=" + ",".join(str(x) for x in value))
         else:
             flags.append(name + "=" + str(value))

@@ -17,13 +17,19 @@ expands into an actual letter path through the automaton whose label
 freely reduces to the input; cutting that path at the separators yields
 a factorization h_1, ..., h_k with red(h_1 ... h_k) = w and each h_i a
 closed walk at the basepoint of its factor.
+
+Every search here is `stallings.breadth_first`: the epsilon-reach of a
+state in a saturation round, the epsilon-closures of `accepts`, and the
+accepting run over (letters consumed, state) that `factorize` expands;
+paths are read off the parent maps with `cayley.path_label`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .stallings import LabeledGraph, member, transition_maps
+from .cayley import path_label
+from .stallings import LabeledGraph, breadth_first, member, transition_maps
 from .words import Word, concat, is_reduced, reduce_word
 
 
@@ -59,60 +65,44 @@ class ProductAutomaton:
                           ("sep", i))
         self._saturated = False
 
-    def _add_eps(self, q: int, s: int, derivation: tuple) -> bool:
-        if s in self.eps.get(q, ()):
-            return False
+    def _add_eps(self, q: int, s: int, derivation: tuple) -> None:
         self.eps.setdefault(q, set()).add(s)
         self.deriv[(q, s)] = derivation
-        return True
-
-    def _eps_paths_from(self, r: int, snapshot: Dict[int, frozenset]
-                        ) -> Dict[int, List[Tuple[int, int]]]:
-        """Epsilon-paths (as edge lists) from r using snapshot edges."""
-        paths = {r: []}
-        queue = [r]
-        head = 0
-        while head < len(queue):
-            q = queue[head]
-            head += 1
-            for s in snapshot.get(q, ()):
-                if s not in paths:
-                    paths[s] = paths[q] + [(q, s)]
-                    queue.append(s)
-        return paths
 
     def saturate(self) -> "ProductAutomaton":
         """Close under free cancellation.  Each round only consumes
         epsilon-edges created in earlier rounds, so every derivation
         refers to strictly older edges and witness expansion is
-        well-founded.  At most |states|^2 edges exist, so this stops."""
+        well-founded.  At most |states|^2 edges exist, so this stops.
+        Within a round the edges are fixed, so the epsilon-reach of a
+        state (its breadth-first parent map) is searched once, at the
+        first transition into it, and reused by the others."""
         if self._saturated:
             return self
-        letters = sorted({x for (_, x) in self.trans})
         while True:
-            snapshot = {q: frozenset(s) for q, s in self.eps.items()}
+            # moves tried in a frozenset's order: derivations depend on it
+            snapshot = {q: [(s, (q, s)) for s in frozenset(t)]
+                        for q, t in self.eps.items()}
+            reach: Dict[int, dict] = {}
             added = False
-            for (q, x), r in list(self.trans.items()):
-                paths = self._eps_paths_from(r, snapshot)
-                for r2, path in paths.items():
+            for (q, x), r in self.trans.items():
+                if r not in reach:
+                    reach[r] = breadth_first(
+                        [r], lambda u: snapshot.get(u, ()))
+                for r2 in reach[r]:
                     s = self.trans.get((r2, -x))
                     if s is not None and s not in self.eps.get(q, ()):
-                        added |= self._add_eps(q, s, ("cancel", x, tuple(path)))
+                        self._add_eps(
+                            q, s, ("cancel", x, path_label(reach[r], r2)))
+                        added = True
             if not added:
                 break
         self._saturated = True
         return self
 
     def _closure(self, states: Set[int]) -> Set[int]:
-        out = set(states)
-        stack = list(states)
-        while stack:
-            q = stack.pop()
-            for s in self.eps.get(q, ()):
-                if s not in out:
-                    out.add(s)
-                    stack.append(s)
-        return out
+        return set(breadth_first(
+            states, lambda q: [(s, None) for s in self.eps.get(q, ())]))
 
     def accepts(self, w: Sequence[int]) -> bool:
         self.saturate()
@@ -124,39 +114,21 @@ class ProductAutomaton:
                 return False
         return self.final in states
 
-    def _run(self, w: Sequence[int]) -> Optional[List[tuple]]:
-        """Accepting run as a move list: ('eps', q, s) and ('letter', x)
+    def _run(self, w: Sequence[int]) -> Optional[Tuple[tuple, ...]]:
+        """Accepting run as a move tuple: ('eps', q, s) and ('letter', x)
         entries; BFS over (letters consumed, state)."""
         self.saturate()
-        start = (0, self.initial)
-        parent: Dict[tuple, Optional[tuple]] = {start: None}
-        queue = [start]
-        head = 0
-        goal = (len(w), self.final)
-        while head < len(queue):
-            node = queue[head]
-            head += 1
-            if node == goal:
-                break
+
+        def moves(node):
             k, q = node
-            moves = []
             if k < len(w) and (q, w[k]) in self.trans:
-                moves.append(((k + 1, self.trans[(q, w[k])]),
-                              ("letter", w[k])))
+                yield (k + 1, self.trans[(q, w[k])]), ("letter", w[k])
             for s in self.eps.get(q, ()):
-                moves.append(((k, s), ("eps", q, s)))
-            for nxt, move in moves:
-                if nxt not in parent:
-                    parent[nxt] = (node, move)
-                    queue.append(nxt)
-        if goal not in parent:
-            return None
-        out = []
-        node = goal
-        while parent[node] is not None:
-            node, move = parent[node]
-            out.append(move)
-        return list(reversed(out))
+                yield (k, s), ("eps", q, s)
+
+        parent = breadth_first([(0, self.initial)], moves)
+        goal = (len(w), self.final)
+        return path_label(parent, goal) if goal in parent else None
 
     def _expand_eps(self, q: int, s: int, sink: List[object]) -> None:
         """Append the letter-level events of an epsilon-edge: letters and

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cayley import Edge, path_label, walk
 from .groups import FinGroup
-from .stallings import LabeledGraph, transition_maps, _sorted
+from .stallings import LabeledGraph, _sorted, breadth_first, transition_maps
 from .words import Word, concat, invert_word
 
 
@@ -300,25 +300,19 @@ def graph_subgroup_basis(A: LabeledGraph) -> List[Word]:
     if A.basepoint is None:
         raise ValueError("need a basepointed graph")
     t = transition_maps(A)
-    path: Dict[object, Word] = {A.basepoint: ()}
-    queue = [A.basepoint]
-    tree = set()
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for a in range(1, A.n_letters + 1):
-            for x in (a, -a):
-                w = t.get((v, x))
-                if w is not None and w not in path:
-                    path[w] = path[v] + (x,)
-                    tree.add((v, a, w) if x > 0 else (w, a, v))
-                    queue.append(w)
-    if len(path) != len(A.vertices):
+    parent = breadth_first(
+        [A.basepoint],
+        lambda v: [(t[(v, x)], x) for a in range(1, A.n_letters + 1)
+                   for x in (a, -a) if (v, x) in t])
+    if len(parent) != len(A.vertices):
         raise ValueError("graph is not connected")
+    # the first entry is the basepoint, the root
+    tree = {(u, x, v) if x > 0 else (v, -x, u)
+            for v, (u, x) in list(parent.items())[1:]}
     words = []
     for s, a, d in _sorted(A.pos_edges):
         if (s, a, d) in tree:
             continue
-        words.append(concat(concat(path[s], (a,)), invert_word(path[d])))
+        words.append(concat(concat(path_label(parent, s), (a,)),
+                            invert_word(path_label(parent, d))))
     return words

@@ -10,7 +10,10 @@ a permutation of the vertices.
 The functions here build Stallings graphs of finitely generated
 subgroups of a free group (bouquet -> fold -> core), decide membership
 by path reading, construct Schreier graphs of subgroups of finite
-quotients, and extract the transition group of a complete graph.
+quotients, and extract the transition group of a complete graph.  It
+also holds the one breadth-first search over caller-given moves, which
+connectivity, subgroup bases, covering subgraphs and the product
+automaton run.
 """
 
 from __future__ import annotations
@@ -93,21 +96,30 @@ def is_complete(g: LabeledGraph) -> bool:
     return all(g.degree(v) == 2 * g.n_letters for v in g.vertices)
 
 
+def breadth_first(roots, moves) -> dict:
+    """FIFO breadth-first search from roots: the parent map {v: (u,
+    label)} in discovery order, None at each root.  moves(u) yields the
+    (v, label) pairs leaving u in the order they are tried; moves to
+    vertices already seen are ignored."""
+    parent = dict.fromkeys(roots)
+    queue = list(parent)
+    for u in queue:
+        for v, label in moves(u):
+            if v not in parent:
+                parent[v] = (u, label)
+                queue.append(v)
+    return parent
+
+
 def is_connected(g: LabeledGraph) -> bool:
     if not g.vertices:
         return True
     adj = {v: [] for v in g.vertices}
-    for s, _, d in g.pos_edges:
-        adj[s].append(d)
-        adj[d].append(s)
-    seen = {next(iter(g.vertices)) if g.basepoint is None else g.basepoint}
-    stack = list(seen)
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(g.vertices)
+    for s, a, d in g.pos_edges:
+        adj[s].append((d, a))
+        adj[d].append((s, -a))
+    root = next(iter(g.vertices)) if g.basepoint is None else g.basepoint
+    return len(breadth_first([root], adj.__getitem__)) == len(g.vertices)
 
 
 def bouquet(generators: Sequence[Word], alphabet: Sequence[str] = ()) -> LabeledGraph:

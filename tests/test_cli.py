@@ -459,6 +459,21 @@ def test_config_key_of_an_undeclared_flag_is_bad_input(tmp_path, capsys):
     assert err == "error: unrecognized arguments: --max-level=2\n"
 
 
+@pytest.mark.parametrize("key", ["samples", "nonsense"])
+@pytest.mark.parametrize("value", [True, False])
+def test_config_boolean_value_is_bad_input(tmp_path, capsys, key, value):
+    # no flag takes a boolean: true and false, on a key tower declares
+    # and on one it does not, are refused before any work
+    cfg = tmp_path / "tower.json"
+    data = {"base": "C3", "primes": [2], "mode": "sampled", "samples": 5}
+    data[key] = value
+    cfg.write_text(json.dumps(data))
+    code, report, err = _run(capsys, "tower", "--config", str(cfg))
+    assert (code, report) == (3, None)
+    assert err == "error: %s: key %r: no flag takes a boolean, got %s\n" % (
+        cfg, key, json.dumps(value))
+
+
 @pytest.mark.parametrize("command", ["fold", "core"])
 def test_config_values_are_not_read_as_input_words(tmp_path, capsys,
                                                    command):

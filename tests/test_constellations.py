@@ -189,6 +189,21 @@ def _mid_pair_limit(entries):
     return (failing or inside)[0]
 
 
+def _truncated(report, limit):
+    """The report of a run at detail limit `limit`, derived from the
+    unlimited `report`: both lists cut at max(limit, 0),
+    `failures_truncated` present only when failures were cut, every
+    other key unchanged."""
+    if limit is None:
+        return report
+    cut = max(limit, 0)
+    out = dict(report, constellations=report["constellations"][:cut],
+               failures=report["failures"][:cut])
+    if len(report["failures"]) > cut:
+        out["failures_truncated"] = True
+    return out
+
+
 # D4 ->> C2xC2 dissolves 18,954 of the 50,094 constellations; the other
 # quotients dissolve all of them or none
 @pytest.mark.parametrize("quotient,base", [
@@ -209,10 +224,19 @@ def test_mask_scan_agrees_with_object_model(quotient, base, monkeypatch):
         assert got["failures"] == failures[:cut]
         assert got.get("failures_truncated", False) == (len(failures) > cut)
         reports.append(got)
+    # the oracle runs once, unlimited; each limited report must be its
+    # truncation, and the rule itself is checked against limited oracle
+    # runs: at every limit on the small cases, at the mid-pair limit on
+    # D4 ->> C2xC2
     monkeypatch.setattr(constellations, "_scan_exhaustive",
                         _scan_by_ordered_pairs)
+    full = dissolves_all(H, G, detail_limit=None)
     for limit, got in zip(limits, reports):
-        assert got == dissolves_all(H, G, detail_limit=limit), limit
+        assert got == _truncated(full, limit), limit
+    oracle_limits = {"C3^2": limits, "C3": limits, "D4": limits[-1:]}
+    for limit in oracle_limits.get(quotient, ()):
+        assert dissolves_all(H, G, detail_limit=limit) == _truncated(
+            full, limit), limit
 
 
 def test_pair_budget_limit_is_exact(monkeypatch):

@@ -1,0 +1,200 @@
+"""CLI parity manifest: one line per command, byte for byte.
+
+Each case runs in-process through `treelike.cli.main`, and its exit code
+and the SHA-256 of its stdout and of its stderr are compared with
+tests/golden/parity.json.  The cases are the graph commands, `rz`
+members and non-members on C2xC2, S3 and D4 with two to four factors,
+short `tower`, `dissolve` and `extend` runs, failing checks (exit 1),
+budget refusals (exit 2) and each kind of bad input that the command
+line checks itself (exit 3); together they run in about 2 s.  A hash that changes is a change of behaviour.  To
+rewrite the manifest after an intended change, run `PYTHONPATH=src
+python tests/test_parity.py` from the repository root.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from treelike.cli import main
+
+MANIFEST = Path(__file__).resolve().parent / "golden" / "parity.json"
+
+RZ = ["rz", "--base"]
+
+# (name, argv)
+CASES = [
+    ("fold", ["fold", "a^2", "a b a^-1"]),
+    ("core", ["core", "a b a^-1"]),
+    ("member", ["member", "a b^2 a^-1", "--gens", "a^2,a b a^-1"]),
+    ("extend_cocycle",
+     ["extend", "C2xC2", "--p", "2", "--eq", "a b", "b a",
+      "--eq", "a^2 b", "b a^2"]),
+    ("extend_witness",
+     ["extend", "S3", "--S", "A5", "--eq", "a b a", "b a b",
+      "--eq-mode", "witness", "--budget-homs", "1", "--samples", "5"]),
+    ("extend_exact",
+     ["extend", "C2xC2", "--S", "C3", "--eq", "a b", "b a", "--eq", "a^6", "",
+      "--eq-mode", "exact"]),
+    ("extend_order_only", ["extend", "C3^2", "--p", "3"]),
+    ("tower_sampled",
+     ["tower", "--base", "C3", "--primes", "2", "--mode", "sampled",
+      "--samples", "20", "--detail-limit", "2"]),
+    ("tower_c3_exhaustive",
+     ["tower", "--base", "C3", "--primes", "2", "--detail-limit", "2"]),
+    ("tower_c2xc2_exhaustive",
+     ["tower", "--base", "C2xC2", "--primes", "2", "--detail-limit", "1"]),
+    ("tower_c2xc2_two_levels",
+     ["tower", "--base", "C2xC2", "--primes", "2,2", "--levels", "2",
+      "--mode", "sampled", "--samples", "10", "--detail-limit", "1"]),
+    ("tower_s3_two_levels",
+     ["tower", "--base", "S3", "--primes", "2,2", "--levels", "2",
+      "--mode", "sampled", "--samples", "5", "--detail-limit", "1"]),
+    ("dissolve_exhaustive",
+     ["dissolve", "--H", "C3^2", "--G", "C3", "--detail-limit", "2"]),
+    ("dissolve_limit_200",
+     ["dissolve", "--H", "C3^2", "--G", "C3", "--detail-limit", "200"]),
+    ("dissolve_sampled",
+     ["dissolve", "--H", "C3^2", "--G", "C3", "--mode", "sampled",
+      "--samples", "20", "--detail-limit", "1"]),
+    # -- rz: separated non-members, members, inconclusive runs
+    ("rz_c2xc2_p2", RZ + ["C2xC2", "--primes", "2", "--h1", "a",
+                          "--h2", "b", "--w", "b a"]),
+    ("rz_c2xc2_p2_2", RZ + ["C2xC2", "--primes", "2,2", "--h1", "a",
+                            "--h2", "b", "--w", "b a"]),
+    ("rz_s3_p2_2", RZ + ["S3", "--primes", "2,2", "--h1", "a", "--h2", "b",
+                         "--w", "b a"]),
+    ("rz_s3_p2_3_three_factors",
+     RZ + ["S3", "--primes", "2,3", "--h1", "a", "--h2", "b",
+           "--h3", "a b", "--w", "b a b"]),
+    ("rz_c2xc2_p3_member", RZ + ["C2xC2", "--primes", "3", "--h1", "a b",
+                                 "--h2", "b^2", "--w", "a b^3"]),
+    ("rz_d4_overflow", RZ + ["D4", "--primes", "2", "--h1", "a", "--h2", "b",
+                             "--w", "b b a", "--budget-enum", "3000"]),
+    ("rz_c2xc2_member", RZ + ["C2xC2", "--h1", "a b", "--h2", "b a^-1",
+                              "--w", "a b b a^-1"]),
+    ("rz_c2xc2_three_factors_level0",
+     RZ + ["C2xC2", "--h1", "a^2", "--h2", "b^2", "--h3", "a b",
+           "--w", "a"]),
+    ("rz_c2xc2_p3_four_factors_member",
+     RZ + ["C2xC2", "--primes", "3", "--h1", "a", "--h2", "b",
+           "--h3", "a b", "--h4", "b a", "--w", "a b a"]),
+    ("rz_s3_three_factors_member",
+     RZ + ["S3", "--h1", "a^2,b", "--h2", "a b a", "--h3", "b a",
+           "--w", "a^2 b a b a"]),
+    ("rz_s3_level0", RZ + ["S3", "--h1", "a b", "--h2", "b^3", "--w", "a"]),
+    ("rz_s3_four_factors_level0",
+     RZ + ["S3", "--h1", "a^2", "--h2", "b^2", "--h3", "a b a", "--h4", "b",
+           "--w", "a"]),
+    ("rz_d4_three_factors_member",
+     RZ + ["D4", "--h1", "a b", "--h2", "b^-1 a", "--h3", "a^3",
+           "--w", "a b b^-1 a a^3"]),
+    ("rz_d4_four_factors_member",
+     RZ + ["D4", "--h1", "a", "--h2", "b", "--h3", "a b", "--h4", "b a",
+           "--w", "a b a b a"]),
+    ("rz_d4_level0", RZ + ["D4", "--h1", "a^2", "--h2", "b^2", "--w", "a b"]),
+    ("rz_s3_two_generator_factors",
+     RZ + ["S3", "--primes", "2", "--h1", "b^-1 b^-1 a,b b a^-1",
+           "--h2", "a^-1 b^-1 a b,b^-1 a^-1 b^-1 a",
+           "--w", "a b^-1 a b b a^-1"]),
+    ("rz_c2xc2_p2_2_budget_10e42",
+     RZ + ["C2xC2", "--primes", "2,2", "--h1", "a", "--h2", "b", "--w", "b a",
+           "--budget-enum", str(10 ** 42)]),
+    ("rz_s3_p2_2_budget_10e42",
+     RZ + ["S3", "--primes", "2,2", "--h1", "a", "--h2", "b", "--w", "b a",
+           "--budget-enum", str(10 ** 42)]),
+    ("rz_max_level_0", RZ + ["C2xC2", "--primes", "2", "--h1", "a",
+                             "--h2", "b", "--w", "b a", "--max-level", "0"]),
+    # -- checked properties that fail (exit 1)
+    ("tower_identity_step",
+     ["tower", "--base", "C3", "--primes", "2", "--mode", "sampled",
+      "--samples", "5", "--step", "identity"]),
+    ("tower_level_not_enumerable",
+     ["tower", "--base", "C2xC2", "--primes", "2,2", "--levels", "2",
+      "--budget-enum", "100"]),
+    ("tower_three_levels",
+     ["tower", "--base", "C2xC2", "--primes", "2,2,2", "--levels", "3",
+      "--mode", "sampled", "--samples", "5"]),
+    ("dissolve_identity_quotient_limit_0",
+     ["dissolve", "--H", "C2xC2", "--G", "C2xC2", "--detail-limit", "0"]),
+    ("dissolve_identity_quotient_limit_1",
+     ["dissolve", "--H", "C2xC2", "--G", "C2xC2", "--detail-limit", "1"]),
+    ("dissolve_identity_quotient_limit_7",
+     ["dissolve", "--H", "C2xC2", "--G", "C2xC2", "--detail-limit", "7"]),
+    ("dissolve_d4_limit_7",
+     ["dissolve", "--H", "D4", "--G", "C2xC2", "--detail-limit", "7"]),
+    # -- budget refusals (exit 2)
+    ("refuse_enumeration_by_order",
+     ["dissolve", "--H", "C2xC2^2^2", "--G", "C2xC2"]),
+    ("refuse_enumeration", ["extend", "C2xC2^2", "--p", "2",
+                            "--budget-enum", "10"]),
+    ("refuse_scan_edges", ["dissolve", "--H", "C3^2", "--G", "C3",
+                           "--edge-budget", "3"]),
+    ("refuse_scan_pairs", ["dissolve", "--H", "D4^2", "--G", "D4"]),
+    ("refuse_exact_assignments",
+     ["extend", "S3", "--S", "A5", "--eq", "a^2 b^2", "b^2 a^2",
+      "--eq-mode", "exact", "--budget-homs", "10"]),
+    # -- bad input (exit 3)
+    ("error_unknown_group", ["dissolve", "--H", "Q8", "--G", "C3"]),
+    ("error_exponent", ["dissolve", "--H", "C3^x", "--G", "C3"]),
+    ("error_no_canonical_morphism", ["dissolve", "--H", "C3", "--G", "C2xC2"]),
+    ("error_primes_syntax", ["tower", "--base", "C3", "--primes", "2,x"]),
+    ("error_not_prime", ["tower", "--base", "C3", "--primes", "4"]),
+    ("error_tower_needs_base", ["tower", "--primes", "2"]),
+    ("error_prime_per_level", ["tower", "--base", "C3", "--primes", "2",
+                               "--levels", "2"]),
+    ("error_samples", ["tower", "--base", "C3", "--primes", "2", "--mode",
+                       "sampled", "--samples", "0"]),
+    ("error_detail_limit", ["dissolve", "--H", "C3^2", "--G", "C3",
+                            "--detail-limit", "-1"]),
+    ("error_member_source", ["member", "a"]),
+    ("error_unknown_letter", ["member", "c", "--gens", "a"]),
+    ("error_unreduced_generator", ["fold", "a a^-1"]),
+    ("error_missing_graph_file", ["fold", "no-such-graph.json"]),
+    ("error_unknown_flag", ["fold", "a", "--no-such-flag"]),
+    ("error_undeclared_flag", ["dissolve", "--H", "C3^2", "--G", "C3",
+                               "--max-level", "2"]),
+    ("error_config_argument", ["rz", "--config"]),
+    ("error_missing_config_file", ["rz", "--config", "no-such-config.json"]),
+    ("error_extend_needs_p_or_s", ["extend", "C2xC2"]),
+    ("error_rz_needs_h2", ["rz", "--h1", "a", "--w", "a"]),
+    ("error_no_command", []),
+]
+
+
+def _entry(name, argv) -> dict:
+    """The manifest entry of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"name": name, "argv": argv, "code": code,
+            "stdout_sha256": _sha256(out.getvalue()),
+            "stderr_sha256": _sha256(err.getvalue())}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _manifest() -> list:
+    return json.loads(MANIFEST.read_text())
+
+
+def test_manifest_holds_every_case_once():
+    assert [(e["name"], e["argv"]) for e in _manifest()] == [
+        (name, argv) for name, argv in CASES]
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[case[0] for case in CASES])
+def test_cli_run_matches_manifest(name, argv):
+    want = {e["name"]: e for e in _manifest()}[name]
+    assert _entry(name, argv) == want
+
+
+if __name__ == "__main__":
+    entries = [json.dumps(_entry(name, argv), sort_keys=True)
+               for name, argv in CASES]
+    MANIFEST.write_text("[\n" + ",\n".join(entries) + "\n]\n")
