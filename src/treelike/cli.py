@@ -80,9 +80,11 @@ def _load_json(path: str):
 
 def group_arg(text: str, enum_budget: int = DEFAULT_ENUM_BUDGET) -> FinGroup:
     """Group named on the command line: a builtin name, a JSON file, or
-    NAME^p for the universal C_p-extension of NAME."""
+    NAME^p for the universal C_p-extension of NAME; each enumerates at
+    most enum_budget elements."""
     if text.endswith(".json"):
-        return group_from_json(_load_json(text), name=Path(text).stem)
+        return group_from_json(_load_json(text), name=Path(text).stem,
+                               enum_budget=enum_budget)
     if "^" in text:
         base_text, _, p_text = text.rpartition("^")
         base = group_arg(base_text, enum_budget)
@@ -93,7 +95,7 @@ def group_arg(text: str, enum_budget: int = DEFAULT_ENUM_BUDGET) -> FinGroup:
                                 "integer" % text)
         return extension_group(base, p, enum_budget=enum_budget)
     try:
-        return builtin(text)
+        return builtin(text, enum_budget)
     except ValueError:
         raise CliInputError("unknown group %r (builtins: %s; or give a "
                             ".json file)" % (text, ", ".join(BUILTIN_NAMES)))
@@ -117,9 +119,9 @@ def _parse_primes(text: str) -> tuple:
                             "got %r" % text)
 
 
-def _tower_spec(args) -> TowerSpec:
+def _tower_spec(args, base_budget: int) -> TowerSpec:
     # the group is checked before --primes
-    base = group_arg(args.base, args.budget_enum)
+    base = group_arg(args.base, base_budget)
     return TowerSpec(base, _parse_primes(args.primes),
                      max_level=args.max_level,
                      enum_budget=args.budget_enum, seed=args.seed)
@@ -189,12 +191,12 @@ def cmd_extend(args):
     if args.p is not None:
         ctx = ExtContext(G, args.p)
         report["p"] = args.p
-        order = ext_order(G.order(), G.n_letters, args.p)
+        m = G.formula_order()
+        order = ext_order(m, G.n_letters, args.p)
         if order >= 10 ** 4300:
             # json refuses an int of more than 4,300 digits (CPython
             # 3.11+): such an order is reported as the exact string |G|*p^r
-            order = "%d*%d^%d" % (G.order(), args.p,
-                                  G.order() * (G.n_letters - 1) + 1)
+            order = "%d*%d^%d" % (m, args.p, m * (G.n_letters - 1) + 1)
         report["ext_order"] = order
     else:
         S = builtin(args.S)
@@ -254,7 +256,8 @@ def cmd_tower(args):
         raise CliInputError("tower: --base and --primes are required "
                             "(directly or via --config)")
     detail_limit = _detail_limit(args)
-    report = treelike_campaign(_tower_spec(args), levels=args.levels,
+    report = treelike_campaign(_tower_spec(args, args.budget_enum),
+                               levels=args.levels,
                                mode=args.mode, step=args.step,
                                edge_budget=args.edge_budget,
                                samples=args.samples, max_len=args.max_len,
@@ -281,7 +284,11 @@ def _tower_failure(levels: List[dict]) -> str:
 
 
 def cmd_rz(args):
-    spec = _tower_spec(args)
+    # rz enumerates a builtin or .json base whatever --budget-enum, which
+    # bounds the levels above it; a NAME^p base is such a level
+    extension = "^" in args.base and not args.base.endswith(".json")
+    spec = _tower_spec(args, args.budget_enum if extension
+                       else DEFAULT_ENUM_BUDGET)
     alphabet = spec.base.alphabet
     factor_texts = [t for t in (args.h1, args.h2, args.h3, args.h4)
                     if t is not None]

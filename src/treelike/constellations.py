@@ -33,8 +33,10 @@ Both masks are symmetric in X and T, so the count visits each unordered
 pair once and weighs it 2.  The report lists its entries in the ordered
 order X, T, g: a listing prefix walks the ordered pairs while the
 constellation list has room, and the failures after it come from the
-smallest failing ordered positions the count saw.  Only the entries a
-report lists are built as objects.  Scans over more than
+smallest failing ordered positions the count saw.  A listed entry is
+read off the same masks, with no subgraph, Constellation or verdict
+object, and says what `Dissolver.dissolves` says of its Constellation:
+the tests check the one against the other.  Scans over more than
 EXHAUSTIVE_PAIR_BUDGET ordered candidate pairs are refused before the
 first.
 """
@@ -454,21 +456,25 @@ def _record(report: dict, dis: Dissolver, c: Constellation,
             detail_limit: Optional[int]) -> DissolveVerdict:
     """Check c and list it in the report while the lists have room."""
     verdict = dis.dissolves(c)
-    names = dis.G.alphabet
-    entry = {
-        "g": c.g,
-        "x_edges": sorted(list(e) for e in c.X.pos_edges),
-        "t_edges": sorted(list(e) for e in c.T.pos_edges),
-        "verdict": verdict.status,
-    }
-    if verdict.status == "counterexample":
-        entry["u"] = word_str(verdict.u, names)
-        entry["v"] = word_str(verdict.v, names)
-        if detail_limit is None or len(report["failures"]) < detail_limit:
-            report["failures"].append(entry)
-    if detail_limit is None or len(report["constellations"]) < detail_limit:
-        report["constellations"].append(entry)
+    _list(report, detail_limit, c.g, sorted(list(e) for e in c.X.pos_edges),
+          sorted(list(e) for e in c.T.pos_edges), verdict.u, verdict.v,
+          dis.G.alphabet)
     return verdict
+
+
+def _list(report: dict, detail_limit: Optional[int], g: int, x_edges: list,
+          t_edges: list, u: Optional[Word], v: Optional[Word], names) -> None:
+    """List the entry of (X, g, T), a counterexample with witness words
+    u, v or else dissolved, in each report list that has room."""
+    entry = {"g": g, "x_edges": x_edges, "t_edges": t_edges,
+             "verdict": "dissolved" if u is None else "counterexample"}
+    room = float("inf") if detail_limit is None else detail_limit
+    if u is not None:
+        entry["u"], entry["v"] = word_str(u, names), word_str(v, names)
+        if len(report["failures"]) < room:
+            report["failures"].append(entry)
+    if len(report["constellations"]) < room:
+        report["constellations"].append(entry)
 
 
 def _scan_exhaustive(dis: Dissolver, report: dict, edge_budget: int,
@@ -476,6 +482,10 @@ def _scan_exhaustive(dis: Dissolver, report: dict, edge_budget: int,
     """Count and list the constellations of every candidate pair (see
     the module docstring).  fibers[vs] is the mask of H-ids over the
     vertex mask vs, and over[vs] lists the g of vs ascending.
+
+    An entry fails iff meet = lx & lt & fiber[g] is nonzero; its
+    witnesses label the paths to the lowest H-id of meet in the parent
+    maps of the two lifts, each searched again once, when first listed.
 
     Two passes.  The listing prefix walks the ordered pairs (X, T), at
     position X * n + T, and their g ascending while the constellation
@@ -498,19 +508,28 @@ def _scan_exhaustive(dis: Dissolver, report: dict, edge_budget: int,
     fiber = [fibers[1 << g] for g in range(G.order())]
     limit = float("inf") if detail_limit is None else detail_limit
     listed, failures = report["constellations"], report["failures"]
-    n = len(rows)
+    n, k = len(rows), G.n_letters
+    parents: Dict[int, dict] = {}   # edge mask -> parent map of its lift
+
+    def witness(m: int, h: int) -> Word:
+        if m not in parents:
+            parents[m] = dis._component(m)
+        return path_label(parents[m], h)
 
     def record(pos: int) -> None:
         """List the g of the ordered pair at pos while the lists want them."""
         (mx, vx, lx, _), (mt, vt, lt, _) = rows[pos // n], rows[pos % n]
-        gs = vx & vt & outside[mx & mt]
-        if not gs:
-            return
-        common = lx & lt & fibers[gs]
-        X, T = _subgraph(G, mx, vx), _subgraph(G, mt, vt)
-        for g in over[gs]:
-            if len(listed) < limit or common & fiber[g] and len(failures) < limit:
-                _record(report, dis, Constellation(X, g, T), detail_limit)
+        for g in over[vx & vt & outside[mx & mt]]:
+            meet = lx & lt & fiber[g]
+            if len(listed) < limit or meet and len(failures) < limit:
+                u = v = None
+                if meet:
+                    h = (meet & -meet).bit_length() - 1
+                    u, v = witness(mx, h), witness(mt, h)
+                _list(report, detail_limit, g,
+                      [[i // k, i % k + 1] for i in _bits(mx)],
+                      [[i // k, i % k + 1] for i in _bits(mt)],
+                      u, v, G.alphabet)
 
     end = 0
     while end < n * n and len(listed) < limit:

@@ -127,10 +127,8 @@ class FinGroup:
     def _enumerate(self) -> None:
         if self._elems is not None:
             return
-        if (self._exact_order is not None
-                and self._exact_order() > self.enum_budget):
-            raise EnumerationBudgetError(
-                self.enum_budget, "enumeration of %s" % self.name)
+        if self._exact_order is not None:
+            self.formula_order()        # refuses an order over the budget
         step = self._elem_step
         letters = [s for a in range(1, len(self.gens) + 1) for s in (a, -a)]
         one = self._encode(self.identity)
@@ -160,6 +158,18 @@ class FinGroup:
     def order(self) -> int:
         self._enumerate()
         return len(self._elems)
+
+    def formula_order(self) -> int:
+        """|G| from the exact order formula the group was built with,
+        enumerating nothing, and refused over enum_budget as its
+        enumeration would be; without a formula, the enumerated order."""
+        if self._exact_order is None:
+            return self.order()
+        n = self._exact_order()
+        if n > self.enum_budget:
+            raise EnumerationBudgetError(
+                self.enum_budget, "enumeration of %s" % self.name)
+        return n
 
     def element(self, i: int):
         self._enumerate()
@@ -334,7 +344,8 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def group_from_json(data: dict, name: str = "G") -> FinGroup:
+def group_from_json(data: dict, name: str = "G",
+                    enum_budget: int = DEFAULT_ENUM_BUDGET) -> FinGroup:
     """Parse {degree, gens:{letter: [perm images], ...}}; letters are
     sorted by name to fix the alphabet order."""
     if not isinstance(data, dict):
@@ -357,7 +368,8 @@ def group_from_json(data: dict, name: str = "G") -> FinGroup:
             raise ValueError("group JSON field 'gens.%s': not a permutation of 0..%d"
                              % (letter, degree - 1))
         perms.append(tuple(p))
-    return FinGroup.from_perms(alphabet, perms, name=name)
+    return FinGroup.from_perms(alphabet, perms, name=name,
+                               enum_budget=enum_budget)
 
 
 # -- builtins ----------------------------------------------------------
@@ -378,7 +390,8 @@ def _cycle(n: int) -> tuple:
 
 def _builtin_factories() -> dict:
     def pg(name, perms):
-        return lambda: FinGroup.from_perms(("a", "b"), perms, name=name)
+        return lambda budget: FinGroup.from_perms(("a", "b"), perms, name=name,
+                                                  enum_budget=budget)
 
     table = {
         "C2": pg("C2", [(1, 0), (1, 0)]),
@@ -395,11 +408,11 @@ def _builtin_factories() -> dict:
 BUILTIN_NAMES = tuple(sorted(_builtin_factories()))
 
 
-def builtin(name: str) -> FinGroup:
+def builtin(name: str, enum_budget: int = DEFAULT_ENUM_BUDGET) -> FinGroup:
     """A fresh instance of a named builtin group."""
     try:
         factory = _builtin_factories()[name]
     except KeyError:
         raise ValueError("unknown builtin group %r (have: %s)"
                          % (name, ", ".join(BUILTIN_NAMES))) from None
-    return factory()
+    return factory(enum_budget)

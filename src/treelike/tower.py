@@ -236,7 +236,9 @@ def treelike_campaign(spec: TowerSpec, levels: int = 1,
     itself under step='identity', the failing baseline) dissolves the
     constellations of G_n.  When the next level cannot be enumerated,
     border certificates for sampled constellation word pairs stand in:
-    each certificate alone proves its pair separated in G_{n+1}.
+    each certificate alone proves its pair separated in G_{n+1}.  A base
+    that its own enum_budget refuses raises EnumerationBudgetError: such
+    a campaign would check nothing.
     """
     require_counts(levels=levels, samples=samples, max_len=max_len)
     if step not in ("extension", "identity"):
@@ -250,6 +252,7 @@ def treelike_campaign(spec: TowerSpec, levels: int = 1,
         raise ValueError("campaign over %d levels reaches level %d, above "
                          "max_level %d" % (levels, top, spec.max_level))
     tower = Tower(spec)
+    tower.group(0)
     rng = random.Random(spec.seed)
     report = {
         "schema": 1,

@@ -261,6 +261,55 @@ def test_pair_budget_limit_is_exact(monkeypatch):
     assert passes == [] and lifts == []
 
 
+@pytest.mark.parametrize("quotient,base,limit", [
+    ("C3", "C3", 200), ("D4", "C2xC2", 13), ("C3^2", "C3", None)])
+def test_exhaustive_listing_builds_no_objects(quotient, base, limit,
+                                              monkeypatch):
+    """An exhaustive report is read off the scan's masks: it builds no
+    subgraph, constellation or verdict, and searches each candidate's
+    lift once, and again once when a listed failure first names it."""
+    H, G = group_arg(quotient), builtin(base)
+    n_candidates = len(constellations._candidate_pass(
+        G, constellations.EXHAUSTIVE_EDGE_BUDGET)[0])
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("%s built" % type(self).__name__)
+
+    monkeypatch.setattr(Constellation, "__post_init__", refuse)
+    monkeypatch.setattr(CayleySubgraph, "__post_init__", refuse)
+    monkeypatch.setattr(DissolveVerdict, "__init__", refuse)
+    searched = []
+    component = Dissolver._component
+    monkeypatch.setattr(Dissolver, "_component", lambda self, mask: (
+        searched.append(mask) or component(self, mask)))
+    report = dissolves_all(H, G, detail_limit=limit)
+    k = G.n_letters
+    named = {sum(1 << g * k + a - 1 for g, a in entry[edges])
+             for entry in report["failures"]
+             for edges in ("x_edges", "t_edges")}
+    assert len(searched) == n_candidates + len(named)
+    assert sorted(searched[n_candidates:]) == sorted(named)
+    assert report["total"] - report["dissolved"] >= len(report["failures"])
+
+
+def test_sampled_listing_validates_every_triple(monkeypatch):
+    validated = []
+    check = Constellation.__post_init__
+
+    def checked(self):
+        check(self)
+        validated.append({"g": self.g,
+                          "x_edges": sorted(map(list, self.X.pos_edges)),
+                          "t_edges": sorted(map(list, self.T.pos_edges))})
+
+    monkeypatch.setattr(Constellation, "__post_init__", checked)
+    G = builtin("C2xC2")
+    report = dissolves_all(G, G, mode="sampled", samples=30, seed=5)
+    assert report["total"] == len(validated) == 30
+    assert [{key: e[key] for key in ("g", "x_edges", "t_edges")}
+            for e in report["constellations"]] == validated
+
+
 def test_enumerate_trivial_group_is_empty():
     assert list(enumerate_constellations(_trivial_group())) == []
 

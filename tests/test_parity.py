@@ -6,15 +6,24 @@ tests/golden/parity.json.  The cases are the graph commands, `rz`
 members and non-members on C2xC2, S3 and D4 with two to four factors,
 short `tower`, `dissolve` and `extend` runs, failing checks (exit 1),
 budget refusals (exit 2) and each kind of bad input that the command
-line checks itself (exit 3); together they run in about 2 s.  A hash that changes is a change of behaviour.  To
-rewrite the manifest after an intended change, run `PYTHONPATH=src
-python tests/test_parity.py` from the repository root.
+line checks itself (exit 3); together they run in about 2 s.  A hash
+that changes is a change of behaviour.  To rewrite the manifest after an
+intended change, run `PYTHONPATH=src python tests/test_parity.py` from
+the repository root.
+
+The cases too slow for every test run (S3^2 ->> S3, the full failure
+listing of D4 ->> C2xC2 and an exhaustive tower level over S3) are kept
+in tests/golden/parity_slow.json, in the same format.  `--slow` selects
+them, and `--check` compares a manifest instead of rewriting it: `python
+tests/test_parity.py --slow --check` exits 1 and names each case that
+differs.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +31,7 @@ import pytest
 from treelike.cli import main
 
 MANIFEST = Path(__file__).resolve().parent / "golden" / "parity.json"
+SLOW_MANIFEST = MANIFEST.with_name("parity_slow.json")
 
 RZ = ["rz", "--base"]
 
@@ -60,6 +70,23 @@ CASES = [
     ("dissolve_sampled",
      ["dissolve", "--H", "C3^2", "--G", "C3", "--mode", "sampled",
       "--samples", "20", "--detail-limit", "1"]),
+    # the exhaustive scans of the benchmark's scan workload, at the
+    # default detail limit: the identity quotients list 200 failures
+    # each, with their witness words
+    ("dissolve_scan_c3_2", ["dissolve", "--H", "C3^2", "--G", "C3",
+                            "--seed", "5"]),
+    ("dissolve_scan_c3_3", ["dissolve", "--H", "C3^3", "--G", "C3",
+                            "--seed", "5"]),
+    ("dissolve_scan_c3_5", ["dissolve", "--H", "C3^5", "--G", "C3",
+                            "--seed", "5"]),
+    ("dissolve_scan_c2xc2_2", ["dissolve", "--H", "C2xC2^2", "--G", "C2xC2",
+                               "--seed", "5"]),
+    ("dissolve_scan_c3_identity", ["dissolve", "--H", "C3", "--G", "C3",
+                                   "--seed", "5"]),
+    ("dissolve_scan_c2xc2_identity",
+     ["dissolve", "--H", "C2xC2", "--G", "C2xC2", "--seed", "5"]),
+    ("dissolve_c3_5_limit_0",
+     ["dissolve", "--H", "C3^5", "--G", "C3", "--detail-limit", "0"]),
     # -- rz: separated non-members, members, inconclusive runs
     ("rz_c2xc2_p2", RZ + ["C2xC2", "--primes", "2", "--h1", "a",
                           "--h2", "b", "--w", "b a"]),
@@ -126,6 +153,10 @@ CASES = [
      ["dissolve", "--H", "C2xC2", "--G", "C2xC2", "--detail-limit", "7"]),
     ("dissolve_d4_limit_7",
      ["dissolve", "--H", "D4", "--G", "C2xC2", "--detail-limit", "7"]),
+    ("dissolve_d4_limit_3",
+     ["dissolve", "--H", "D4", "--G", "C2xC2", "--detail-limit", "3"]),
+    ("dissolve_d4_limit_13",
+     ["dissolve", "--H", "D4", "--G", "C2xC2", "--detail-limit", "13"]),
     # -- budget refusals (exit 2)
     ("refuse_enumeration_by_order",
      ["dissolve", "--H", "C2xC2^2^2", "--G", "C2xC2"]),
@@ -134,6 +165,8 @@ CASES = [
     ("refuse_scan_edges", ["dissolve", "--H", "C3^2", "--G", "C3",
                            "--edge-budget", "3"]),
     ("refuse_scan_pairs", ["dissolve", "--H", "D4^2", "--G", "D4"]),
+    ("refuse_builtin_base", ["tower", "--base", "C2xC2", "--primes", "2",
+                             "--budget-enum", "3"]),
     ("refuse_exact_assignments",
      ["extend", "S3", "--S", "A5", "--eq", "a^2 b^2", "b^2 a^2",
       "--eq-mode", "exact", "--budget-homs", "10"]),
@@ -164,6 +197,16 @@ CASES = [
     ("error_no_command", []),
 ]
 
+# (name, argv), checked by `python tests/test_parity.py --slow --check`
+SLOW_CASES = [
+    ("dissolve_s3_2", ["dissolve", "--H", "S3^2", "--G", "S3"]),
+    ("dissolve_d4_every_failure",
+     ["dissolve", "--H", "D4", "--G", "C2xC2", "--detail-limit", "31140"]),
+    ("tower_s3_identity_step",
+     ["tower", "--base", "S3", "--primes", "2", "--levels", "1",
+      "--step", "identity"]),
+]
+
 
 def _entry(name, argv) -> dict:
     """The manifest entry of one in-process run."""
@@ -179,13 +222,18 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _manifest() -> list:
-    return json.loads(MANIFEST.read_text())
+def _manifest(path=MANIFEST) -> list:
+    return json.loads(path.read_text())
 
 
 def test_manifest_holds_every_case_once():
     assert [(e["name"], e["argv"]) for e in _manifest()] == [
         (name, argv) for name, argv in CASES]
+
+
+def test_slow_manifest_holds_every_case_once():
+    assert [(e["name"], e["argv"]) for e in _manifest(SLOW_MANIFEST)] == [
+        (name, argv) for name, argv in SLOW_CASES]
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[case[0] for case in CASES])
@@ -195,6 +243,14 @@ def test_cli_run_matches_manifest(name, argv):
 
 
 if __name__ == "__main__":
-    entries = [json.dumps(_entry(name, argv), sort_keys=True)
-               for name, argv in CASES]
-    MANIFEST.write_text("[\n" + ",\n".join(entries) + "\n]\n")
+    path, cases = ((SLOW_MANIFEST, SLOW_CASES) if "--slow" in sys.argv
+                   else (MANIFEST, CASES))
+    entries = [_entry(name, argv) for name, argv in cases]
+    if "--check" in sys.argv:
+        want = _manifest(path)
+        differ = [e["name"] for e in entries if e not in want]
+        for name in differ:
+            print("differs: %s" % name, file=sys.stderr)
+        sys.exit(1 if differ else 0)
+    path.write_text("[\n" + ",\n".join(json.dumps(e, sort_keys=True)
+                                        for e in entries) + "\n]\n")

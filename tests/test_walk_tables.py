@@ -2,6 +2,7 @@
 integer codes, id arithmetic through the step tables, and refusal of
 over-budget extension groups by their exact order."""
 
+import json
 import os
 import random
 import subprocess
@@ -295,3 +296,38 @@ def test_zero_budget_refuses(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "budget exceeded" in captured.err
+
+
+def test_budget_bounds_a_builtin_group(capsys):
+    """--budget-enum bounds a builtin group as it bounds an extension: a
+    campaign over a base it refuses would check nothing and exits 2.
+    rz enumerates a builtin base whatever the budget
+    (test_rz_budget_at_exact_level_order), and a NAME^p base over it is
+    its level 0 overflow."""
+    refusal = "budget exceeded: enumeration of C2xC2 exceeds budget of 3 elements\n"
+    assert main(["tower", "--base", "C2xC2", "--primes", "2",
+                 "--budget-enum", "3"]) == 2
+    assert capsys.readouterr() == ("", refusal)
+    assert main(["dissolve", "--H", "C2xC2^2", "--G", "C2xC2",
+                 "--budget-enum", "3"]) == 2
+    assert capsys.readouterr() == ("", refusal)
+    assert main(["rz", "--base", "C2xC2^2", "--primes", "2", "--h1", "a",
+                 "--h2", "b", "--w", "b a", "--budget-enum", "127"]) == 1
+    levels = json.loads(capsys.readouterr().out)["levels"]
+    assert levels == [{"level": 0, "overflow": True}]
+
+
+def test_extend_reads_the_order_formula(monkeypatch, capsys):
+    """extend --p reports the order of the extension of G from G's own
+    order formula, enumerating only the base below it."""
+    enumerated = []
+    enumerate_ = FinGroup._enumerate
+    monkeypatch.setattr(FinGroup, "_enumerate", lambda self: (
+        enumerated.append(self.name) or enumerate_(self)))
+    assert main(["extend", "C5^5", "--p", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["ext_order"] == "78125*2^78126"
+    assert set(enumerated) == {"C5"}
+    assert main(["extend", "C2xC2^2", "--p", "2", "--budget-enum", "10"]) == 2
+    assert capsys.readouterr() == (
+        "", "budget exceeded: enumeration of C2xC2^2 exceeds budget of 10 "
+        "elements\n")
