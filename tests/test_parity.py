@@ -6,8 +6,12 @@ tests/golden/parity.json.  The cases are the graph commands, `rz`
 members and non-members on C2xC2, S3 and D4 with two to four factors,
 short `tower`, `dissolve` and `extend` runs, failing checks (exit 1),
 budget refusals (exit 2) and each kind of bad input that the command
-line checks itself (exit 3); together they run in about 2 s.  A hash
-that changes is a change of behaviour.  To rewrite the manifest after an
+line checks itself (exit 3); together they run in about 2 s.  Some
+cases read files: graph `.json` input and a `--config` file, committed
+in tests/golden/ and named `{golden}/...` in argv, and `--out` reports
+written to a fresh temporary directory, `{tmp}`.  A case that writes
+`--out` also records the hash of that file, which must equal the hash
+of its stdout.  A hash that changes is a change of behaviour.  To rewrite the manifest after an
 intended change, run `PYTHONPATH=src python tests/test_parity.py` from
 the repository root.
 
@@ -24,6 +28,7 @@ import hashlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -32,6 +37,7 @@ from treelike.cli import main
 
 MANIFEST = Path(__file__).resolve().parent / "golden" / "parity.json"
 SLOW_MANIFEST = MANIFEST.with_name("parity_slow.json")
+GOLDEN = MANIFEST.parent
 
 RZ = ["rz", "--base"]
 
@@ -40,6 +46,14 @@ CASES = [
     ("fold", ["fold", "a^2", "a b a^-1"]),
     ("core", ["core", "a b a^-1"]),
     ("member", ["member", "a b^2 a^-1", "--gens", "a^2,a b a^-1"]),
+    ("fold_graph_file", ["fold", "{golden}/graph_unfolded.json"]),
+    ("core_graph_file", ["core", "{golden}/graph_unfolded.json"]),
+    ("fold_graph_file_out", ["fold", "{golden}/graph_folded.json",
+                             "--out", "{tmp}/fold.json"]),
+    ("member_graph_file", ["member", "a a b a^-1 b",
+                           "--graph", "{golden}/graph_folded.json"]),
+    ("member_graph_file_non_member",
+     ["member", "b", "--graph", "{golden}/graph_folded.json"]),
     ("extend_cocycle",
      ["extend", "C2xC2", "--p", "2", "--eq", "a b", "b a",
       "--eq", "a^2 b", "b a^2"]),
@@ -53,6 +67,11 @@ CASES = [
     ("tower_sampled",
      ["tower", "--base", "C3", "--primes", "2", "--mode", "sampled",
       "--samples", "20", "--detail-limit", "2"]),
+    # the file's keys, primes as a list among them, under an explicit
+    # --samples, which wins
+    ("tower_config_file",
+     ["tower", "--config", "{golden}/config_tower_c3.json",
+      "--samples", "5"]),
     ("tower_c3_exhaustive",
      ["tower", "--base", "C3", "--primes", "2", "--detail-limit", "2"]),
     ("tower_c2xc2_exhaustive",
@@ -65,6 +84,9 @@ CASES = [
       "--mode", "sampled", "--samples", "5", "--detail-limit", "1"]),
     ("dissolve_exhaustive",
      ["dissolve", "--H", "C3^2", "--G", "C3", "--detail-limit", "2"]),
+    ("dissolve_exhaustive_out",
+     ["dissolve", "--H", "C3^2", "--G", "C3", "--detail-limit", "2",
+      "--out", "{tmp}/report.json"]),
     ("dissolve_limit_200",
      ["dissolve", "--H", "C3^2", "--G", "C3", "--detail-limit", "200"]),
     ("dissolve_sampled",
@@ -162,6 +184,18 @@ CASES = [
      ["dissolve", "--H", "C2xC2^2^2", "--G", "C2xC2"]),
     ("refuse_enumeration", ["extend", "C2xC2^2", "--p", "2",
                             "--budget-enum", "10"]),
+    # the refusal jobs of the benchmark's scan workload
+    ("refuse_scan_c2xc2_2_2",
+     ["dissolve", "--H", "C2xC2^2^2", "--G", "C2xC2", "--budget-enum",
+      "10000"]),
+    ("refuse_scan_c3_2_2",
+     ["dissolve", "--H", "C3^2^2", "--G", "C3", "--budget-enum", "10000"]),
+    ("refuse_scan_c3_3_2",
+     ["dissolve", "--H", "C3^3^2", "--G", "C3", "--budget-enum", "10000"]),
+    ("refuse_scan_c2xc2_3_2",
+     ["dissolve", "--H", "C2xC2^3^2", "--G", "C2xC2", "--budget-enum",
+      "10000"]),
+    ("refuse_extend_two_levels", ["extend", "C3^2^2", "--p", "2"]),
     ("refuse_scan_edges", ["dissolve", "--H", "C3^2", "--G", "C3",
                            "--edge-budget", "3"]),
     ("refuse_scan_pairs", ["dissolve", "--H", "D4^2", "--G", "D4"]),
@@ -187,6 +221,8 @@ CASES = [
     ("error_unknown_letter", ["member", "c", "--gens", "a"]),
     ("error_unreduced_generator", ["fold", "a a^-1"]),
     ("error_missing_graph_file", ["fold", "no-such-graph.json"]),
+    ("error_graph_not_folded",
+     ["member", "b", "--graph", "{golden}/graph_unfolded.json"]),
     ("error_unknown_flag", ["fold", "a", "--no-such-flag"]),
     ("error_undeclared_flag", ["dissolve", "--H", "C3^2", "--G", "C3",
                                "--max-level", "2"]),
@@ -209,13 +245,21 @@ SLOW_CASES = [
 
 
 def _entry(name, argv) -> dict:
-    """The manifest entry of one in-process run."""
+    """The manifest entry of one in-process run, with {golden} and {tmp}
+    in argv replaced by their directories."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return {"name": name, "argv": argv, "code": code,
-            "stdout_sha256": _sha256(out.getvalue()),
-            "stderr_sha256": _sha256(err.getvalue())}
+    with tempfile.TemporaryDirectory() as tmp:
+        real = [a.replace("{golden}", str(GOLDEN)).replace("{tmp}", tmp)
+                for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(real)
+        entry = {"name": name, "argv": argv, "code": code,
+                 "stdout_sha256": _sha256(out.getvalue()),
+                 "stderr_sha256": _sha256(err.getvalue())}
+        if "--out" in argv:
+            entry["out_sha256"] = _sha256(
+                Path(real[argv.index("--out") + 1]).read_text())
+    return entry
 
 
 def _sha256(text: str) -> str:
@@ -234,6 +278,12 @@ def test_manifest_holds_every_case_once():
 def test_slow_manifest_holds_every_case_once():
     assert [(e["name"], e["argv"]) for e in _manifest(SLOW_MANIFEST)] == [
         (name, argv) for name, argv in SLOW_CASES]
+
+
+def test_out_file_equals_stdout():
+    written = [e for e in _manifest() if "out_sha256" in e]
+    assert len(written) == 2
+    assert all(e["out_sha256"] == e["stdout_sha256"] for e in written)
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[case[0] for case in CASES])
