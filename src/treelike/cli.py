@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence
 
 from .constellations import EXHAUSTIVE_EDGE_BUDGET, dissolves_all
 from .extension import (S_EQUAL_BUDGET, ExtContext, ext_order,
-                        extension_group, s_equal)
+                        extension_group, kernel_rank, s_equal)
 from .groups import (BUILTIN_NAMES, DEFAULT_ENUM_BUDGET,
                      EnumerationBudgetError, FinGroup, builtin,
                      group_from_json)
@@ -192,12 +192,11 @@ def cmd_extend(args):
         ctx = ExtContext(G, args.p)
         report["p"] = args.p
         m = G.formula_order()
-        order = ext_order(m, G.n_letters, args.p)
-        if order >= 10 ** 4300:
-            # json refuses an int of more than 4,300 digits (CPython
-            # 3.11+): such an order is reported as the exact string |G|*p^r
-            order = "%d*%d^%d" % (m, args.p, m * (G.n_letters - 1) + 1)
-        report["ext_order"] = order
+        # json refuses an int of more than 4,300 digits (CPython 3.11+):
+        # a larger order, None here, is reported as the string |G|*p^r
+        report["ext_order"] = (
+            ext_order(m, G.n_letters, args.p, 10 ** 4300 - 1)
+            or "%d*%d^%d" % (m, args.p, kernel_rank(m, G.n_letters)))
     else:
         S = builtin(args.S)
         report["S"] = S.name

@@ -35,6 +35,14 @@ step table of G and adds +-1 mod p to one base-p digit, allocating
 nothing.  Callers still see ExtElements: the FinGroup decodes a code
 when an element is asked for and encodes one to look up its id.
 
+Orders and letter images.  ext_order alone evaluates the order formula
+|G| p^r, r = kernel_rank, and decides it against a limit: by bit length
+first, so a power too large to compute is never computed.  The FinGroup
+of fin_group reads its order from ext_order over G's formula_order(),
+and builds its letter images, which walk G's step table, at the first
+use of gens.  So building NAME^p^q, or refusing it by its order,
+enumerates no level above the group at its bottom.
+
 Order of free generators.  The certificate needs the order o of a free
 generator of the relatively free group on two generators in the class
 of direct powers of S.  For S = C_p that group is C_p x C_p and o = p =
@@ -221,19 +229,22 @@ class ExtContext:
         return (lambda x: x), self.step
 
     def fin_group(self, enum_budget: Optional[int] = None) -> FinGroup:
-        """The extension as an A-generated FinGroup; needs an enumerated
-        G.  Its enumeration keys are packed integer codes (see the module
+        """The extension as an A-generated FinGroup over an enumerable G.
+        Its enumeration keys are packed integer codes (see the module
         docstring); element(), id_of(), element_of(), gens and mul/inv
-        deal in ExtElements."""
-        G = self.G
-        gens = [self.letter(a) for a in range(1, G.n_letters + 1)]
-        return FinGroup(G.alphabet, gens, self.identity, self.mul, self.inv,
-                        name="%s^%d" % (G.name, self.p),
+        deal in ExtElements.  Building it enumerates nothing: its order
+        is ext_order of G's formula_order(), and its letter images are
+        built at the first use of gens."""
+        G, p = self.G, self.p
+        letters = range(1, G.n_letters + 1)
+        return FinGroup(G.alphabet, lambda: [self.letter(a) for a in letters],
+                        self.identity, self.mul, self.inv,
+                        name="%s^%d" % (G.name, p),
                         enum_budget=(G.enum_budget if enum_budget is None
                                      else enum_budget),
                         step=self._code_step,
-                        exact_order=lambda: ext_order(G.order(), G.n_letters,
-                                                      self.p),
+                        exact_order=lambda limit: ext_order(
+                            G.formula_order(), G.n_letters, p, limit),
                         codec=(self._encode, self._decode))
 
 
@@ -242,9 +253,23 @@ def ext_evaluate(G: FinGroup, p: int, w: Sequence[int]) -> ExtElement:
     return ExtContext(G, p).evaluate(w)
 
 
-def ext_order(m: int, n_letters: int, p: int) -> int:
-    """Order m * p^(m(|A|-1)+1) of the C_p-extension of an order-m G."""
-    return m * p ** (m * (n_letters - 1) + 1)
+def kernel_rank(m: int, n_letters: int) -> int:
+    """Rank m(|A|-1)+1 of the kernel of F ->> G for an order-m G."""
+    return m * (n_letters - 1) + 1
+
+
+def ext_order(m: int, n_letters: int, p: int,
+              limit: Optional[int] = None) -> Optional[int]:
+    """Order m * p^r of the C_p-extension of an order-m G, r its
+    kernel_rank, or None when it exceeds limit.  The order is at least
+    2^bits for the bits below, so a limit of at most that many bits is
+    refused before the power, which may be too large to compute."""
+    r = kernel_rank(m, n_letters)
+    if limit is not None and (m.bit_length() - 1 + r * (p.bit_length() - 1)
+                              >= limit.bit_length()):
+        return None
+    order = m * p ** r
+    return order if limit is None or order <= limit else None
 
 
 def extension_group(G: FinGroup, p: int,
@@ -348,7 +373,7 @@ def s_equal(G: FinGroup, S: FinGroup, u: Sequence[int], v: Sequence[int],
     w = reduce_word(concat(tuple(u), invert_word(tuple(v))))
     if G.evaluate(w) != 0:
         return SEqualResult("distinct")
-    r = G.order() * (G.n_letters - 1) + 1
+    r = kernel_rank(G.order(), G.n_letters)
     factors = rewrite(G, spanning_tree_avoiding(G), w)
     if not factors:
         return SEqualResult("equal", rank=r)

@@ -6,8 +6,9 @@ element domain is opaque: elements only need to be hashable and to come
 with multiplication/inversion callables.  Permutation groups (tuples of
 images, acting on the right) cover all builtins; extension groups plug in
 their own walk step over packed integer keys, a codec between keys and
-elements, and an exact order.  Enumeration is a BFS over key steps;
-afterwards ids multiply through its tables.
+elements, an exact order formula, and letter images built at their first
+use.  Enumeration is a BFS over key steps; afterwards ids multiply
+through its tables.
 """
 
 from __future__ import annotations
@@ -62,23 +63,27 @@ class FinGroup:
     touches neither keys nor the enumeration.  Element ids are BFS
     discovery order (identity = 0) and each element stores a shortest
     witness word.  Ids multiply through the step tables: i * j walks
-    witness(j) from i.  Given exact_order(), an order above enum_budget
-    is refused before any BFS work, including the first encode.
+    witness(j) from i.  Given exact_order(limit), the order or None when
+    it exceeds limit, an order above enum_budget is refused before any
+    BFS work, including the first encode.  gens may be a callable that
+    returns the letter images; it is called once, at the first use of
+    gens, which the enumeration never makes.
     """
 
-    def __init__(self, alphabet: Sequence[str], gens: Sequence, identity,
+    def __init__(self, alphabet: Sequence[str],
+                 gens: Sequence | Callable[[], Sequence], identity,
                  mul: Callable, inv: Callable, name: str = "G",
                  degree: Optional[int] = None,
                  enum_budget: int = DEFAULT_ENUM_BUDGET,
                  step: Optional[Callable] = None,
-                 exact_order: Optional[Callable[[], int]] = None,
+                 exact_order: Optional[Callable[[int], Optional[int]]] = None,
                  codec: Optional[Tuple[Callable, Callable]] = None):
         if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet names must be distinct")
-        if len(gens) != len(alphabet):
+        if not callable(gens) and len(gens) != len(alphabet):
             raise ValueError("need one generator per letter")
         self.alphabet = tuple(alphabet)
-        self.gens = tuple(gens)
+        self._gens = gens if callable(gens) else tuple(gens)
         self.identity = identity
         self.mul = mul
         self.inv = inv
@@ -122,6 +127,13 @@ class FinGroup:
     def n_letters(self) -> int:
         return len(self.alphabet)
 
+    @property
+    def gens(self) -> tuple:
+        """Letter images, in alphabet order."""
+        if callable(self._gens):
+            self._gens = tuple(self._gens())
+        return self._gens
+
     # -- element table -------------------------------------------------
 
     def _enumerate(self) -> None:
@@ -130,7 +142,7 @@ class FinGroup:
         if self._exact_order is not None:
             self.formula_order()        # refuses an order over the budget
         step = self._elem_step
-        letters = [s for a in range(1, len(self.gens) + 1) for s in (a, -a)]
+        letters = [s for a in range(1, self.n_letters + 1) for s in (a, -a)]
         one = self._encode(self.identity)
         elems = [one]
         index = {one: 0}
@@ -165,8 +177,8 @@ class FinGroup:
         enumeration would be; without a formula, the enumerated order."""
         if self._exact_order is None:
             return self.order()
-        n = self._exact_order()
-        if n > self.enum_budget:
+        n = self._exact_order(self.enum_budget)
+        if n is None:
             raise EnumerationBudgetError(
                 self.enum_budget, "enumeration of %s" % self.name)
         return n
@@ -209,14 +221,14 @@ class FinGroup:
             return self._walk(0, w)
         except KeyError as exc:
             raise ValueError("letter %r outside alphabet of size %d"
-                             % (exc.args[0], len(self.gens))) from None
+                             % (exc.args[0], self.n_letters)) from None
 
     def element_of(self, w: Sequence[int]):
         """Raw element of [w]_G, the product of its letter images: no
         enumeration and no enumeration key is built."""
         x = self.identity
         for s in w:
-            if not s or abs(s) > len(self.gens):
+            if not s or abs(s) > self.n_letters:
                 raise ValueError("letter %r outside alphabet" % (s,))
             g = self.gens[abs(s) - 1]
             x = self.mul(x, g if s > 0 else self.inv(g))
@@ -262,11 +274,8 @@ class FinGroup:
     def separated(self) -> bool:
         """Whether distinct letters have distinct, nonidentity images and
         |A| >= 2 (the standing hypothesis of the border construction)."""
-        if len(self.gens) < 2:
-            return False
-        if len(set(self.gens)) != len(self.gens):
-            return False
-        return all(g != self.identity for g in self.gens)
+        return (self.n_letters >= 2 and len(set(self.gens)) == self.n_letters
+                and self.identity not in self.gens)
 
     # -- morphisms -----------------------------------------------------
 

@@ -160,20 +160,16 @@ class Tower:
         return self._context(n).evaluate(w)
 
     def order(self, n: int) -> int:
-        """|G_n|, enumerating nothing above the base: |G_n| = m *
-        p^(m(|A|-1)+1) for m = |G_{n-1}|.  A level above the base whose
-        order exceeds the spec's enum_budget is refused, by bit length
-        before the power is computed when that already decides it."""
+        """|G_n|, enumerating nothing above the base: ext_order of
+        |G_{n-1}|.  A level above the base whose order exceeds the spec's
+        enum_budget is refused."""
         self._check_level(n)
         if n == 0:
             return self.spec.base.order()
-        m, p, budget = self.order(n - 1), self.prime(n), self.spec.enum_budget
-        k = self.spec.base.n_letters
-        # |G_n| >= 2^bits, so bits >= bit_length(budget) refuses the
-        # level without the power, which may be too large to compute
-        bits = m.bit_length() - 1 + (m * (k - 1) + 1) * (p.bit_length() - 1)
-        order = ext_order(m, k, p) if bits < budget.bit_length() else None
-        if order is None or order > budget:
+        budget = self.spec.enum_budget
+        order = ext_order(self.order(n - 1), self.spec.base.n_letters,
+                          self.prime(n), budget)
+        if order is None:
             raise EnumerationBudgetError(budget, "level %d of the tower" % n)
         return order
 

@@ -196,6 +196,13 @@ CASES = [
      ["dissolve", "--H", "C2xC2^3^2", "--G", "C2xC2", "--budget-enum",
       "10000"]),
     ("refuse_extend_two_levels", ["extend", "C3^2^2", "--p", "2"]),
+    # a budget admitting C2xC2^2^2 (2^136 elements): the order string of
+    # its extension, and the refusal of the level above it
+    ("extend_order_string_budget_10e42",
+     ["extend", "C2xC2^2^2", "--p", "2", "--budget-enum", str(10 ** 42)]),
+    ("refuse_three_levels_budget_10e42",
+     ["dissolve", "--H", "C2xC2^2^2^2", "--G", "C2xC2", "--budget-enum",
+      str(10 ** 42)]),
     ("refuse_scan_edges", ["dissolve", "--H", "C3^2", "--G", "C3",
                            "--edge-budget", "3"]),
     ("refuse_scan_pairs", ["dissolve", "--H", "D4^2", "--G", "D4"]),
@@ -244,6 +251,28 @@ SLOW_CASES = [
 ]
 
 
+@contextlib.contextmanager
+def _address_space_cap(extra=1 << 30):
+    """Lower this process's soft address-space limit to `extra` bytes
+    above its present size for the block, where Linux tells that size:
+    a case that regresses into a runaway computation (the budget-10^42
+    cases) then fails with MemoryError instead of exhausting memory."""
+    try:
+        import resource
+        pages = int(Path("/proc/self/statm").read_text().split()[0])
+    except (ImportError, OSError):
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = pages * resource.getpagesize() + extra
+    limits = [x for x in (soft, hard) if x != resource.RLIM_INFINITY]
+    resource.setrlimit(resource.RLIMIT_AS, (min([cap] + limits), hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
 def _entry(name, argv) -> dict:
     """The manifest entry of one in-process run, with {golden} and {tmp}
     in argv replaced by their directories."""
@@ -252,7 +281,8 @@ def _entry(name, argv) -> dict:
         real = [a.replace("{golden}", str(GOLDEN)).replace("{tmp}", tmp)
                 for a in argv]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(real)
+            with _address_space_cap():
+                code = main(real)
         entry = {"name": name, "argv": argv, "code": code,
                  "stdout_sha256": _sha256(out.getvalue()),
                  "stderr_sha256": _sha256(err.getvalue())}

@@ -166,13 +166,13 @@ def test_enumeration_builds_no_elements(monkeypatch):
     monkeypatch.setattr(ExtContext, "step", counted_step)
     monkeypatch.setattr(ExtElement, "__init__", counted_init)
     H = extension_group(builtin("D4"), 2)
-    assert len(made) == 3        # the identity and the two letter images
+    assert len(made) == 1        # the identity; letter images wait for gens
     assert H.order() == 4096
     assert H.step(17, -2) == H.mul_ids(17, H.inv_id(H.evaluate((2,))))
     assert len(H.subgroup([H.evaluate((1, 2))])) == H.order_of(
         H.evaluate((1, 2)))
     assert steps == []
-    assert len(made) == 3
+    assert len(made) == 1
 
 
 def test_refused_level_builds_no_code_layout(monkeypatch):
@@ -232,6 +232,39 @@ def test_budget_limit_is_exact():
         H.order()
     assert H._elems is None
     assert calls == []
+
+
+class _Prime(int):
+    """A prime that records the exponents it is raised to."""
+
+    def __new__(cls, p, powers):
+        self = super().__new__(cls, p)
+        self.powers = powers
+        return self
+
+    def __pow__(self, r):
+        self.powers.append(r)
+        return int(self) ** r
+
+
+@pytest.mark.parametrize("m,n_letters,p,order,shortcut", [
+    (4, 2, 2, 128, True),       # 2^7: the limit 127 has too few bits
+    (8, 3, 2, 8 * 2 ** 17, True),
+    (3, 2, 2, 48, False),       # 47 and 48 both have 6 bits
+    (5, 3, 3, 5 * 3 ** 11, False),
+])
+def test_ext_order_limit_is_exact(m, n_letters, p, order, shortcut):
+    """limit = order admits and order - 1 refuses, on each branch: at one
+    below an order that is a power of two the bit-length shortcut
+    refuses before the power is computed, elsewhere the exact
+    comparison refuses."""
+    powers = []
+    prime = _Prime(p, powers)
+    assert ext_order(m, n_letters, prime) == order
+    assert ext_order(m, n_letters, prime, order) == order
+    assert len(powers) == 2
+    assert ext_order(m, n_letters, prime, order - 1) is None
+    assert len(powers) == (2 if shortcut else 3)
 
 
 def test_tower_level_two_refused_before_enumeration(monkeypatch):
@@ -331,3 +364,56 @@ def test_extend_reads_the_order_formula(monkeypatch, capsys):
     assert capsys.readouterr() == (
         "", "budget exceeded: enumeration of C2xC2^2 exceeds budget of 10 "
         "elements\n")
+
+
+def test_refusal_enumerates_only_the_base(monkeypatch, capsys):
+    """Refusing C2xC2^3^2, a refusal job of the scan benchmark, reads the
+    order formulas of both levels and enumerates only C2xC2 below them;
+    the 972 elements of C2xC2^3 are not enumerated."""
+    enumerated = []
+    enumerate_ = FinGroup._enumerate
+
+    def counted(self):
+        fresh = self._elems is None
+        enumerate_(self)
+        if fresh:
+            enumerated.append(self.name)
+
+    monkeypatch.setattr(FinGroup, "_enumerate", counted)
+    assert main(["dissolve", "--H", "C2xC2^3^2", "--G", "C2xC2",
+                 "--budget-enum", "10000"]) == 2
+    assert capsys.readouterr() == (
+        "", "budget exceeded: enumeration of C2xC2^3^2 exceeds budget of "
+        "10000 elements\n")
+    assert enumerated == ["C2xC2"]
+
+
+def _capped_cli(argv):
+    """treelike's CLI on argv in a child process with a 1 GiB address
+    space and a timeout, so a regression fails rather than hangs."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "treelike.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=30,
+                          preexec_fn=_limited if os.name == "posix" else None)
+
+
+def test_extend_order_string_at_any_budget():
+    """|C2xC2^2^2| = 2^136 is within a budget of 10^42, and the order of
+    its extension is 2^136 * 2^(2^136 + 1), far over 4,300 digits: it is
+    the formula string, without computing the power."""
+    proc = _capped_cli(["extend", "C2xC2^2^2", "--p", "2",
+                        "--budget-enum", str(10 ** 42)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["ext_order"] == (
+        "87112285931760246646623899502532662132736*2^"
+        "87112285931760246646623899502532662132737")
+
+
+def test_three_level_refusal_enumerates_no_level():
+    """A budget of 10^42 admits C2xC2^2^2 and refuses C2xC2^2^2^2 by its
+    formula, before the admitted level below is enumerated."""
+    proc = _capped_cli(["dissolve", "--H", "C2xC2^2^2^2", "--G", "C2xC2",
+                        "--budget-enum", str(10 ** 42)])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("budget exceeded: enumeration of C2xC2^2^2^2 "
+                           "exceeds budget of %d elements\n" % 10 ** 42)
