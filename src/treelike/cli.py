@@ -176,6 +176,9 @@ def cmd_member(args):
 
 def cmd_extend(args):
     G = group_arg(args.group, args.budget_enum)
+    # G's order formula refuses G before separated() builds its letter
+    # images, which enumerates the level below G
+    m = None if args.p is None else G.formula_order()
     report = {
         "schema": 1,
         "group": G.name,
@@ -191,7 +194,6 @@ def cmd_extend(args):
     if args.p is not None:
         ctx = ExtContext(G, args.p)
         report["p"] = args.p
-        m = G.formula_order()
         # json refuses an int of more than 4,300 digits (CPython 3.11+):
         # a larger order, None here, is reported as the string |G|*p^r
         report["ext_order"] = (

@@ -261,10 +261,12 @@ def kernel_rank(m: int, n_letters: int) -> int:
 def ext_order(m: int, n_letters: int, p: int,
               limit: Optional[int] = None) -> Optional[int]:
     """Order m * p^r of the C_p-extension of an order-m G, r its
-    kernel_rank, or None when it exceeds limit.  The order is at least
-    2^bits for the bits below, so a limit of at most that many bits is
-    refused before the power, which may be too large to compute."""
+    kernel_rank, or None when it exceeds limit; decided by bit length
+    before the power is computed whenever that suffices, since the power
+    may be too large to compute."""
     r = kernel_rank(m, n_letters)
+    # the order is at least 2^(bit_length(m) - 1 + r (bit_length(p) - 1)),
+    # more than any limit with no more bits than that exponent
     if limit is not None and (m.bit_length() - 1 + r * (p.bit_length() - 1)
                               >= limit.bit_length()):
         return None

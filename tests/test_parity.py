@@ -11,9 +11,11 @@ cases read files: graph `.json` input and a `--config` file, committed
 in tests/golden/ and named `{golden}/...` in argv, and `--out` reports
 written to a fresh temporary directory, `{tmp}`.  A case that writes
 `--out` also records the hash of that file, which must equal the hash
-of its stdout.  A hash that changes is a change of behaviour.  To rewrite the manifest after an
-intended change, run `PYTHONPATH=src python tests/test_parity.py` from
-the repository root.
+of its stdout.  Each case runs under an address-space cap, so one that
+regresses into a runaway computation fails instead of exhausting
+memory.  A hash that changes is a change of behaviour.  To rewrite the
+manifest after an intended change, run `PYTHONPATH=src python
+tests/test_parity.py` from the repository root.
 
 The cases too slow for every test run (S3^2 ->> S3, the full failure
 listing of D4 ->> C2xC2 and an exhaustive tower level over S3) are kept

@@ -409,11 +409,15 @@ def test_extend_order_string_at_any_budget():
         "87112285931760246646623899502532662132737")
 
 
-def test_three_level_refusal_enumerates_no_level():
+@pytest.mark.parametrize("argv", [
+    ["dissolve", "--H", "C2xC2^2^2^2", "--G", "C2xC2"],
+    ["extend", "C2xC2^2^2^2", "--p", "2"],
+], ids=["dissolve", "extend"])
+def test_three_level_refusal_enumerates_no_level(argv):
     """A budget of 10^42 admits C2xC2^2^2 and refuses C2xC2^2^2^2 by its
-    formula, before the admitted level below is enumerated."""
-    proc = _capped_cli(["dissolve", "--H", "C2xC2^2^2^2", "--G", "C2xC2",
-                        "--budget-enum", str(10 ** 42)])
+    formula, before the admitted level below is enumerated (by the
+    letter images that extend's separated check builds, among others)."""
+    proc = _capped_cli(argv + ["--budget-enum", str(10 ** 42)])
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == ("budget exceeded: enumeration of C2xC2^2^2^2 "
                            "exceeds budget of %d elements\n" % 10 ** 42)
