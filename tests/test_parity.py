@@ -56,6 +56,10 @@ CASES = [
                            "--graph", "{golden}/graph_folded.json"]),
     ("member_graph_file_non_member",
      ["member", "b", "--graph", "{golden}/graph_folded.json"]),
+    # reports with strings that JSON escapes: non-ASCII letters, a quote
+    ("fold_non_ascii_alphabet", ["fold", "α β α^-1", "--alphabet", "α,β"]),
+    ("member_quoted_letter",
+     ["member", 'x" y', "--gens", 'x"', "--alphabet", 'x",y']),
     ("extend_cocycle",
      ["extend", "C2xC2", "--p", "2", "--eq", "a b", "b a",
       "--eq", "a^2 b", "b a^2"]),
