@@ -176,8 +176,9 @@ def cmd_member(args):
 
 def cmd_extend(args):
     G = group_arg(args.group, args.budget_enum)
-    # G's order formula refuses G before separated() builds its letter
-    # images, which enumerates the level below G
+    # G's order formula refuses G over the budget first, so a refused
+    # G exits 2 before any report; neither it nor separated() builds an
+    # element of G
     m = None if args.p is None else G.formula_order()
     report = {
         "schema": 1,

@@ -40,8 +40,9 @@ Orders and letter images.  ext_order alone evaluates the order formula
 first, so a power too large to compute is never computed.  The FinGroup
 of fin_group reads its order from ext_order over G's formula_order(),
 and builds its letter images, which walk G's step table, at the first
-use of gens.  So building NAME^p^q, or refusing it by its order,
-enumerates no level above the group at its bottom.
+use of gens; separated() holds iff |A| >= 2 and reads no image.  So
+building NAME^p^q, sizing it, refusing it by its order or checking that
+it is separated enumerates no level above the group at its bottom.
 
 Order of free generators.  The certificate needs the order o of a free
 generator of the relatively free group on two generators in the class
@@ -237,15 +238,25 @@ class ExtContext:
         built at the first use of gens."""
         G, p = self.G, self.p
         letters = range(1, G.n_letters + 1)
-        return FinGroup(G.alphabet, lambda: [self.letter(a) for a in letters],
-                        self.identity, self.mul, self.inv,
-                        name="%s^%d" % (G.name, p),
-                        enum_budget=(G.enum_budget if enum_budget is None
-                                     else enum_budget),
-                        step=self._code_step,
-                        exact_order=lambda limit: ext_order(
-                            G.formula_order(), G.n_letters, p, limit),
-                        codec=(self._encode, self._decode))
+        return _ExtGroup(G.alphabet,
+                         lambda: [self.letter(a) for a in letters],
+                         self.identity, self.mul, self.inv,
+                         name="%s^%d" % (G.name, p),
+                         enum_budget=(G.enum_budget if enum_budget is None
+                                      else enum_budget),
+                         step=self._code_step,
+                         exact_order=lambda limit: ext_order(
+                             G.formula_order(), G.n_letters, p, limit),
+                         codec=(self._encode, self._decode))
+
+
+class _ExtGroup(FinGroup):
+    """The FinGroup of an extension: the image of letter a carries a
+    unit on its own edge (1, a), so distinct letters have distinct,
+    nonidentity images, and separated() needs no letter image."""
+
+    def separated(self) -> bool:
+        return self.n_letters >= 2
 
 
 def ext_evaluate(G: FinGroup, p: int, w: Sequence[int]) -> ExtElement:

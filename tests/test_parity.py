@@ -161,6 +161,11 @@ CASES = [
     ("rz_s3_p2_2_budget_10e42",
      RZ + ["S3", "--primes", "2,2", "--h1", "a", "--h2", "b", "--w", "b a",
            "--budget-enum", str(10 ** 42)]),
+    # a NAME^p^q base over the budget: level 0 overflows at once, its
+    # letter images unbuilt
+    ("rz_base_three_levels_budget_10e42",
+     RZ + ["C2xC2^2^2^2", "--primes", "2", "--h1", "a", "--h2", "b",
+           "--w", "b a", "--budget-enum", str(10 ** 42)]),
     ("rz_max_level_0", RZ + ["C2xC2", "--primes", "2", "--h1", "a",
                              "--h2", "b", "--w", "b a", "--max-level", "0"]),
     # -- checked properties that fail (exit 1)
@@ -208,6 +213,9 @@ CASES = [
      ["extend", "C2xC2^2^2", "--p", "2", "--budget-enum", str(10 ** 42)]),
     ("refuse_three_levels_budget_10e42",
      ["dissolve", "--H", "C2xC2^2^2^2", "--G", "C2xC2", "--budget-enum",
+      str(10 ** 42)]),
+    ("refuse_tower_base_three_levels_budget_10e42",
+     ["tower", "--base", "C2xC2^2^2^2", "--primes", "2", "--budget-enum",
       str(10 ** 42)]),
     ("refuse_scan_edges", ["dissolve", "--H", "C3^2", "--G", "C3",
                            "--edge-budget", "3"]),

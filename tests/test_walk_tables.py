@@ -412,12 +412,39 @@ def test_extend_order_string_at_any_budget():
 @pytest.mark.parametrize("argv", [
     ["dissolve", "--H", "C2xC2^2^2^2", "--G", "C2xC2"],
     ["extend", "C2xC2^2^2^2", "--p", "2"],
-], ids=["dissolve", "extend"])
+    ["tower", "--base", "C2xC2^2^2^2", "--primes", "2"],
+], ids=["dissolve", "extend", "tower"])
 def test_three_level_refusal_enumerates_no_level(argv):
     """A budget of 10^42 admits C2xC2^2^2 and refuses C2xC2^2^2^2 by its
-    formula, before the admitted level below is enumerated (by the
-    letter images that extend's separated check builds, among others)."""
+    formula, before the admitted level below is enumerated (by building
+    the letter images of C2xC2^2^2^2, among others)."""
     proc = _capped_cli(argv + ["--budget-enum", str(10 ** 42)])
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == ("budget exceeded: enumeration of C2xC2^2^2^2 "
                            "exceeds budget of %d elements\n" % 10 ** 42)
+
+
+def test_rz_overflows_a_refused_base_at_once():
+    proc = _capped_cli(["rz", "--base", "C2xC2^2^2^2", "--primes", "2",
+                        "--h1", "a", "--h2", "b", "--w", "b a",
+                        "--budget-enum", str(10 ** 42)])
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["levels"] == [{"level": 0,
+                                                  "overflow": True}]
+
+
+@pytest.mark.parametrize("name", ["C3^2", "C2^2", "C2xC2^2", "S3^3^2",
+                                  "one-letter C3^2"])
+def test_extension_is_separated_without_letter_images(name):
+    """Each letter image of an extension carries a unit on its own edge
+    (1, a): separated() holds iff |A| >= 2, and reads no image."""
+    if name.startswith("one-letter"):
+        C3 = FinGroup.from_perms(("a",), [(1, 2, 0)], name="C3")
+        H = extension_group(C3, 2)
+    else:
+        H = group_arg(name, 10 ** 42)
+    assert H.separated() == (H.n_letters >= 2)
+    assert callable(H._gens)        # letter images not built
+    images = H.gens
+    assert H.separated() == (len(set(images)) == H.n_letters >= 2
+                             and H.identity not in images)
