@@ -10,8 +10,11 @@ Subcommands
     tower     iterated-extension campaign over a base group
     rz        product-separation experiment for a word and subgroups
 
-Reports go to stdout (and to --out when given) as JSON with sorted keys,
-so identical configuration and seed produce byte-identical output;
+Reports go to stdout (and to --out when given) as the text of
+json.dumps(report, indent=2, sort_keys=True) and a newline: a two-space
+indent, sorted keys, and non-ASCII and control characters as \\uXXXX
+escapes, written in one pass by _json_text before CPython 3.13.
+Identical configuration and seed produce byte-identical output;
 dissolve, tower and rz print a PASS/FAIL line to stderr.  Exit codes:
 0 all checks passed, 1 a property failed (a constellation survived, an
 experiment stayed inconclusive), 2 an enumeration budget was exceeded,
@@ -25,6 +28,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -127,8 +131,63 @@ def _tower_spec(args, base_budget: int) -> TowerSpec:
                      enum_budget=args.budget_enum, seed=args.seed)
 
 
+def _json_text(value, indent: str = "\n", memo: Optional[dict] = None
+               ) -> str:
+    """json.dumps(value, indent=2, sort_keys=True), written at `indent`
+    (a newline, then its spaces) in one pass.  Before CPython 3.13 that
+    call runs json's pure-Python encoder, which indents chunk by chunk.
+    Here a list of ints, or of int lists, is one join; any other dict or
+    list is rendered once per indent, memo[(id, indent)] (a report lists
+    a failure in both of its lists as one dict); and a value of any other
+    type is json.dumps' own text with its later lines moved to indent,
+    which is exact because JSON text holds no raw newline."""
+    kind = type(value)
+    if kind is str:
+        return _escape(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is not dict and kind is not list and kind is not tuple:
+        return json.dumps(value, indent=2, sort_keys=True).replace(
+            "\n", indent)
+    if memo is None:
+        memo = {}
+    key = (id(value), indent)
+    text = memo.get(key)
+    if text is not None:
+        return text
+    inner = indent + "  "
+    if not value:
+        text = "{}" if kind is dict else "[]"
+    elif kind is dict:
+        try:
+            text = ("," + inner).join([
+                _escape(k) + ": " + _json_text(value[k], inner, memo)
+                for k in sorted(value)])
+        except TypeError:       # a key that is no str, which json converts
+            return json.dumps(value, indent=2, sort_keys=True).replace(
+                "\n", indent)
+        text = "{" + inner + text + indent + "}"
+    else:
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            text = ("," + inner).join(map(int.__repr__, value))
+        elif kinds == {list} and {type(x) for v in value for x in v} <= {int}:
+            deeper = inner + "  "
+            text = ("," + inner).join([
+                "[" + deeper + ("," + deeper).join(map(int.__repr__, v))
+                + inner + "]" if v else "[]" for v in value])
+        else:
+            text = ("," + inner).join([_json_text(v, inner, memo)
+                                       for v in value])
+        text = "[" + inner + text + indent + "]"
+    memo[key] = text
+    return text
+
+
 def _emit(report: dict, out: Optional[str]) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    # json indents in C from CPython 3.13 on
+    text = (json.dumps(report, indent=2, sort_keys=True)
+            if sys.version_info >= (3, 13) else _json_text(report)) + "\n"
     sys.stdout.write(text)
     if out:
         Path(out).write_text(text)

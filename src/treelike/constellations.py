@@ -510,11 +510,18 @@ def _scan_exhaustive(dis: Dissolver, report: dict, edge_budget: int,
     listed, failures = report["constellations"], report["failures"]
     n, k = len(rows), G.n_letters
     parents: Dict[int, dict] = {}   # edge mask -> parent map of its lift
+    edges: Dict[int, list] = {}     # edge mask -> its [[g, a], ...] list
 
     def witness(m: int, h: int) -> Word:
         if m not in parents:
             parents[m] = dis._component(m)
         return path_label(parents[m], h)
+
+    def edge_list(m: int) -> list:
+        """The edges of m, one list shared by every entry naming m."""
+        if m not in edges:
+            edges[m] = [[i // k, i % k + 1] for i in _bits(m)]
+        return edges[m]
 
     def record(pos: int) -> None:
         """List the g of the ordered pair at pos while the lists want them."""
@@ -526,10 +533,8 @@ def _scan_exhaustive(dis: Dissolver, report: dict, edge_budget: int,
                 if meet:
                     h = (meet & -meet).bit_length() - 1
                     u, v = witness(mx, h), witness(mt, h)
-                _list(report, detail_limit, g,
-                      [[i // k, i % k + 1] for i in _bits(mx)],
-                      [[i // k, i % k + 1] for i in _bits(mt)],
-                      u, v, G.alphabet)
+                _list(report, detail_limit, g, edge_list(mx),
+                      edge_list(mt), u, v, G.alphabet)
 
     end = 0
     while end < n * n and len(listed) < limit:
