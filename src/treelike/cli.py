@@ -146,7 +146,8 @@ def _json_text(value, indent: str = "\n", memo: Optional[dict] = None
         return _escape(value)
     if kind is int:
         return int.__repr__(value)
-    if kind is not dict and kind is not list and kind is not tuple:
+    if kind not in (dict, list, tuple) or kind is dict and not all(
+            type(k) is str for k in value):     # a key json converts
         return json.dumps(value, indent=2, sort_keys=True).replace(
             "\n", indent)
     if memo is None:
@@ -159,14 +160,9 @@ def _json_text(value, indent: str = "\n", memo: Optional[dict] = None
     if not value:
         text = "{}" if kind is dict else "[]"
     elif kind is dict:
-        try:
-            text = ("," + inner).join([
-                _escape(k) + ": " + _json_text(value[k], inner, memo)
-                for k in sorted(value)])
-        except TypeError:       # a key that is no str, which json converts
-            return json.dumps(value, indent=2, sort_keys=True).replace(
-                "\n", indent)
-        text = "{" + inner + text + indent + "}"
+        text = "{" + inner + ("," + inner).join([
+            _escape(k) + ": " + _json_text(value[k], inner, memo)
+            for k in sorted(value)]) + indent + "}"
     else:
         kinds = set(map(type, value))
         if kinds == {int}:
