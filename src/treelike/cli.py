@@ -136,16 +136,20 @@ def _json_text(value, indent: str = "\n", memo: Optional[dict] = None
     """json.dumps(value, indent=2, sort_keys=True), written at `indent`
     (a newline, then its spaces) in one pass.  Before CPython 3.13 that
     call runs json's pure-Python encoder, which indents chunk by chunk.
-    Here a list of ints, or of int lists, is one join; any other dict or
-    list is rendered once per indent, memo[(id, indent)] (a report lists
-    a failure in both of its lists as one dict); and a value of any other
-    type is json.dumps' own text with its later lines moved to indent,
-    which is exact because JSON text holds no raw newline."""
+    Here strings, ints, bools and None are written directly; a list of
+    ints, or of int lists, is one join; any other dict or list is
+    rendered once per indent, memo[(id, indent)] (a report lists a
+    failure in both of its lists as one dict); and any other value (a
+    float, a subclass, a dict with a key that is no str) is json.dumps'
+    own text with its later lines moved to indent, which is exact
+    because JSON text holds no raw newline."""
     kind = type(value)
     if kind is str:
         return _escape(value)
     if kind is int:
         return int.__repr__(value)
+    if kind is bool or value is None:
+        return "null" if value is None else "true" if value else "false"
     if kind not in (dict, list, tuple) or kind is dict and not all(
             type(k) is str for k in value):     # a key json converts
         return json.dumps(value, indent=2, sort_keys=True).replace(
