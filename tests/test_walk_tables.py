@@ -424,15 +424,6 @@ def test_three_level_refusal_enumerates_no_level(argv):
                            "exceeds budget of %d elements\n" % 10 ** 42)
 
 
-def test_rz_overflows_a_refused_base_at_once():
-    proc = _capped_cli(["rz", "--base", "C2xC2^2^2^2", "--primes", "2",
-                        "--h1", "a", "--h2", "b", "--w", "b a",
-                        "--budget-enum", str(10 ** 42)])
-    assert proc.returncode == 1
-    assert json.loads(proc.stdout)["levels"] == [{"level": 0,
-                                                  "overflow": True}]
-
-
 @pytest.mark.parametrize("name", ["C3^2", "C2^2", "C2xC2^2", "S3^3^2",
                                   "one-letter C3^2"])
 def test_extension_is_separated_without_letter_images(name):
