@@ -47,7 +47,7 @@ class CayleySubgraph:
         object.__setattr__(self, "pos_edges", frozenset(self.pos_edges))
         for g, a in self.pos_edges:
             if g not in self.vertices or self.group.step(g, a) not in self.vertices:
-                raise ValueError("edge (%d, %d) has an endpoint outside the "
+                raise ValueError("edge (%r, %d) has an endpoint outside the "
                                  "vertex set" % (g, a))
 
     def dst(self, e: Edge) -> int:
@@ -160,7 +160,7 @@ def components(X: CayleySubgraph) -> List[frozenset]:
 def component_of(X: CayleySubgraph, v: int) -> frozenset:
     """The component of v in X."""
     if v not in X.vertices:
-        raise ValueError("vertex %d not in subgraph" % v)
+        raise ValueError("vertex %r not in subgraph" % (v,))
     return frozenset(search(X.group, v, X.pos_edges.__contains__))
 
 

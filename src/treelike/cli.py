@@ -13,7 +13,7 @@ Subcommands
 Reports go to stdout (and to --out when given) as the text of
 json.dumps(report, indent=2, sort_keys=True) and a newline: a two-space
 indent, sorted keys, and non-ASCII and control characters as \\uXXXX
-escapes, written in one pass by _json_text before CPython 3.13.
+escapes, written in one pass by _json_text on every interpreter.
 Identical configuration and seed produce byte-identical output;
 dissolve, tower and rz print a PASS/FAIL line to stderr.  Exit codes:
 0 all checks passed, 1 a property failed (a constellation survived, an
@@ -134,8 +134,8 @@ def _tower_spec(args, base_budget: int) -> TowerSpec:
 def _json_text(value, indent: str = "\n", memo: Optional[dict] = None
                ) -> str:
     """json.dumps(value, indent=2, sort_keys=True), written at `indent`
-    (a newline, then its spaces) in one pass.  Before CPython 3.13 that
-    call runs json's pure-Python encoder, which indents chunk by chunk.
+    (a newline, then its spaces) in one pass, where json's pure-Python
+    encoder (all of it before CPython 3.13) indents chunk by chunk.
     Here strings, ints, bools and None are written directly; a list of
     ints, or of int lists, is one join; any other dict or list is
     rendered once per indent, memo[(id, indent)] (a report lists a
@@ -185,9 +185,7 @@ def _json_text(value, indent: str = "\n", memo: Optional[dict] = None
 
 
 def _emit(report: dict, out: Optional[str]) -> None:
-    # json indents in C from CPython 3.13 on
-    text = (json.dumps(report, indent=2, sort_keys=True)
-            if sys.version_info >= (3, 13) else _json_text(report)) + "\n"
+    text = _json_text(report) + "\n"
     sys.stdout.write(text)
     if out:
         Path(out).write_text(text)

@@ -25,24 +25,30 @@ Nielsen basis in the rewritten word, so the cocycle vanishes mod p
 precisely when the word lies in R^p [R, R].  Hence the model has order
 |G| * p^r and realizes F/R(C_p).
 
-Enumeration keys.  The enumerated extension (fin_group) runs its BFS
-over packed integer codes, not over ExtElements.  With n = |G| and the
-edge (v, a) at index k = v|A| + a - 1, which is the sorted order of
-cocycle keys, the pair (b, c) has code b + n * sum_k c_k p^k.  Codes and
-canonical ExtElements are in bijection, so ids, witnesses and step
-tables are those of an ExtElement BFS; a walk step moves b through the
-step table of G and adds +-1 mod p to one base-p digit, allocating
-nothing.  Callers still see ExtElements: the FinGroup decodes a code
-when an element is asked for and encodes one to look up its id.
+Enumeration keys.  The enumerated extension, the _ExtGroup of
+fin_group, runs its BFS over packed integer codes, not over
+ExtElements; it is the one place that knows them, and ExtContext deals
+only in ExtElements.  With n = |G| and the edge (v, a) at index
+k = v|A| + a - 1, which is the sorted order of cocycle keys, the pair
+(b, c) has code b + n * sum_k c_k p^k.  Codes and canonical ExtElements
+are in bijection, so ids, witnesses and step tables are those of an
+ExtElement BFS; a walk step moves b through the step table of G and
+adds +-1 mod p to one base-p digit, allocating nothing.  Callers still
+see ExtElements: the group decodes a code when an element is asked for
+and encodes one to look up its id.  An ExtContext over an enumerated G
+closes sets over the codes and step of its fin_group(), which it never
+enumerates.
 
 Orders and letter images.  ext_order alone evaluates the order formula
 |G| p^r, r = kernel_rank, and decides it against a limit: by bit length
-first, so a power too large to compute is never computed.  The FinGroup
-of fin_group reads its order from ext_order over G's formula_order(),
-and builds its letter images, which walk G's step table, at the first
-use of gens; separated() holds iff |A| >= 2 and reads no image.  So
-building NAME^p^q, sizing it, refusing it by its order or checking that
-it is separated enumerates no level above the group at its bottom.
+first, so a power too large to compute is never computed.  The
+_ExtGroup reads its order from ext_order over G's formula_order(),
+refuses it over its budget when its enumeration asks for the key step,
+before the first encode, and builds its letter images, which walk G's
+step table, at the first use of gens; separated() holds iff |A| >= 2
+and reads no image.  So building NAME^p^q, sizing it, refusing it by
+its order or checking that it is separated enumerates no level above
+the group at its bottom.
 
 Order of free generators.  The certificate needs the order o of a free
 generator of the relatively free group on two generators in the class
@@ -126,7 +132,6 @@ class ExtContext:
             self._mul, self._inv, self._one = G.mul, G.inv, G.identity
         self._step = G.step
         self.identity = ExtElement(self._one, ())
-        self._n = self._units = self._moves = None    # code layout
 
     def letter(self, a: int) -> ExtElement:
         """Image of base letter a: ([a]_G, one unit on the edge (1, a))."""
@@ -172,14 +177,65 @@ class ExtContext:
             c[e] = (c.get(e, 0) + sign) % p
         return _pack(cur, c)
 
-    # -- packed codes over an enumerated G ------------------------------
+    def keyed_walk(self) -> tuple:
+        """(key, step) for closures over ExtElements, enumerating
+        nothing: over an enumerated G, the packed codes of fin_group(),
+        whose own budget refuses nothing here; else the ExtElements
+        themselves and step()."""
+        if isinstance(self.G, FinGroup):
+            return self.fin_group().code_walk()
+        return (lambda x: x), self.step
 
-    def _code_layout(self) -> list:
-        """Units n p^k of the edges k, and per signed letter the base
-        shifts, traversed-edge units and digit sign of a code step; built
-        once, at the first encode, so a refused group never builds it."""
+    def fin_group(self, enum_budget: Optional[int] = None) -> FinGroup:
+        """The extension as an A-generated FinGroup over an enumerable G,
+        by default with G's enum_budget.  Building it enumerates
+        nothing."""
+        return _ExtGroup(self, self.G.enum_budget if enum_budget is None
+                         else enum_budget)
+
+
+class _ExtGroup(FinGroup):
+    """The FinGroup of an ExtContext over an enumerable G.  Its
+    enumeration keys are packed integer codes (see the module
+    docstring); element(), id_of(), element_of(), gens and mul/inv deal
+    in ExtElements.  Its order is ext_order of G's formula_order(),
+    refused over enum_budget before the first encode, and its letter
+    images are built at the first use of gens.  The image of letter a
+    carries a unit on its own edge (1, a), so distinct letters have
+    distinct, nonidentity images, and separated() needs no letter
+    image."""
+
+    def __init__(self, ctx: ExtContext, enum_budget: int):
+        G, p = ctx.G, ctx.p
+        letters = range(1, G.n_letters + 1)
+        super().__init__(G.alphabet, lambda: [ctx.letter(a) for a in letters],
+                         ctx.identity, ctx.mul, ctx.inv,
+                         name="%s^%d" % (G.name, p), enum_budget=enum_budget)
+        self._base, self._p = G, p
+        self._n = self._units = self._moves = None    # code layout
+
+    def separated(self) -> bool:
+        return self.n_letters >= 2
+
+    def formula_order(self) -> int:
+        n = ext_order(self._base.formula_order(), self.n_letters, self._p,
+                      self.enum_budget)
+        if n is None:
+            raise EnumerationBudgetError(
+                self.enum_budget, "enumeration of %s" % self.name)
+        return n
+
+    def _key_step(self):
+        self.formula_order()        # refuses an order over the budget
+        return self.code_walk()[1]
+
+    def code_walk(self) -> tuple:
+        """(encode, step) over packed codes, refusing nothing and
+        enumerating only G.  The code layout, built once here, holds the
+        units n p^k of the edges k, and per signed letter the base
+        shifts, traversed-edge units and digit sign of a code step."""
         if self._units is None:
-            G, p, k = self.G, self.p, self.n_letters
+            G, p, k = self._base, self._p, self.n_letters
             n = G.order()
             units = [n * p ** i for i in range(n * k)]
             moves = {}
@@ -190,16 +246,18 @@ class ExtContext:
                             [units[v * k + a - 1] for v in tail],
                             1 if x > 0 else -1)
             self._n, self._units, self._moves = n, units, moves
-        return self._units
+        return self._encode, self._code_step
+
+    # a code exists only after code_walk, so the methods below find the
+    # layout built
 
     def _encode(self, x: ExtElement) -> int:
-        units, k = self._code_layout(), self.n_letters
+        units, k = self._units, self.n_letters
         return x.base + sum(val * units[v * k + a - 1]
                             for (v, a), val in x.cocycle)
 
     def _decode(self, code: int) -> ExtElement:
-        self._code_layout()
-        k, p = self.n_letters, self.p
+        k, p = self.n_letters, self._p
         r, base = divmod(code, self._n)
         c = []
         i = 0
@@ -211,52 +269,13 @@ class ExtContext:
         return ExtElement(base, tuple(c))
 
     def _code_step(self, x: int, letter: int) -> int:
-        """step() on codes.  A code only exists after _encode or
-        keyed_walk, so the layout is built: move the base, then add the
-        sign to the digit of the traversed edge mod p."""
+        """ExtContext.step() on codes: move the base, then add the sign
+        to the digit of the traversed edge mod p."""
         shift, units, s = self._moves[letter]
         b = x % self._n
         u = units[b]
-        d = x // u % self.p
-        return x + shift[b] + ((d + s) % self.p - d) * u
-
-    def keyed_walk(self) -> tuple:
-        """(key, step) for closures over ExtElements, enumerating
-        nothing: packed codes and their step over an enumerated G, else
-        the ExtElements themselves and step()."""
-        if isinstance(self.G, FinGroup):
-            self._code_layout()
-            return self._encode, self._code_step
-        return (lambda x: x), self.step
-
-    def fin_group(self, enum_budget: Optional[int] = None) -> FinGroup:
-        """The extension as an A-generated FinGroup over an enumerable G.
-        Its enumeration keys are packed integer codes (see the module
-        docstring); element(), id_of(), element_of(), gens and mul/inv
-        deal in ExtElements.  Building it enumerates nothing: its order
-        is ext_order of G's formula_order(), and its letter images are
-        built at the first use of gens."""
-        G, p = self.G, self.p
-        letters = range(1, G.n_letters + 1)
-        return _ExtGroup(G.alphabet,
-                         lambda: [self.letter(a) for a in letters],
-                         self.identity, self.mul, self.inv,
-                         name="%s^%d" % (G.name, p),
-                         enum_budget=(G.enum_budget if enum_budget is None
-                                      else enum_budget),
-                         step=self._code_step,
-                         exact_order=lambda limit: ext_order(
-                             G.formula_order(), G.n_letters, p, limit),
-                         codec=(self._encode, self._decode))
-
-
-class _ExtGroup(FinGroup):
-    """The FinGroup of an extension: the image of letter a carries a
-    unit on its own edge (1, a), so distinct letters have distinct,
-    nonidentity images, and separated() needs no letter image."""
-
-    def separated(self) -> bool:
-        return self.n_letters >= 2
+        d = x // u % self._p
+        return x + shift[b] + ((d + s) % self._p - d) * u
 
 
 def ext_evaluate(G: FinGroup, p: int, w: Sequence[int]) -> ExtElement:

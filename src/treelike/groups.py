@@ -4,17 +4,16 @@ words, canonical morphisms, exponent, subdirect products, and builtins.
 A FinGroup is a group generated by one element per alphabet letter.  The
 element domain is opaque: elements only need to be hashable and to come
 with multiplication/inversion callables.  Permutation groups (tuples of
-images, acting on the right) cover all builtins; extension groups plug in
-their own walk step over packed integer keys, a codec between keys and
-elements, an exact order formula, and letter images built at their first
-use.  Enumeration is a BFS over key steps; afterwards ids multiply
-through its tables.
+images, acting on the right) cover all builtins; the extension groups of
+the extension module subclass FinGroup with their own enumeration keys
+and key step.  Enumeration is a BFS over key steps; afterwards ids
+multiply through its tables.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence
 
 from .words import Word
 
@@ -54,30 +53,27 @@ class FinGroup:
     """A-generated finite group with a lazily built element table.
 
     Enumeration is a BFS from the identity over enumeration keys and the
-    key step step(x, +-a) = key of x * (image of a)^(+-1).  Without a
-    codec the keys are the elements themselves and the step is, by
-    default, a multiplication.  With codec = (encode, decode), a
-    bijection between elements and keys, the BFS stores and hashes only
-    keys; element() and id_of() convert at the boundary, so callers see
-    elements either way; element_of() multiplies letter images and
+    key step step(x, +-a) = key of x * (image of a)^(+-1), which
+    _key_step returns once, before the BFS encodes the identity.  Here
+    the keys are the elements themselves and the step multiplies by a
+    letter image; a subclass may key elements otherwise through
+    _encode/_decode, a bijection between elements and keys, and its own
+    key step.  element() and id_of() convert at the boundary, so callers
+    see elements either way; element_of() multiplies letter images and
     touches neither keys nor the enumeration.  Element ids are BFS
     discovery order (identity = 0) and each element stores a shortest
     witness word.  Ids multiply through the step tables: i * j walks
-    witness(j) from i.  Given exact_order(limit), the order or None when
-    it exceeds limit, an order above enum_budget is refused before any
-    BFS work, including the first encode.  gens may be a callable that
-    returns the letter images; it is called once, at the first use of
-    gens, which the enumeration never makes.
+    witness(j) from i.  gens may be a callable that returns the letter
+    images; it is called once, at the first use of gens.
     """
+
+    _encode = _decode = staticmethod(_same)     # keys are the elements
 
     def __init__(self, alphabet: Sequence[str],
                  gens: Sequence | Callable[[], Sequence], identity,
                  mul: Callable, inv: Callable, name: str = "G",
                  degree: Optional[int] = None,
-                 enum_budget: int = DEFAULT_ENUM_BUDGET,
-                 step: Optional[Callable] = None,
-                 exact_order: Optional[Callable[[int], Optional[int]]] = None,
-                 codec: Optional[Tuple[Callable, Callable]] = None):
+                 enum_budget: int = DEFAULT_ENUM_BUDGET):
         if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet names must be distinct")
         if not callable(gens) and len(gens) != len(alphabet):
@@ -90,16 +86,6 @@ class FinGroup:
         self.name = name
         self.degree = degree
         self.enum_budget = enum_budget
-        if step is None:
-            images = {}
-            for a, g in enumerate(self.gens, 1):
-                images[a], images[-a] = g, inv(g)
-
-            def step(x, letter):
-                return mul(x, images[letter])
-        self._elem_step = step
-        self._encode, self._decode = codec or (_same, _same)
-        self._exact_order = exact_order
         self._elems: Optional[list] = None      # enumeration keys, by id
         self._index: Optional[dict] = None
         self._witness: Optional[list] = None
@@ -136,12 +122,17 @@ class FinGroup:
 
     # -- element table -------------------------------------------------
 
+    def _key_step(self) -> Callable:
+        """The key step of the enumeration: x times a letter image."""
+        mul, images = self.mul, {}
+        for a, g in enumerate(self.gens, 1):
+            images[a], images[-a] = g, self.inv(g)
+        return lambda x, letter: mul(x, images[letter])
+
     def _enumerate(self) -> None:
         if self._elems is not None:
             return
-        if self._exact_order is not None:
-            self.formula_order()        # refuses an order over the budget
-        step = self._elem_step
+        step = self._key_step()
         letters = [s for a in range(1, self.n_letters + 1) for s in (a, -a)]
         one = self._encode(self.identity)
         elems = [one]
@@ -172,16 +163,10 @@ class FinGroup:
         return len(self._elems)
 
     def formula_order(self) -> int:
-        """|G| from the exact order formula the group was built with,
-        enumerating nothing, and refused over enum_budget as its
-        enumeration would be; without a formula, the enumerated order."""
-        if self._exact_order is None:
-            return self.order()
-        n = self._exact_order(self.enum_budget)
-        if n is None:
-            raise EnumerationBudgetError(
-                self.enum_budget, "enumeration of %s" % self.name)
-        return n
+        """|G| from an exact order formula, enumerating nothing and
+        refused over enum_budget as its enumeration would be; a group
+        without a formula enumerates."""
+        return self.order()
 
     def element(self, i: int):
         self._enumerate()

@@ -14,9 +14,9 @@ Equality of elements is group equality, level by level, by the
 faithfulness argument of the single-step model; ExtElement ordering
 keeps each cocycle's keys in canonical order.  For the campaigns,
 `Tower.group` enumerates a level as the fin_group of an ExtContext over
-the enumerated level below, keyed by packed codes, exactly as the CLI's
-NAME^p^q does; the order formula refuses a level whose order exceeds
-the enumeration budget before any work.
+the enumerated level below, a FinGroup subclass keyed by packed codes,
+exactly as the CLI's NAME^p^q does; the order formula refuses a level
+whose order exceeds the enumeration budget before any work.
 
 The campaign runner gathers finite-level evidence for tree-likeness of
 the inverse limit: at each enumerable level it checks that the next
@@ -306,8 +306,9 @@ def _separation_level(tower: Tower, n: int, gens: List[List[Word]],
                       w: Word) -> dict:
     """rz's entry for G_n: its order, the subgroup orders, the size of
     the product set and whether [w] lies in it, each set a closure over
-    the keyed walk of G_n (ids at level 0, packed codes at level 1,
-    ExtElements above).  A refused level raises EnumerationBudgetError."""
+    the keyed walk of G_n (ids at level 0, the packed codes of the
+    unenumerated extension group at level 1, ExtElements above).  A
+    refused level raises EnumerationBudgetError."""
     order = tower.order(n)
     key, step = tower._context(n).keyed_walk()
     one = key(tower.identity(n))

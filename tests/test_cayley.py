@@ -16,6 +16,7 @@ from treelike.cayley import (
     translate,
     union,
 )
+from treelike.extension import ExtContext
 from treelike.groups import FinGroup, builtin
 from treelike.stallings import LabeledGraph, stallings_graph
 from treelike.words import parse_word, random_reduced_word
@@ -45,6 +46,16 @@ def test_subgraph_validation():
     X = cayley_graph(G)
     assert (0, 1) in X
     assert X.dst((0, 1)) == G.evaluate((1,))
+    with pytest.raises(ValueError, match="^vertex 4 not in subgraph$"):
+        component_of(X, 4)
+    # over an unenumerated level the vertices are ExtElements
+    ctx = ExtContext(G, 2)
+    one = ctx.identity
+    with pytest.raises(ValueError, match="endpoint outside"):
+        CayleySubgraph(ctx, {one}, {(one, 1)})
+    Y, _, _ = path_span(ctx, one, (1,))
+    with pytest.raises(ValueError, match="not in subgraph"):
+        component_of(Y, ctx.letter(2))
 
 
 def test_path_span_cancelling_pair():

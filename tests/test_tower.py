@@ -5,8 +5,8 @@ import pytest
 
 import treelike.cli
 import treelike.extension
-from treelike.extension import ExtContext, ext_evaluate, extension_group
-from treelike.groups import builtin
+from treelike.extension import ext_evaluate, extension_group
+from treelike.groups import FinGroup, builtin
 from treelike.rewriting import graph_subgroup_basis
 from treelike.stallings import stallings_graph
 from treelike.tower import (
@@ -102,20 +102,25 @@ def test_level_one_group_order():
 
 
 def test_level_two_group_laws():
+    """The group laws of Tower.mul and Tower.inv at levels 0 (base ids),
+    1 and 2; elements of different levels do not multiply."""
     spec = _spec(primes=(2, 3))
     t = Tower(spec)
     rng = random.Random(79)
     words = [random_reduced_word(rng, 2, rng.randint(0, 6)) for _ in range(12)]
-    elems = [t.evaluate(2, w) for w in words]
-    e = t.identity(2)
-    for x in elems:
-        assert t.mul(e, x) == x
-        assert t.mul(x, e) == x
-        assert t.mul(x, t.inv(x)) == e
-        assert t.mul(t.inv(x), x) == e
-    for _ in range(100):
-        x, y, z = (rng.choice(elems) for _ in range(3))
-        assert t.mul(t.mul(x, y), z) == t.mul(x, t.mul(y, z))
+    for n in (0, 1, 2):
+        elems = [t.evaluate(n, w) for w in words]
+        e = t.identity(n)
+        for x in elems:
+            assert t.mul(e, x) == x
+            assert t.mul(x, e) == x
+            assert t.mul(x, t.inv(x)) == e
+            assert t.mul(t.inv(x), x) == e
+        for _ in range(100):
+            x, y, z = (rng.choice(elems) for _ in range(3))
+            assert t.mul(t.mul(x, y), z) == t.mul(x, t.mul(y, z))
+    with pytest.raises(ValueError, match="different levels"):
+        t.mul(t.evaluate(0, words[1]), t.evaluate(1, words[1]))
 
 
 def test_support_bounded_by_word_length():
@@ -368,8 +373,15 @@ def test_rz_budget_at_exact_level_order(capsys, monkeypatch):
     def enumerated(*args, **kwargs):
         raise AssertionError("rz enumerated a tower level")
 
+    enumerate_ = FinGroup._enumerate
+
+    def enumerate_base(self):
+        if self.name != "S3":
+            enumerated()
+        enumerate_(self)
+
     monkeypatch.setattr(Tower, "group", enumerated)
-    monkeypatch.setattr(ExtContext, "fin_group", enumerated)
+    monkeypatch.setattr(FinGroup, "_enumerate", enumerate_base)
     for module in (treelike.extension, treelike.cli):
         monkeypatch.setattr(module, "extension_group", enumerated)
 

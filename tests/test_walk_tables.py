@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from treelike.cli import group_arg, main
-from treelike.extension import (ExtContext, ExtElement, ext_order,
-                                extension_group)
+from treelike.extension import (ExtContext, ExtElement, _ExtGroup,
+                                ext_order, extension_group)
 from treelike.groups import EnumerationBudgetError, FinGroup, builtin
 from treelike.tower import Tower, TowerSpec
 from treelike.words import random_reduced_word
@@ -32,15 +32,20 @@ def _multiplied(G, p):
 
 
 def _counting(group):
-    """Wrap the element step of an unenumerated group with a call count."""
+    """Wrap the key step of an unenumerated group with a call count."""
     calls = []
-    step = group._elem_step
+    key_step = group._key_step
 
-    def counted(x, letter):
-        calls.append(letter)
-        return step(x, letter)
+    def counted_key_step():
+        step = key_step()
 
-    group._elem_step = counted
+        def counted(x, letter):
+            calls.append(letter)
+            return step(x, letter)
+
+        return counted
+
+    group._key_step = counted_key_step
     return calls
 
 
@@ -93,16 +98,16 @@ def test_element_of_walks_letter_steps():
 
 def test_element_of_a_refused_group_builds_no_code_layout():
     H = group_arg("D4^2^2")
-    ctx = H._encode.__self__        # the ExtContext behind the codec
+    ctx = H.mul.__self__            # the ExtContext behind the group
     rng = random.Random(227)
     words = [(1, 2)] + [random_reduced_word(rng, 2, rng.randint(0, 10))
                         for _ in range(20)]
     for w in words:
         assert H.element_of(w) == ctx.evaluate(w)
-    assert ctx._moves is None
+    assert H._moves is None
     with pytest.raises(EnumerationBudgetError):
         H.order()
-    assert ctx._moves is None
+    assert H._moves is None
 
 
 # -- packed codes ---------------------------------------------------------
@@ -177,14 +182,14 @@ def test_enumeration_builds_no_elements(monkeypatch):
 
 def test_refused_level_builds_no_code_layout(monkeypatch):
     built = []
-    layout = ExtContext._code_layout
+    layout = _ExtGroup.code_walk
 
     def counted(self):
         if self._units is None:
-            built.append(self.G)
+            built.append(self._base)
         return layout(self)
 
-    monkeypatch.setattr(ExtContext, "_code_layout", counted)
+    monkeypatch.setattr(_ExtGroup, "code_walk", counted)
     t = Tower(TowerSpec(builtin("S3"), (2, 2)))
     with pytest.raises(EnumerationBudgetError):
         t.group(2)
