@@ -17,8 +17,9 @@ memory.  A hash that changes is a change of behaviour.  To rewrite the
 manifest after an intended change, run `PYTHONPATH=src python
 tests/test_parity.py` from the repository root.
 
-The cases too slow for every test run (S3^2 ->> S3, the full failure
-listing of D4 ->> C2xC2 and an exhaustive tower level over S3) are kept
+The cases too slow for every test run (S3^2 ->> S3, S3^3 ->> S3, the
+full failure listing of D4 ->> C2xC2 and an exhaustive tower level over
+S3) are kept
 in tests/golden/parity_slow.json, in the same format.  `--slow` selects
 them, and `--check` compares a manifest instead of rewriting it: `python
 tests/test_parity.py --slow --check` exits 1 and names each case that
@@ -115,6 +116,9 @@ CASES = [
      ["dissolve", "--H", "C2xC2", "--G", "C2xC2", "--seed", "5"]),
     ("dissolve_c3_5_limit_0",
      ["dissolve", "--H", "C3^5", "--G", "C3", "--detail-limit", "0"]),
+    # G^p ->> G at an odd prime on a four-element G: lift masks 972 bits
+    # wide, every constellation dissolved
+    ("dissolve_c2xc2_5", ["dissolve", "--H", "C2xC2^5", "--G", "C2xC2"]),
     # -- rz: separated non-members, members, inconclusive runs
     ("rz_c2xc2_p2", RZ + ["C2xC2", "--primes", "2", "--h1", "a",
                           "--h2", "b", "--w", "b a"]),
@@ -257,6 +261,7 @@ CASES = [
 # (name, argv), checked by `python tests/test_parity.py --slow --check`
 SLOW_CASES = [
     ("dissolve_s3_2", ["dissolve", "--H", "S3^2", "--G", "S3"]),
+    ("dissolve_s3_3", ["dissolve", "--H", "S3^3", "--G", "S3"]),
     ("dissolve_d4_every_failure",
      ["dissolve", "--H", "D4", "--G", "C2xC2", "--detail-limit", "31140"]),
     ("tower_s3_identity_step",
