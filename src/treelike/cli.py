@@ -10,7 +10,7 @@ Subcommands
     tower     iterated-extension campaign over a base group
     rz        product-separation experiment for a word and subgroups
 
-Reports go to stdout (and to --out when given) as the text of
+Reports go to --out when given and then to stdout, as the text of
 json.dumps(report, indent=2, sort_keys=True) and a newline: a two-space
 indent, sorted keys, and non-ASCII and control characters as \\uXXXX
 escapes, written in one pass by _json_text on every interpreter.
@@ -18,7 +18,7 @@ Identical configuration and seed produce byte-identical output;
 dissolve, tower and rz print a PASS/FAIL line to stderr.  Exit codes:
 0 all checks passed, 1 a property failed (a constellation survived, an
 experiment stayed inconclusive), 2 an enumeration budget was exceeded,
-3 bad input.
+3 bad input, an --out path that cannot be written among it.
 
 A flat key-value JSON file passed with --config supplies defaults for
 the chosen subcommand; explicit flags win.
@@ -185,10 +185,11 @@ def _json_text(value, indent: str = "\n", memo: Optional[dict] = None
 
 
 def _emit(report: dict, out: Optional[str]) -> None:
+    """Write --out first, so that an unwritable path prints no report."""
     text = _json_text(report) + "\n"
-    sys.stdout.write(text)
     if out:
         Path(out).write_text(text)
+    sys.stdout.write(text)
 
 
 def _status(ok: bool, detail: str = "") -> None:
@@ -540,6 +541,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         argv = _splice_config(sys.argv[1:] if argv is None else argv)
         args = _build_parser().parse_args(argv)
         report, code = args.func(args)
+        report["command"] = args.command
+        _emit(report, args.out)
     except CliInputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
@@ -549,8 +552,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    report["command"] = args.command
-    _emit(report, args.out)
     return code
 
 

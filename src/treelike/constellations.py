@@ -24,11 +24,13 @@ the projected path runs inside X from 1 to g.  QED.
 Hence H dissolves (X, g, T) iff the fibers over g of X~ and T~ are
 disjoint: the two fibers are exactly the value sets of [u]_H and [v]_H.
 This replaces the quantification over infinitely many word pairs by two
-component computations, which is how `dissolves` certifies its verdicts.
+component computations.  `Dissolver` is the one model of them: int
+masks of H-ids, lift_X and fiber_g, and (X, g, T) is dissolved iff
+lift_X & lift_T & fiber_g == 0, for `dissolves` and the scan alike.
 
 The exhaustive scan counts with int masks over edges, over G and over H:
 the constellations of a candidate pair (X, T) are the bits g of
-vx & vt & ~comp0[mx & mt], dissolved iff lift_X & lift_T & fiber_g == 0.
+vx & vt & ~comp0[mx & mt], each decided by the masks above.
 Both masks are symmetric in X and T, so the count visits each unordered
 pair once and weighs it 2.  The report lists its entries in the ordered
 order X, T, g: a listing prefix walks the ordered pairs while the
@@ -48,7 +50,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .cayley import (CayleySubgraph, component_of, intersect, path_label,
                      path_span, search)
@@ -356,54 +358,70 @@ class DissolveVerdict:
 
 
 class Dissolver:
-    """Dissolving checks of one quotient phi: H ->> G with memoized
-    component lifts (the lift of X depends only on X, and exhaustive
-    scans reuse the same X across many constellations)."""
+    """Dissolving checks of one quotient phi: H ->> G over int masks of
+    H-ids (bit h for id h), each built by _mask in time linear in |H|.
+    fiber[g] holds the ids over g; lift(m), memoized in _lifts, the ids
+    of the lift of the edge mask m (edge (g, a) is bit g * |A| + a - 1);
+    witness(m, h) searches the lift again for a path to h, once per m."""
 
     def __init__(self, H: FinGroup, G: FinGroup):
         phi = H.canonical_morphism_to(G) if H is not G else list(range(G.order()))
         if phi is None:
             raise ValueError("no canonical morphism %s ->> %s"
                              % (H.name, G.name))
-        self.H = H
-        self.G = G
-        self.phi = phi
-        self._lifts: Dict[frozenset, tuple] = {}
+        self.H, self.G, self.phi = H, G, phi
+        over: List[List[int]] = [[] for _ in range(G.order())]
+        for h, g in enumerate(phi):
+            over[g].append(h)
+        self.fiber = [_mask(ids, len(phi)) for ids in over]
+        self._lifts: Dict[int, int] = {}
+        self._parents: Dict[int, dict] = {}
 
     def _component(self, edge_mask: int) -> Dict[int, Optional[tuple]]:
-        """Search parent map of the component of 1 of the preimage of
-        the edges in edge_mask (edge (g, a) is bit g * |A| + a - 1)."""
+        """Search parent map of the lift of the edges in edge_mask."""
         phi, k = self.phi, self.H.n_letters
         return search(self.H, 0,
                       lambda e: edge_mask >> phi[e[0]] * k + e[1] - 1 & 1)
 
-    def lift(self, X: CayleySubgraph) -> tuple:
-        """(fibers, parent) for the component of 1 of the preimage of X:
-        fibers maps g -> frozenset of component vertices over g, parent
-        holds BFS back-pointers for witness words."""
-        if X.pos_edges not in self._lifts:
-            k = self.H.n_letters
-            parent = self._component(sum(1 << (g * k + a - 1)
-                                         for g, a in X.pos_edges))
-            fibers: Dict[int, set] = {}
-            for h in parent:
-                fibers.setdefault(self.phi[h], set()).add(h)
-            self._lifts[X.pos_edges] = (
-                {g: frozenset(s) for g, s in fibers.items()}, parent)
-        return self._lifts[X.pos_edges]
+    def lift(self, edge_mask: int) -> int:
+        """Mask of the H-ids of the component of 1 of the preimage."""
+        if edge_mask not in self._lifts:
+            self._lifts[edge_mask] = _mask(self._component(edge_mask),
+                                           len(self.phi))
+        return self._lifts[edge_mask]
+
+    def witness(self, edge_mask: int, h: int) -> Word:
+        """Label of a path 1 -> h inside the lift of edge_mask."""
+        if edge_mask not in self._parents:
+            self._parents[edge_mask] = self._component(edge_mask)
+        return path_label(self._parents[edge_mask], h)
 
     def dissolves(self, c: Constellation) -> DissolveVerdict:
-        fibers_x, parent_x = self.lift(c.X)
-        fibers_t, parent_t = self.lift(c.T)
-        fx = fibers_x.get(c.g, frozenset())
-        ft = fibers_t.get(c.g, frozenset())
-        common = fx & ft
-        if not common:
-            return DissolveVerdict("dissolved", fiber_x=len(fx), fiber_t=len(ft))
-        h = min(common)
-        return DissolveVerdict("counterexample", u=path_label(parent_x, h),
-                               v=path_label(parent_t, h),
-                               fiber_x=len(fx), fiber_t=len(ft))
+        """Disjoint fibers over c.g; witnesses reach the lowest common id."""
+        mx, mt = _edge_mask(c.X), _edge_mask(c.T)
+        fx, ft = (self.lift(m) & self.fiber[c.g] for m in (mx, mt))
+        sizes = {"fiber_x": fx.bit_count(), "fiber_t": ft.bit_count()}
+        meet = fx & ft
+        if not meet:
+            return DissolveVerdict("dissolved", **sizes)
+        h = (meet & -meet).bit_length() - 1
+        return DissolveVerdict("counterexample", u=self.witness(mx, h),
+                               v=self.witness(mt, h), **sizes)
+
+
+def _mask(ids: Iterable[int], size: int) -> int:
+    """The int with bit i set for each i in ids, all below size: set in
+    a bytearray and converted once, in time linear in size and ids."""
+    buf = bytearray((size + 7) >> 3)
+    for i in ids:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _edge_mask(X: CayleySubgraph) -> int:
+    """Edge mask of X: edge (g, a) is bit g * |A| + a - 1."""
+    k = X.group.n_letters
+    return _mask((g * k + a - 1 for g, a in X.pos_edges), X.group.order() * k)
 
 
 def dissolves(H: FinGroup, G: FinGroup, c: Constellation) -> DissolveVerdict:
@@ -480,12 +498,13 @@ def _list(report: dict, detail_limit: Optional[int], g: int, x_edges: list,
 def _scan_exhaustive(dis: Dissolver, report: dict, edge_budget: int,
                      detail_limit: Optional[int]) -> None:
     """Count and list the constellations of every candidate pair (see
-    the module docstring).  fibers[vs] is the mask of H-ids over the
-    vertex mask vs, and over[vs] lists the g of vs ascending.
+    the module docstring) from the masks and witnesses of dis.  over[vs]
+    lists the g of the vertex mask vs ascending, and fibers[vs] is the
+    union of their fibers, which settles most pairs in one test.
 
     An entry fails iff meet = lx & lt & fiber[g] is nonzero; its
-    witnesses label the paths to the lowest H-id of meet in the parent
-    maps of the two lifts, each searched again once, when first listed.
+    witnesses label the paths to the lowest H-id of meet in the two
+    lifts, each searched again once, when first listed.
 
     Two passes.  The listing prefix walks the ordered pairs (X, T), at
     position X * n + T, and their g ascending while the constellation
@@ -495,27 +514,18 @@ def _scan_exhaustive(dis: Dissolver, report: dict, edge_budget: int,
     no g.  It keeps the smallest failing ordered positions from `end` on,
     as many as the failure list still wants, in a bounded heap; those
     pairs are listed last, in ordered order."""
-    G = dis.G
+    G, fiber = dis.G, dis.fiber
     candidates, comp0 = _candidate_pass(G, edge_budget)
-    rows = [(m, v, sum(1 << h for h in dis._component(m)), j)
-            for j, (m, v) in enumerate(candidates)]
+    rows = [(m, v, dis.lift(m), j) for j, (m, v) in enumerate(candidates)]
     outside = [~c for c in comp0]
-    fibers, over = [0], [()]
-    for g in range(G.order()):      # tables for vs < 2^(g + 1)
-        fg = sum(1 << h for h, x in enumerate(dis.phi) if x == g)
-        fibers += [f | fg for f in fibers]
+    over, fibers = [()], [0]        # tables for vs < 2^(g + 1)
+    for g, f in enumerate(fiber):
         over += [gs + (g,) for gs in over]
-    fiber = [fibers[1 << g] for g in range(G.order())]
+        fibers += [x | f for x in fibers]
     limit = float("inf") if detail_limit is None else detail_limit
     listed, failures = report["constellations"], report["failures"]
     n, k = len(rows), G.n_letters
-    parents: Dict[int, dict] = {}   # edge mask -> parent map of its lift
     edges: Dict[int, list] = {}     # edge mask -> its [[g, a], ...] list
-
-    def witness(m: int, h: int) -> Word:
-        if m not in parents:
-            parents[m] = dis._component(m)
-        return path_label(parents[m], h)
 
     def edge_list(m: int) -> list:
         """The edges of m, one list shared by every entry naming m."""
@@ -532,7 +542,7 @@ def _scan_exhaustive(dis: Dissolver, report: dict, edge_budget: int,
                 u = v = None
                 if meet:
                     h = (meet & -meet).bit_length() - 1
-                    u, v = witness(mx, h), witness(mt, h)
+                    u, v = dis.witness(mx, h), dis.witness(mt, h)
                 _list(report, detail_limit, g, edge_list(mx),
                       edge_list(mt), u, v, G.alphabet)
 

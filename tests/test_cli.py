@@ -395,6 +395,23 @@ def test_out_writes_report_copy(tmp_path, capsys):
     assert json.loads(out.read_text()) == report
 
 
+@pytest.mark.parametrize("argv,status", [
+    (["fold", "a"], []),
+    (["dissolve", "--H", "C3^2", "--G", "C3", "--detail-limit", "0"],
+     ["PASS"])], ids=["fold", "dissolve"])
+def test_unwritable_out_is_bad_input(tmp_path, capsys, argv, status):
+    # the report is written to --out before stdout: a path that cannot
+    # be written prints no report, only the PASS/FAIL line already out
+    # and one error line naming the path
+    out = tmp_path / "no-such-dir" / "report.json"
+    code, report, err = _run(capsys, *argv, "--out", str(out))
+    assert (code, report) == (3, None)
+    lines = err.splitlines()
+    assert lines[:-1] == status
+    assert lines[-1].startswith("error: ") and str(out) in lines[-1]
+    assert not out.parent.exists()
+
+
 def test_config_supplies_defaults_and_flags_win(tmp_path, capsys):
     cfg = tmp_path / "rz.json"
     cfg.write_text(json.dumps({"h1": "a", "h2": "b", "w": "b a"}))

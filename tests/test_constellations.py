@@ -591,7 +591,27 @@ def test_dissolver_requires_morphism():
 def test_dissolver_memoizes_lifts():
     G, X, g, T = _span_example()
     dis = Dissolver(extension_group(G, 2), G)
-    assert dis.lift(X) is dis.lift(X)
+    m = constellations._edge_mask(X)
+    assert dis.lift(m) is dis.lift(m)
+
+
+@pytest.mark.parametrize("name,p", [
+    ("C3", 2), ("C3", 3), ("C3", 5), ("C2xC2", 2), ("C2xC2", 3),
+    ("S3", 2), ("S3", 3)])
+def test_lift_sizes_match_homology(name, p):
+    """The lift oracle, which enumerates nothing.  The kernel of
+    G^p ->> G is H_1(Cayley graph of G; F_p), and a path over g is
+    classed by its F_p-homology class, so the lift of a connected
+    candidate X has |V(X)| * p^beta1(X) vertices, beta1(X) = |E(X)| -
+    |V(X)| + 1.  A wrong cocycle that still maps onto G breaks it."""
+    G = builtin(name)
+    dis = Dissolver(extension_group(G, p), G)
+    candidates, _ = constellations._candidate_pass(
+        G, constellations.EXHAUSTIVE_EDGE_BUDGET)
+    assert candidates
+    wrong = [m for m, v in candidates if dis.lift(m).bit_count() !=
+             v.bit_count() * p ** (m.bit_count() - v.bit_count() + 1)]
+    assert wrong == []
 
 
 def test_dissolves_all_identity_report():
