@@ -370,10 +370,10 @@ class Dissolver:
             raise ValueError("no canonical morphism %s ->> %s"
                              % (H.name, G.name))
         self.H, self.G, self.phi = H, G, phi
-        over: List[List[int]] = [[] for _ in range(G.order())]
+        preimage: List[List[int]] = [[] for _ in range(G.order())]
         for h, g in enumerate(phi):
-            over[g].append(h)
-        self.fiber = [_mask(ids, len(phi)) for ids in over]
+            preimage[g].append(h)
+        self.fiber = [_mask(ids, len(phi)) for ids in preimage]
         self._lifts: Dict[int, int] = {}
         self._parents: Dict[int, dict] = {}
 
