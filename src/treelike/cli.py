@@ -68,9 +68,7 @@ def _split_csv(text: str) -> List[str]:
 
 
 def _alphabet_arg(text: Optional[str]) -> tuple:
-    if not text:
-        return ()
-    return tuple(_split_csv(text))
+    return tuple(_split_csv(text)) if text else ()
 
 
 def _load_json(path: str):
@@ -110,9 +108,8 @@ def _input_graph(args) -> LabeledGraph:
     if len(inputs) == 1 and inputs[0].endswith(".json"):
         return graph_from_json(_load_json(inputs[0]))
     alphabet = _alphabet_arg(args.alphabet)
-    gens = [parse_word(text, alphabet or DEFAULT_ALPHABET)
-            for text in inputs]
-    return bouquet(gens, alphabet)
+    return bouquet([parse_word(text, alphabet or DEFAULT_ALPHABET)
+                    for text in inputs], alphabet)
 
 
 def _parse_primes(text: str) -> tuple:
@@ -222,14 +219,12 @@ def cmd_member(args):
                 for t in _split_csv(args.gens)]
         g = stallings_graph(gens, alphabet)
     w = reduce_word(parse_word(args.word, g.alphabet))
-    verdict = member(g, w)
-    report = {
+    return {
         "schema": 1,
         "word": args.word,
         "reduced": word_str(w, g.alphabet),
-        "member": verdict,
-    }
-    return report, EXIT_OK
+        "member": member(g, w),
+    }, EXIT_OK
 
 
 def cmd_extend(args):
@@ -248,8 +243,7 @@ def cmd_extend(args):
         # extension arithmetic still works; only certificates refuse
         report["warning"] = ("generator images do not separate: need two "
                              "or more distinct nonidentity generators")
-    ctx = None
-    S = None
+    ctx = S = None
     if args.p is not None:
         ctx = ExtContext(G, args.p)
         report["p"] = args.p
@@ -543,13 +537,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report, code = args.func(args)
         report["command"] = args.command
         _emit(report, args.out)
-    except CliInputError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
     except EnumerationBudgetError as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:    # CliInputError among them
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     return code

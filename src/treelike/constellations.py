@@ -360,9 +360,10 @@ class DissolveVerdict:
 class Dissolver:
     """Dissolving checks of one quotient phi: H ->> G over int masks of
     H-ids (bit h for id h), each built by _mask in time linear in |H|.
-    fiber[g] holds the ids over g; lift(m), memoized in _lifts, the ids
-    of the lift of the edge mask m (edge (g, a) is bit g * |A| + a - 1);
-    witness(m, h) searches the lift again for a path to h, once per m."""
+    fiber[g] holds the ids over g, built at first use; lift(m), memoized
+    in _lifts, the ids of the lift of the edge mask m (edge (g, a) is bit
+    g * |A| + a - 1); witness(m, h) labels a path to h in that lift from
+    a search parent map, kept in _parents once a witness of m is asked."""
 
     def __init__(self, H: FinGroup, G: FinGroup):
         phi = H.canonical_morphism_to(G) if H is not G else list(range(G.order()))
@@ -370,10 +371,7 @@ class Dissolver:
             raise ValueError("no canonical morphism %s ->> %s"
                              % (H.name, G.name))
         self.H, self.G, self.phi = H, G, phi
-        preimage: List[List[int]] = [[] for _ in range(G.order())]
-        for h, g in enumerate(phi):
-            preimage[g].append(h)
-        self.fiber = [_mask(ids, len(phi)) for ids in preimage]
+        self.fiber = _Fibers(phi)
         self._lifts: Dict[int, int] = {}
         self._parents: Dict[int, dict] = {}
 
@@ -384,10 +382,11 @@ class Dissolver:
                       lambda e: edge_mask >> phi[e[0]] * k + e[1] - 1 & 1)
 
     def lift(self, edge_mask: int) -> int:
-        """Mask of the H-ids of the component of 1 of the preimage."""
+        """Mask of the H-ids of the component of 1 of the preimage, read
+        off the parent map in _parents if there is one, else searched."""
         if edge_mask not in self._lifts:
-            self._lifts[edge_mask] = _mask(self._component(edge_mask),
-                                           len(self.phi))
+            parent = self._parents.get(edge_mask) or self._component(edge_mask)
+            self._lifts[edge_mask] = _mask(parent, len(self.phi))
         return self._lifts[edge_mask]
 
     def witness(self, edge_mask: int, h: int) -> Word:
@@ -397,16 +396,38 @@ class Dissolver:
         return path_label(self._parents[edge_mask], h)
 
     def dissolves(self, c: Constellation) -> DissolveVerdict:
-        """Disjoint fibers over c.g; witnesses reach the lowest common id."""
+        """Disjoint fibers over c.g; witnesses reach the lowest common id.
+        A lift first met here is searched once: its parent map serves
+        lift and, if c fails, witness; it is dropped if c is dissolved."""
         mx, mt = _edge_mask(c.X), _edge_mask(c.T)
+        fresh = [m for m in (mx, mt) if m not in self._lifts]
+        self._parents.update((m, self._component(m)) for m in fresh)
         fx, ft = (self.lift(m) & self.fiber[c.g] for m in (mx, mt))
         sizes = {"fiber_x": fx.bit_count(), "fiber_t": ft.bit_count()}
-        meet = fx & ft
-        if not meet:
+        if not (meet := fx & ft):
+            for m in fresh:
+                del self._parents[m]
             return DissolveVerdict("dissolved", **sizes)
         h = (meet & -meet).bit_length() - 1
         return DissolveVerdict("counterexample", u=self.witness(mx, h),
                                v=self.witness(mt, h), **sizes)
+
+
+class _Fibers(dict):
+    """fiber[g], the mask of the H-ids over g under phi, built at first
+    use from the H-ids sorted by image, which the first use sorts: a
+    check builds the fibers it reads, never |G| masks of |H| bits."""
+
+    def __init__(self, phi: List[int]):
+        self.phi, self.by_image = phi, None
+
+    def __missing__(self, g: int) -> int:
+        phi, ids = self.phi, self.by_image
+        if ids is None:
+            ids = self.by_image = sorted(range(len(phi)), key=phi.__getitem__)
+        lo = bisect.bisect_left(ids, g, key=phi.__getitem__)
+        hi = bisect.bisect_right(ids, g, lo, key=phi.__getitem__)
+        return self.setdefault(g, _mask(ids[lo:hi], len(phi)))
 
 
 def _mask(ids: Iterable[int], size: int) -> int:
@@ -454,9 +475,7 @@ def dissolves_all(H: FinGroup, G: FinGroup, mode: str = "exhaustive",
         report["edge_budget"] = edge_budget
         _scan_exhaustive(dis, report, edge_budget, detail_limit)
     elif mode == "sampled":
-        report["samples"] = samples
-        report["max_len"] = max_len
-        report["seed"] = seed
+        report.update(samples=samples, max_len=max_len, seed=seed)
         for c, _, _ in sample_constellations(G, random.Random(seed), samples,
                                              max_len):
             verdict = _record(report, dis, c, detail_limit)
@@ -498,9 +517,11 @@ def _list(report: dict, detail_limit: Optional[int], g: int, x_edges: list,
 def _scan_exhaustive(dis: Dissolver, report: dict, edge_budget: int,
                      detail_limit: Optional[int]) -> None:
     """Count and list the constellations of every candidate pair (see
-    the module docstring) from the masks and witnesses of dis.  over[vs]
-    lists the g of the vertex mask vs ascending, and fibers[vs] is the
-    union of their fibers, which settles most pairs in one test.
+    the module docstring) from the masks and witnesses of dis, reading
+    dis.fiber once per g into a list only after the candidate pass has
+    admitted G.  over[vs] lists the g of the vertex mask vs ascending,
+    and fibers[vs] is the union of their fibers, which settles most
+    pairs in one test.
 
     An entry fails iff meet = lx & lt & fiber[g] is nonzero; its
     witnesses label the paths to the lowest H-id of meet in the two
@@ -514,10 +535,11 @@ def _scan_exhaustive(dis: Dissolver, report: dict, edge_budget: int,
     no g.  It keeps the smallest failing ordered positions from `end` on,
     as many as the failure list still wants, in a bounded heap; those
     pairs are listed last, in ordered order."""
-    G, fiber = dis.G, dis.fiber
+    G = dis.G
     candidates, comp0 = _candidate_pass(G, edge_budget)
     rows = [(m, v, dis.lift(m), j) for j, (m, v) in enumerate(candidates)]
     outside = [~c for c in comp0]
+    fiber = [dis.fiber[g] for g in range(G.order())]    # G is admitted
     over, fibers = [()], [0]        # tables for vs < 2^(g + 1)
     for g, f in enumerate(fiber):
         over += [gs + (g,) for gs in over]

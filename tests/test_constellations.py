@@ -595,6 +595,48 @@ def test_dissolver_memoizes_lifts():
     assert dis.lift(m) is dis.lift(m)
 
 
+def test_dissolver_builds_the_fibers_it_reads(monkeypatch):
+    """fiber[g] is built at first use, so no check builds |G| masks of
+    |H| bits: a refused exhaustive scan builds no mask, and a sampled one
+    a fiber per g it checks and a lift per subgraph."""
+    G = group_arg("S3^2")               # 768 elements, 1536 edges
+    n, samples = G.order(), 20
+    built = []
+    mask = constellations._mask
+    monkeypatch.setattr(constellations, "_mask", lambda ids, size: (
+        built.append(size) or mask(ids, size)))
+    with pytest.raises(EnumerationBudgetError, match="1536 edges"):
+        dissolves_all(G, G)
+    assert built == []
+    report = dissolves_all(G, G, mode="sampled", samples=samples, seed=3)
+    assert report["total"] == samples and report["dissolved"] == 0
+    assert 0 < built.count(n) <= 3 * samples
+    dis = Dissolver(G, G)
+    checked = [c.g for c, _, _ in
+               sample_constellations(G, random.Random(3), samples)
+               if not dis.dissolves(c).dissolved]
+    assert sorted(dis.fiber) == sorted(set(checked))
+
+
+@pytest.mark.parametrize("quotient,dissolved", [("S3", False),
+                                                ("S3^2", True)])
+def test_sampled_checks_search_each_lift_once(quotient, dissolved,
+                                              monkeypatch):
+    """A sampled check searches a new lift once: its parent map serves
+    the lift mask and, if the check fails, the witness words; a
+    dissolved check keeps no parent map."""
+    H, G = group_arg(quotient), builtin("S3")
+    searched = []
+    component = Dissolver._component
+    monkeypatch.setattr(Dissolver, "_component", lambda self, mask: (
+        searched.append(mask) or component(self, mask)))
+    dis = Dissolver(H, G)
+    for c, _, _ in sample_constellations(G, random.Random(7), 30):
+        assert dis.dissolves(c).dissolved == dissolved
+    assert sorted(searched) == sorted(dis._lifts)
+    assert set(dis._parents) == (set() if dissolved else set(dis._lifts))
+
+
 @pytest.mark.parametrize("name,p", [
     ("C3", 2), ("C3", 3), ("C3", 5), ("C2xC2", 2), ("C2xC2", 3),
     ("S3", 2), ("S3", 3)])
