@@ -8,7 +8,8 @@ positive edges over a fixed group.
 This module holds the signed walk of a word, which path spans, kernel
 rewriting and cocycles read, and the one search of the Cayley graph, a
 breadth-first search over the step tables through admitted edges, which
-components, spanning trees and lifts all run.  It also computes path
+components, lifts and the two-edge connectivity check run (its parent
+map is read by `words.path_label`).  It also computes path
 spans (over any group-like object with n_letters and step, unenumerated
 extension levels included), the covering subgraph of a folded
 basepointed graph (the part of the Cayley graph swept out by paths from
@@ -26,7 +27,6 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
 
 from .groups import FinGroup
 from .stallings import LabeledGraph, breadth_first, transition_maps
-from .words import Word
 
 Edge = Tuple[int, int]                  # (element id, base letter)
 TraversalCount = Dict[Edge, int]        # signed traversal counts
@@ -136,15 +136,6 @@ def search(G: FinGroup, root: int, admit: Callable[[Edge], bool]
                 parent[v] = (u, x)
                 queue.append(v)
     return parent
-
-
-def path_label(parent, v: int) -> Word:
-    """Label of the path from the root to v in a search parent map."""
-    out = []
-    while parent[v] is not None:
-        v, x = parent[v]
-        out.append(x)
-    return tuple(reversed(out))
 
 
 def components(X: CayleySubgraph) -> List[frozenset]:

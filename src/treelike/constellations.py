@@ -52,10 +52,9 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .cayley import (CayleySubgraph, component_of, intersect, path_label,
-                     path_span, search)
+from .cayley import CayleySubgraph, component_of, intersect, path_span, search
 from .groups import EnumerationBudgetError, FinGroup
-from .words import Word, word_str
+from .words import Word, path_label, word_str
 
 EXHAUSTIVE_EDGE_BUDGET = 16
 EXHAUSTIVE_PAIR_BUDGET = 10 ** 8
@@ -115,10 +114,8 @@ def _candidate_pass(G: FinGroup, edge_budget: int
     the vertex mask of the component of 1 in the span of m; a candidate
     (m, vertex mask) is a connected span containing 1.  Both budgets
     are checked before any pair is visited."""
+    _check_edges(G, edge_budget)
     n, k = G.order(), G.n_letters
-    if n * k > edge_budget:
-        raise EnumerationBudgetError(edge_budget, "exhaustive constellation "
-                                     "scan over %d edges" % (n * k), "edges")
     ends = [1 << g | 1 << G.step(g, a)
             for g in range(n) for a in range(1, k + 1)]
     vmask, comp0 = [0] * (1 << n * k), [1] * (1 << n * k)
@@ -141,6 +138,15 @@ def _candidate_pass(G: FinGroup, edge_budget: int
         raise EnumerationBudgetError(EXHAUSTIVE_PAIR_BUDGET, "exhaustive constellation"
                                      " scan over %d candidate pairs" % pairs, "pairs")
     return candidates, comp0
+
+
+def _check_edges(G: FinGroup, edge_budget: int) -> None:
+    """Refuse a scan of G over more than edge_budget positive edges,
+    counted from G's order formula, so a refused G is not enumerated."""
+    edges = G.formula_order() * G.n_letters
+    if edges > edge_budget:
+        raise EnumerationBudgetError(edge_budget, "exhaustive constellation "
+                                     "scan over %d edges" % edges, "edges")
 
 
 def _bits(mask: int) -> List[int]:
@@ -460,6 +466,11 @@ def dissolves_all(H: FinGroup, G: FinGroup, mode: str = "exhaustive",
     constellations of G; returns a JSON-ready report."""
     if mode == "sampled":
         require_counts(samples=samples, max_len=max_len)
+    if mode == "exhaustive":
+        # H's budget, then G's edges, from order formulas: neither H nor
+        # the morphism is built for a G the scan refuses
+        H.formula_order()
+        _check_edges(G, edge_budget)
     dis = Dissolver(H, G)
     report = {
         "schema": 1,

@@ -70,7 +70,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import product as iter_product
+from itertools import chain, product as iter_product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cayley import Edge, borders, component_of, intersect, path_span, walk
@@ -372,11 +372,11 @@ def _materialize_witness(S: FinGroup, r: int, value_of: Dict[int, int],
 
 def _eval_assignment(S: FinGroup, factors: Sequence[Tuple[int, int]],
                      value_of: Dict[int, int]) -> int:
-    acc = 0
-    for i, s in factors:
-        v = value_of[i]
-        acc = S.mul_ids(acc, v if s > 0 else S.inv_id(v))
-    return acc
+    """Id of the factors' product under value_of: one walk from 1 over
+    the words of the values, each word and its inverse read once."""
+    word = {(i, 1): S.witness(v) for i, v in value_of.items()}
+    word.update([((i, -1), invert_word(w)) for (i, _), w in word.items()])
+    return S.evaluate(chain.from_iterable(map(word.__getitem__, factors)))
 
 
 def s_equal(G: FinGroup, S: FinGroup, u: Sequence[int], v: Sequence[int],

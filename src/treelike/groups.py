@@ -1,5 +1,6 @@
-"""Finite A-generated groups: evaluation, BFS enumeration with witness
-words, canonical morphisms, exponent, subdirect products, and builtins.
+"""Finite A-generated groups: evaluation, BFS enumeration with its
+breadth-first tree, witness words read off that tree, canonical
+morphisms, exponent, subdirect products, and builtins.
 
 A FinGroup is a group generated by one element per alphabet letter.  The
 element domain is opaque: elements only need to be hashable and to come
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Optional, Sequence
 
-from .words import Word
+from .words import Word, path_label
 
 DEFAULT_ENUM_BUDGET = 10**6
 
@@ -61,10 +62,13 @@ class FinGroup:
     key step.  element() and id_of() convert at the boundary, so callers
     see elements either way; element_of() multiplies letter images and
     touches neither keys nor the enumeration.  Element ids are BFS
-    discovery order (identity = 0) and each element stores a shortest
-    witness word.  Ids multiply through the step tables: i * j walks
-    witness(j) from i.  gens may be a callable that returns the letter
-    images; it is called once, at the first use of gens.
+    discovery order (identity = 0), and the BFS tree is kept as its
+    parent map, parents()[v] = (u, x) for the id u < v that discovered v
+    by the letter x.  witness(v), the label of the tree path to v, is a
+    shortest word for v, read off that map when first asked for.  Ids
+    multiply through the step tables: i * j walks witness(j) from i.
+    gens may be a callable that returns the letter images; it is called
+    once, at the first use of gens.
     """
 
     _encode = _decode = staticmethod(_same)     # keys are the elements
@@ -88,7 +92,8 @@ class FinGroup:
         self.enum_budget = enum_budget
         self._elems: Optional[list] = None      # enumeration keys, by id
         self._index: Optional[dict] = None
-        self._witness: Optional[list] = None
+        self._parent: Optional[tuple] = None    # the BFS tree, by id
+        self._words: dict = {}                  # witness words asked for
         self._tables: Optional[dict] = None     # signed letter -> successor ids
         self._exponent: Optional[int] = None
 
@@ -137,7 +142,7 @@ class FinGroup:
         one = self._encode(self.identity)
         elems = [one]
         index = {one: 0}
-        witness: list[Word] = [()]
+        parent: list = [None]
         tables = {letter: [] for letter in letters}
         i = 0
         while i < len(elems):
@@ -152,11 +157,11 @@ class FinGroup:
                             self.enum_budget, "enumeration of %s" % self.name)
                     elems.append(y)
                     index[y] = j
-                    witness.append(witness[i] + (letter,))
+                    parent.append((i, letter))
                 tables[letter].append(j)
             i += 1
-        self._elems, self._index, self._witness = elems, index, witness
-        self._tables = tables
+        self._elems, self._index, self._tables = elems, index, tables
+        self._parent = tuple(parent)
 
     def order(self) -> int:
         self._enumerate()
@@ -176,10 +181,21 @@ class FinGroup:
         self._enumerate()
         return self._index[self._encode(elem)]
 
-    def witness(self, i: int) -> Word:
-        """A shortest word evaluating to element i."""
+    def parents(self) -> tuple:
+        """The enumeration's BFS tree: parents()[v] = (u, x) with
+        step(u, x) == v and u < v, None at the identity."""
         self._enumerate()
-        return self._witness[i]
+        return self._parent
+
+    def witness(self, i: int) -> Word:
+        """A shortest word evaluating to element i: its path in the BFS
+        tree, kept once asked for."""
+        try:
+            return self._words[i]
+        except KeyError:
+            self._enumerate()
+            w = self._words[i] = path_label(self._parent, i)
+            return w
 
     def step(self, i: int, letter: int) -> int:
         """Cayley neighbor: id of element(i) * letter image."""
@@ -269,17 +285,16 @@ class FinGroup:
 
         phi(h) := [witness(h)]_other; phi is a well-defined morphism iff
         it commutes with every generator step, which is checked over the
-        whole table.  Ids are in BFS order, so witness(h) is the witness
-        of step(h, -x) < h followed by its last letter x, and phi is
-        filled in id order through the step rows of both groups.
+        whole table.  The BFS tree hangs h from u = parents()[h][0] < h
+        by a letter x, so phi is filled in id order, phi(h) the step of
+        phi(u) by x in other; no word is built.
         """
         if self.alphabet != other.alphabet:
             raise ValueError("alphabets differ")
         rows, target = dict(self.rows()), dict(other.rows())
         phi = [0] * self.order()
-        for h in range(1, len(phi)):
-            x = self._witness[h][-1]
-            phi[h] = target[x][phi[rows[-x][h]]]
+        for h, (u, x) in enumerate(self._parent[1:], 1):
+            phi[h] = target[x][phi[u]]
         for x, row in rows.items():
             image = target[x]
             if x > 0 and any(phi[row[h]] != image[p] for h, p in enumerate(phi)):

@@ -21,16 +21,15 @@ closed walk at the basepoint of its factor.
 Every search here is `stallings.breadth_first`: the epsilon-reach of a
 state in a saturation round, the epsilon-closures of `accepts`, and the
 accepting run over (letters consumed, state) that `factorize` expands;
-paths are read off the parent maps with `cayley.path_label`.
+paths are read off the parent maps with `words.path_label`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .cayley import path_label
 from .stallings import LabeledGraph, breadth_first, member, transition_maps
-from .words import Word, concat, is_reduced, reduce_word
+from .words import Word, concat, is_reduced, path_label, reduce_word
 
 
 class ProductAutomaton:
@@ -44,17 +43,14 @@ class ProductAutomaton:
                 raise ValueError("factor %d has no basepoint" % i)
         self.cores = list(cores)
         self.trans: Dict[Tuple[int, int], int] = {}
-        self.factor_of: List[int] = []
         self.base_state: List[int] = []
         n = 0
-        for i, g in enumerate(cores):
+        for g in cores:
             order = {v: n + j for j, v in enumerate(sorted(g.vertices, key=repr))}
             for (v, x), u in transition_maps(g).items():
                 self.trans[(order[v], x)] = order[u]
-            self.factor_of.extend([i] * len(g.vertices))
             self.base_state.append(order[g.basepoint])
             n += len(g.vertices)
-        self.n_states = n
         self.initial = self.base_state[0]
         self.final = self.base_state[-1]
         # epsilon edges: target sets per source, plus derivations

@@ -10,9 +10,9 @@ basis element in the rewritten word equals the signed traversal count of
 its edge, which is what the border certificates consume.
 
 Each group's base tree is the breadth-first tree of its own
-enumeration: the parent of element v is step(v, -x) for x the last
-letter of witness(v), read once per group and kept while the group
-lives, so no search of the Cayley graph runs.  Every other tree is that
+enumeration, the group's parents() tuple itself; its edge keys are
+sorted once per group and kept while the group lives, so no search of
+the Cayley graph runs and no word is built.  Every other tree is that
 base plus at most two edge exchanges.  An exchange writes the few parent
 entries it reverses into a small overlay, and basis indices are read by
 bisection over the base's sorted edge keys, corrected for the swapped
@@ -28,10 +28,10 @@ from functools import cached_property
 from itertools import count, filterfalse, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cayley import Edge, path_label, walk
+from .cayley import Edge, walk
 from .groups import FinGroup
 from .stallings import LabeledGraph, _sorted, breadth_first, transition_maps
-from .words import Word, concat, invert_word
+from .words import Word, concat, invert_word, path_label
 
 
 def _key(k: int, edge: Edge) -> int:
@@ -136,21 +136,15 @@ _DISCONNECTED = "deleting the given edges disconnects the Cayley graph"
 
 
 def _base(G: FinGroup) -> Tuple[tuple, tuple]:
-    """Parent tuple and sorted edge keys of G's enumeration tree, which
-    is the tree a breadth-first search from 1 trying the rows in the
-    order 1, -1, 2, -2, ... would find: the enumeration discovered v
-    from step(v, -x) by the last letter x of witness(v)."""
+    """G.parents(), the tree of G's enumeration, which is the tree a
+    breadth-first search from 1 trying the rows in the order 1, -1, 2,
+    -2, ... would find, and the sorted keys of its edges."""
     base = _BASES.get(G)
     if base is None:
-        rows, k = dict(G.rows()), G.n_letters
-        parent, keys = [None], []
-        for v in range(1, G.order()):
-            x = G.witness(v)[-1]
-            u = rows[-x][v]
-            parent.append((u, x))
-            keys.append(_key(k, (u, x) if x > 0 else (v, -x)))
-        keys.sort()
-        base = _BASES[G] = (tuple(parent), tuple(keys))
+        parent, k = G.parents(), G.n_letters
+        keys = sorted(_key(k, (u, x) if x > 0 else (v, -x))
+                      for v, (u, x) in enumerate(parent[1:], 1))
+        base = _BASES[G] = (parent, tuple(keys))
     return base
 
 

@@ -47,6 +47,18 @@ def concat(u: Sequence[Letter], v: Sequence[Letter]) -> Word:
     return reduce_word(tuple(u) + tuple(v))
 
 
+def path_label(parent, v) -> Word:
+    """Label of the path from the root to v in a parent map, where
+    parent[v] is (u, label) for the vertex u that v hangs from, and
+    None at the root: a group's enumeration tree, a search of its
+    Cayley graph, a spanning tree, or a `stallings.breadth_first` map."""
+    out = []
+    while parent[v] is not None:
+        v, x = parent[v]
+        out.append(x)
+    return tuple(reversed(out))
+
+
 def parse_word(text: str, alphabet: Sequence[str] = DEFAULT_ALPHABET) -> Word:
     """Parse the text form: whitespace-separated letter names, each
     optionally followed by an integer power suffix such as ``^-1``.

@@ -239,6 +239,28 @@ def test_mask_scan_agrees_with_object_model(quotient, base, monkeypatch):
             full, limit), limit
 
 
+@pytest.mark.parametrize("name,edges", [("C5^5", 156250),
+                                        ("C5^7", 1176490)])
+def test_exhaustive_refusal_enumerates_only_the_base(name, edges,
+                                                     monkeypatch):
+    """H's order and G's edges are read from order formulas before H or
+    the morphism is built, so refusing G^p ->> G^p enumerates the base
+    C5 of each, not 78,125 or 588,245 elements twice."""
+    enumerated = []
+    enumerate_ = FinGroup._enumerate
+
+    def counted(self):
+        if self._elems is None:
+            enumerated.append(self.name)
+        enumerate_(self)
+
+    monkeypatch.setattr(FinGroup, "_enumerate", counted)
+    with pytest.raises(EnumerationBudgetError, match="^exhaustive "
+                       "constellation scan over %d edges" % edges):
+        dissolves_all(group_arg(name), group_arg(name))
+    assert enumerated == ["C5", "C5"]
+
+
 def test_pair_budget_limit_is_exact(monkeypatch):
     G = builtin("C2xC2")          # 222 candidates
     H = extension_group(G, 2)

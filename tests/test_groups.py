@@ -4,6 +4,7 @@ import random
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
+from treelike import groups, rewriting
 from treelike.cli import group_arg
 from treelike.groups import (
     BUILTIN_NAMES,
@@ -16,6 +17,7 @@ from treelike.groups import (
     perm_mul,
     subdirect,
 )
+from treelike.rewriting import spanning_tree_avoiding
 from treelike.words import parse_word, random_reduced_word
 
 A = 1
@@ -121,6 +123,54 @@ def test_enumeration_table():
             assert G.step(i, a) == G.evaluate(tuple(w) + (a,))
     # identity gets id 0 and the empty witness
     assert G.witness(0) == ()
+
+
+def _bfs_distances(G):
+    """Distance from 1 of every id, by a breadth-first search over the
+    step rows that keeps no tree."""
+    dist = {0: 0}
+    queue = [0]
+    for u in queue:
+        for _, row in G.rows():
+            if row[u] not in dist:
+                dist[row[u]] = dist[u] + 1
+                queue.append(row[u])
+    return dist
+
+
+@pytest.mark.parametrize("name", [
+    "C3", "S3", "A5", "D4", "C2xC2^2", "S3^2", "subdirect"])
+def test_enumeration_tree_is_a_shortest_path_tree(name):
+    G = (subdirect([builtin("S3"), builtin("C2xC2")]) if name == "subdirect"
+         else group_arg(name))
+    parent, dist = G.parents(), _bfs_distances(G)
+    assert len(parent) == G.order() == len(dist)
+    assert parent[0] is None and G.witness(0) == ()
+    for v in range(1, G.order()):
+        u, x = parent[v]
+        assert u < v and G.step(u, x) == v
+        assert G.witness(v) == G.witness(u) + (x,)
+        assert len(G.witness(v)) == dist[v]
+
+
+def test_tree_readers_build_no_word(monkeypatch):
+    """Enumerating, the canonical morphism and spanning trees read the
+    parent tuple: none of them labels a path."""
+    labelled = []
+
+    def counting(real):
+        return lambda parent, v: labelled.append(v) or real(parent, v)
+
+    for module in (groups, rewriting):
+        monkeypatch.setattr(module, "path_label", counting(module.path_label))
+    H, G = group_arg("S3^2"), builtin("S3")
+    H.order()
+    assert H.canonical_morphism_to(G) is not None
+    assert spanning_tree_avoiding(H, (0, 1), (1, 2)) != spanning_tree_avoiding(H)
+    assert labelled == []
+    H.witness(7)
+    H.witness(7)
+    assert labelled == [7]
 
 
 def test_enumeration_budget():

@@ -224,7 +224,7 @@ CASES = [
     ("refuse_scan_edges", ["dissolve", "--H", "C3^2", "--G", "C3",
                            "--edge-budget", "3"]),
     ("refuse_scan_pairs", ["dissolve", "--H", "D4^2", "--G", "D4"]),
-    # G of 78,125 elements (390,625 edges), far over the edge budget
+    # G of 78,125 elements (156,250 edges), far over the edge budget
     ("refuse_scan_edges_c5_5", ["dissolve", "--H", "C5^5", "--G", "C5^5"]),
     ("refuse_builtin_base", ["tower", "--base", "C2xC2", "--primes", "2",
                              "--budget-enum", "3"]),

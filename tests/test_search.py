@@ -19,12 +19,12 @@ from pathlib import Path
 
 import pytest
 
-from treelike.cayley import (CayleySubgraph, cayley_graph, components,
-                             path_label, search)
+from treelike.cayley import CayleySubgraph, cayley_graph, components, search
 from treelike.constellations import Dissolver
 from treelike.extension import extension_group
 from treelike.groups import builtin
 from treelike.rewriting import spanning_tree_avoiding
+from treelike.words import path_label
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "search_order.json"
 TREE_GROUPS = ("S3", "D4", "C2xC2^2")
