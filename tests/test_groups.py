@@ -128,10 +128,10 @@ def test_enumeration_table():
 def _bfs_distances(G):
     """Distance from 1 of every id, by a breadth-first search over the
     step rows that keeps no tree."""
-    dist = {0: 0}
+    rows, dist = G.rows(), {0: 0}
     queue = [0]
     for u in queue:
-        for _, row in G.rows():
+        for _, row in rows:
             if row[u] not in dist:
                 dist[row[u]] = dist[u] + 1
                 queue.append(row[u])
