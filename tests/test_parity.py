@@ -17,7 +17,7 @@ memory.  A hash that changes is a change of behaviour.  To rewrite the
 manifest after an intended change, run `PYTHONPATH=src python
 tests/test_parity.py` from the repository root.
 
-The cases too slow for every test run (S3^2 ->> S3, S3^3 ->> S3, the
+The cases too slow for every test run (S3^2, S3^3 and S3^5 ->> S3, the
 full failure listing of D4 ->> C2xC2 and an exhaustive tower level over
 S3) are kept
 in tests/golden/parity_slow.json, in the same format.  `--slow` selects
@@ -264,6 +264,7 @@ CASES = [
 SLOW_CASES = [
     ("dissolve_s3_2", ["dissolve", "--H", "S3^2", "--G", "S3"]),
     ("dissolve_s3_3", ["dissolve", "--H", "S3^3", "--G", "S3"]),
+    ("dissolve_s3_5", ["dissolve", "--H", "S3^5", "--G", "S3"]),
     ("dissolve_d4_every_failure",
      ["dissolve", "--H", "D4", "--G", "C2xC2", "--detail-limit", "31140"]),
     ("tower_s3_identity_step",
