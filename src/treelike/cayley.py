@@ -6,10 +6,12 @@ implicit.  Subgraphs are value objects holding a vertex set and a set of
 positive edges over a fixed group.
 
 This module holds the signed walk of a word, which path spans, kernel
-rewriting and cocycles read, and the one search of the Cayley graph, a
-breadth-first search over the step tables through admitted edges, which
-components, lifts and the two-edge connectivity check run (its parent
-map is read by `words.path_label`).  It also computes path
+rewriting and cocycles read, and the one search of a Cayley graph: a
+breadth-first search of Gamma(H) over its step tables through the
+preimage of an edge set of Gamma(G) under phi: H ->> G (its parent map
+is read by `words.path_label`).  Lifts run it with their quotient's
+canonical morphism; components and the two-edge connectivity check run
+it with H = G and phi the identity.  It also computes path
 spans (over any group-like object with n_letters and step, unenumerated
 extension levels included), the covering subgraph of a folded
 basepointed graph (the part of the Cayley graph swept out by paths from
@@ -22,7 +24,7 @@ connected after deleting two edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+from typing import (AbstractSet, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
 from .groups import FinGroup
@@ -119,20 +121,22 @@ def covering_subgraph(A: LabeledGraph, G: FinGroup) -> CayleySubgraph:
                           frozenset(edges))
 
 
-def search(G: FinGroup, root: int, admit: Callable[[Edge], bool]
-           ) -> Dict[int, Optional[tuple]]:
-    """FIFO breadth-first search from root through the positive edges
-    that admit accepts: the parent map {v: (u, x)} with step(u, x) = v,
-    in discovery order, None at the root.  Rows are tried in the order
-    1, -1, 2, -2, ...; admit sees only edges to unseen vertices."""
-    # not breadth_first: testing admit on unseen vertices only keeps scans fast
-    rows = G.rows()
+def search(H: FinGroup, root: int, edges: AbstractSet[Edge],
+           phi: Sequence[int]) -> Dict[int, Optional[tuple]]:
+    """FIFO breadth-first search of the Cayley graph of H from root
+    through the positive edges (h, a) whose image (phi[h], a) lies in
+    edges: the parent map {v: (u, x)} with step(u, x) = v, in discovery
+    order, None at the root.  Rows are tried in the order 1, -1, 2, -2,
+    ...; only edges to unseen vertices are looked up in edges.  With
+    phi the identity it is the component of root in a subgraph."""
+    # not breadth_first: looking up only edges to unseen vertices is fast
+    rows = H.rows()
     parent: Dict[int, Optional[tuple]] = {root: None}
     queue = [root]
     for u in queue:
         for x, row in rows:
-            v = row[u]
-            if v not in parent and admit((u, x) if x > 0 else (v, -x)):
+            if (v := row[u]) not in parent and (
+                    (phi[u], x) if x > 0 else (phi[v], -x)) in edges:
                 parent[v] = (u, x)
                 queue.append(v)
     return parent
@@ -152,7 +156,7 @@ def component_of(X: CayleySubgraph, v: int) -> frozenset:
     """The component of v in X."""
     if v not in X.vertices:
         raise ValueError("vertex %r not in subgraph" % (v,))
-    return frozenset(search(X.group, v, X.pos_edges.__contains__))
+    return frozenset(search(X.group, v, X.pos_edges, range(X.group.order())))
 
 
 def intersect(X: CayleySubgraph, Y: CayleySubgraph) -> CayleySubgraph:
@@ -203,9 +207,20 @@ def connected_without_two_edges(G: FinGroup, e: Edge, f: Edge) -> bool:
     if not G.separated():
         raise ValueError("group does not satisfy the separated generation "
                          "property")
-    if e == f:
+    _check_edge_pair(G, e, f)
+    n = G.order()
+    return len(search(G, 0, cayley_graph(G).pos_edges - {e, f}, range(n))) == n
+
+
+def _check_edge_pair(G: FinGroup, e: Optional[Edge], f: Optional[Edge]):
+    """Refuse e and f unless each is None or a positive edge (g, a) of
+    the Cayley graph of G, and the two are distinct where given."""
+    if e is not None and e == f:
         raise ValueError("edges must be distinct")
-    return len(search(G, 0, lambda d: d != e and d != f)) == G.order()
+    for g, a in filter(None, (e, f)):
+        if not (0 <= g < G.order() and 0 < a <= G.n_letters):
+            raise ValueError("%r is not a positive edge of the Cayley "
+                             "graph" % ((g, a),))
 
 
 def subgraph_to_dot(X: CayleySubgraph, name: str = "X",

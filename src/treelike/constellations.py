@@ -154,9 +154,13 @@ def _bits(mask: int) -> List[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def _edge_set(mask: int, k: int) -> set:
+    """Edges of an edge mask over k letters: bit i is (i // k, i % k + 1)."""
+    return {(i // k, i % k + 1) for i in _bits(mask)}
+
+
 def _subgraph(G: FinGroup, mask: int, verts: int) -> CayleySubgraph:
-    edges = [(i // G.n_letters, i % G.n_letters + 1) for i in _bits(mask)]
-    return CayleySubgraph(G, _bits(verts), edges)
+    return CayleySubgraph(G, _bits(verts), _edge_set(mask, G.n_letters))
 
 
 def enumerate_constellations(G: FinGroup,
@@ -383,9 +387,7 @@ class Dissolver:
 
     def _component(self, edge_mask: int) -> Dict[int, Optional[tuple]]:
         """Search parent map of the lift of the edges in edge_mask."""
-        phi, k = self.phi, self.H.n_letters
-        return search(self.H, 0,
-                      lambda e: edge_mask >> phi[e[0]] * k + e[1] - 1 & 1)
+        return search(self.H, 0, _edge_set(edge_mask, self.H.n_letters), self.phi)
 
     def lift(self, edge_mask: int) -> int:
         """Mask of the H-ids of the component of 1 of the preimage, read
@@ -464,6 +466,8 @@ def dissolves_all(H: FinGroup, G: FinGroup, mode: str = "exhaustive",
                   detail_limit: Optional[int] = 200) -> dict:
     """Run dissolving checks over all (exhaustive) or sampled
     constellations of G; returns a JSON-ready report."""
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError("mode must be 'exhaustive' or 'sampled'")
     if mode == "sampled":
         require_counts(samples=samples, max_len=max_len)
     if mode == "exhaustive":
@@ -485,15 +489,13 @@ def dissolves_all(H: FinGroup, G: FinGroup, mode: str = "exhaustive",
     if mode == "exhaustive":
         report["edge_budget"] = edge_budget
         _scan_exhaustive(dis, report, edge_budget, detail_limit)
-    elif mode == "sampled":
+    else:
         report.update(samples=samples, max_len=max_len, seed=seed)
         for c, _, _ in sample_constellations(G, random.Random(seed), samples,
                                              max_len):
             verdict = _record(report, dis, c, detail_limit)
             report["total"] += 1
             report["dissolved"] += verdict.dissolved
-    else:
-        raise ValueError("mode must be 'exhaustive' or 'sampled'")
     if report["total"] - report["dissolved"] > len(report["failures"]):
         report["failures_truncated"] = True
     report["all_dissolved"] = report["dissolved"] == report["total"]

@@ -400,6 +400,8 @@ def s_equal(G: FinGroup, S: FinGroup, u: Sequence[int], v: Sequence[int],
     random values, the rest the identity) and can certify only
     distinctness; it refuses fewer than one sample before any work.
     """
+    if mode not in ("exact", "witness"):
+        raise ValueError("mode must be 'exact' or 'witness'")
     if mode == "witness":
         require_counts(samples=samples)
     w = reduce_word(concat(tuple(u), invert_word(tuple(v))))
@@ -428,8 +430,6 @@ def s_equal(G: FinGroup, S: FinGroup, u: Sequence[int], v: Sequence[int],
             if witness is not None:
                 return SEqualResult("distinct", witness=witness, rank=r)
         return SEqualResult("equal", rank=r)
-    if mode != "witness":
-        raise ValueError("mode must be 'exact' or 'witness'")
     rng = random.Random(seed)
     for k in range(samples):
         if k % 2 == 0 and len(used) >= 2:

@@ -28,7 +28,7 @@ from functools import cached_property
 from itertools import count, filterfalse, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cayley import Edge, walk
+from .cayley import Edge, _check_edge_pair, walk
 from .groups import FinGroup
 from .stallings import LabeledGraph, _sorted, breadth_first, transition_maps
 from .words import Word, concat, invert_word, path_label
@@ -207,22 +207,15 @@ def spanning_tree_avoiding(G: FinGroup, e: Optional[Edge] = None,
     while G lives, with e and then f exchanged for the first edge leaving the
     subtree each one cuts off; the result depends only on G, e and f,
     and copies nothing of the size of G."""
-    if e is not None and e == f:
-        raise ValueError("edges must be distinct")
-    for d in (e, f):
-        if d is not None and not (0 <= d[0] < G.order()
-                                  and 0 < d[1] <= G.n_letters):
-            raise ValueError("%r is not a positive edge of the Cayley "
-                             "graph" % (d,))
+    _check_edge_pair(G, e, f)
     parent, keys = _base(G)
     k = G.n_letters
     overlay: Dict[int, tuple] = {}
     swaps = []
-    for d in (e, f):
-        if d is not None:
-            link = _exchange(G, parent, overlay, d, e, f)
-            if link is not None:
-                swaps.append((_key(k, d), _key(k, link)))
+    for d in filter(None, (e, f)):
+        link = _exchange(G, parent, overlay, d, e, f)
+        if link is not None:
+            swaps.append((_key(k, d), _key(k, link)))
     return SpanningTree(G, parent, keys, overlay, swaps)
 
 

@@ -40,7 +40,7 @@ from .constellations import (EXHAUSTIVE_EDGE_BUDGET, dissolves_all,
 from .extension import (CertificateError, ExtContext, ExtElement, _is_prime,
                         dissolving_certificate, ext_order)
 from .groups import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError, FinGroup,
-                     builtin, closure, group_from_json)
+                     _cycle, builtin, closure, group_from_json)
 from .rational import member_product
 from .rewriting import graph_subgroup_basis
 from .stallings import LabeledGraph
@@ -216,8 +216,7 @@ def tower_spec_from_json(data: dict) -> TowerSpec:
 
 
 def _cyclic_group(p: int) -> FinGroup:
-    cycle = tuple(list(range(1, p)) + [0])
-    return FinGroup.from_perms(("a",), [cycle], name="C%d" % p)
+    return FinGroup.from_perms(("a",), [_cycle(p)], name="C%d" % p)
 
 
 def treelike_campaign(spec: TowerSpec, levels: int = 1,
@@ -237,6 +236,8 @@ def treelike_campaign(spec: TowerSpec, levels: int = 1,
     a campaign would check nothing.
     """
     require_counts(levels=levels, samples=samples, max_len=max_len)
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError("mode must be 'exhaustive' or 'sampled'")
     if step not in ("extension", "identity"):
         raise ValueError("step must be 'extension' or 'identity'")
     if step == "extension" and levels > len(spec.primes):

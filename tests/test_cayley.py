@@ -230,6 +230,17 @@ def test_connected_without_two_edges():
         connected_without_two_edges(builtin("C2"), (0, A), (0, B))
 
 
+def test_connected_without_two_edges_refuses_non_edges():
+    """Non-edges are refused as spanning_tree_avoiding refuses them, not
+    read as two edges whose deletion changes nothing."""
+    S3 = builtin("S3")
+    for e, f, bad in (((0, 5), (99, 1), (0, 5)), ((0, 1), (99, 1), (99, 1)),
+                      ((6, 1), (0, 1), (6, 1)), ((0, 1), (0, 0), (0, 0))):
+        with pytest.raises(ValueError, match=r"^\(%d, %d\) is not a "
+                           "positive edge of the Cayley graph$" % bad):
+            connected_without_two_edges(S3, e, f)
+
+
 def test_translate():
     G = builtin("S3")
     X, _, _ = path_span(G, 0, parse_word("a b"))

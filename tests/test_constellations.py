@@ -718,6 +718,22 @@ def test_dissolves_all_sampled():
         dissolves_all(H, G, mode="other")
 
 
+def test_unknown_mode_is_refused_before_any_work(monkeypatch):
+    """An unknown mode is refused before H (468,750 elements) or G is
+    enumerated, in every mode's position of the argument list."""
+    G = builtin("S3")
+    H = extension_group(G, 5)
+
+    def no_enumeration(self):
+        raise AssertionError("%s enumerated" % self.name)
+
+    monkeypatch.setattr(FinGroup, "_enumerate", no_enumeration)
+    for mode in ("bogus", "", "Exhaustive"):
+        with pytest.raises(ValueError, match="^mode must be 'exhaustive' "
+                           "or 'sampled'$"):
+            dissolves_all(H, G, mode=mode)
+
+
 def test_downward_persistence_of_extension():
     # the extension of D4 dissolves constellations of D4 and of the
     # further quotient C2xC2

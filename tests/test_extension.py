@@ -258,6 +258,12 @@ def test_s_equal_mode_validation_and_determinism():
     S = builtin("C3")
     with pytest.raises(ValueError, match="mode"):
         s_equal(G, S, parse_word("a b"), parse_word("b a"), mode="guess")
+    # refused whether or not the images in G differ or a scan is needed
+    S3_2, A5 = extension_group(builtin("S3"), 2), builtin("A5")
+    for u, v in (("a a", ""), ("a b", "a b"), ("a b", "b a")):
+        with pytest.raises(ValueError, match="^mode must be 'exact' or "
+                           "'witness'$"):
+            s_equal(S3_2, A5, parse_word(u), parse_word(v), mode="bogus")
     a = s_equal(G, S, parse_word("a b"), parse_word("b a"),
                 mode="witness", seed=7)
     b = s_equal(G, S, parse_word("a b"), parse_word("b a"),

@@ -8,9 +8,11 @@ plain tree with the two edges exchanged (tests/test_exchange.py checks
 it against a fresh search that avoids them), so its frozen entries pin
 the exchange order as well.
 `components` is checked against an independent union-find, and the
-search itself against its contract.  To rewrite that file after an
-intended change of content, run `PYTHONPATH=src python
-tests/test_search.py` from the repository root.
+search itself against its contract and against `_predicate_search`, a
+reference copy of the earlier search that took a predicate in place of
+an edge set and a morphism.  To rewrite that file after an intended
+change of content, run `PYTHONPATH=src python tests/test_search.py`
+from the repository root.
 """
 
 import json
@@ -120,14 +122,26 @@ def test_rows_are_the_step_tables():
                for x, row in rows for i in range(G.order()))
 
 
+class _CountingSet(set):
+    """A set that records each edge looked up in it."""
+
+    def __init__(self, edges):
+        super().__init__(edges)
+        self.asked = []
+
+    def __contains__(self, e):
+        self.asked.append(e)
+        return super().__contains__(e)
+
+
 @pytest.mark.parametrize("name", ("S3", "D4", "C2xC2^2"))
 def test_search_parent_map(name):
     G = _group(name)
     root = G.order() - 1
-    calls = []
-    parent = search(G, root, lambda e: calls.append(e) or True)
-    # admit sees only edges to unseen vertices, so every call discovers one
-    assert len(calls) == G.order() - 1
+    edges = _CountingSet(_edges(G))
+    parent = search(G, root, edges, range(G.order()))
+    # only edges to unseen vertices are looked up, so each discovers one
+    assert len(edges.asked) == G.order() - 1
     assert next(iter(parent)) == root and parent[root] is None
     for v, p in parent.items():
         if p is not None:
@@ -140,11 +154,70 @@ def test_search_parent_map(name):
 def test_search_admits_only_accepted_edges():
     G = _group("D4")
     blocked = set(random.Random(3).sample(_edges(G), 6))
-    parent = search(G, 0, lambda e: e not in blocked)
+    parent = search(G, 0, set(_edges(G)) - blocked, range(G.order()))
     for v, p in parent.items():
         if p is not None:
             u, x = p
             assert ((u, x) if x > 0 else (v, -x)) not in blocked
+
+
+
+def _predicate_search(G, root, admit):
+    """The search as it was before it took an edge set and a morphism:
+    admit is asked about each positive edge to an unseen vertex."""
+    rows = G.rows()
+    parent = {root: None}
+    queue = [root]
+    for u in queue:
+        for x, row in rows:
+            v = row[u]
+            if v not in parent and admit((u, x) if x > 0 else (v, -x)):
+                parent[v] = (u, x)
+                queue.append(v)
+    return parent
+
+
+def _seeded_edge_sets(G, seed, count=30):
+    """count seeded random sets of positive edges of the Cayley graph of
+    G, from nearly empty to nearly full."""
+    edges = _edges(G)
+    rng = random.Random(seed)
+    return [{e for e in edges if rng.random() < keep}
+            for keep in (rng.random() for _ in range(count))]
+
+
+def _same_search(H, root, edges, phi):
+    """Assert that search and the reference give the same parent map in
+    the same order, and look up the same images in the same order."""
+    looked = _CountingSet(edges)
+    admitted = []
+    parent = search(H, root, looked, phi)
+    want = _predicate_search(
+        H, root, lambda e: admitted.append((phi[e[0]], e[1]))
+        or (phi[e[0]], e[1]) in edges)
+    assert list(parent.items()) == list(want.items())
+    assert looked.asked == admitted
+
+
+@pytest.mark.parametrize("name", ("C3", "S3", "D4", "C2xC2^2"))
+def test_search_matches_reference_on_subgraphs(name):
+    G = _group(name)
+    rng = random.Random(23)
+    for edges in _seeded_edge_sets(G, 17):
+        _same_search(G, rng.randrange(G.order()), edges, range(G.order()))
+
+
+@pytest.mark.parametrize("name", ("C3^2", "S3^2", "C2xC2^2"))
+def test_search_matches_reference_on_lifts(name):
+    """Lifts to H = G^2, the universal C_2-extension of G: an inverse
+    letter x < 0 from u to v reads the edge (phi[v], -x), not (phi[u],
+    -x)."""
+    G, H = builtin(name[:-2]), _group(name)
+    phi = H.canonical_morphism_to(G)
+    rng = random.Random(29)
+    for edges in _seeded_edge_sets(G, 19):
+        _same_search(H, 0, edges, phi)
+        _same_search(H, rng.randrange(H.order()), edges, phi)
 
 
 if __name__ == "__main__":

@@ -186,6 +186,19 @@ def test_campaign_guards():
         treelike_campaign(spec, levels=2)
 
 
+def test_campaign_refuses_unknown_mode_before_any_work(monkeypatch):
+    """An unknown mode is refused before level 0 or level 1 is read."""
+    spec = TowerSpec(builtin("S3"), (2,))
+
+    def no_enumeration(self):
+        raise AssertionError("%s enumerated" % self.name)
+
+    monkeypatch.setattr(FinGroup, "_enumerate", no_enumeration)
+    with pytest.raises(ValueError, match="^mode must be 'exhaustive' or "
+                       "'sampled'$"):
+        treelike_campaign(spec, mode="bogus")
+
+
 def test_campaign_certificate_fallback():
     # level 1 exceeds the enumeration budget, so sampled word pairs are
     # certified directly
