@@ -203,7 +203,8 @@ def connected_without_two_edges(G: FinGroup, e: Edge, f: Edge) -> bool:
     """Whether the Cayley graph stays connected after deleting the
     inverse-closed pairs of two distinct positive edges.  Requires the
     separated generation property (>= 2 letters, distinct nonidentity
-    images), under which this always holds."""
+    images), under which this always holds.  Refuses e or f that is not
+    a positive edge."""
     if not G.separated():
         raise ValueError("group does not satisfy the separated generation "
                          "property")

@@ -465,7 +465,8 @@ def dissolves_all(H: FinGroup, G: FinGroup, mode: str = "exhaustive",
                   seed: Optional[int] = None,
                   detail_limit: Optional[int] = 200) -> dict:
     """Run dissolving checks over all (exhaustive) or sampled
-    constellations of G; returns a JSON-ready report."""
+    constellations of G; returns a JSON-ready report.  An unknown mode
+    is refused before any group is enumerated."""
     if mode not in ("exhaustive", "sampled"):
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
     if mode == "sampled":

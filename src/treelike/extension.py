@@ -398,7 +398,8 @@ def s_equal(G: FinGroup, S: FinGroup, u: Sequence[int], v: Sequence[int],
     groups are 2-generated).  witness mode samples assignments,
     alternating uniform draws with sparse pairs (two random indices get
     random values, the rest the identity) and can certify only
-    distinctness; it refuses fewer than one sample before any work.
+    distinctness; it refuses fewer than one sample before any work, as
+    every call refuses an unknown mode.
     """
     if mode not in ("exact", "witness"):
         raise ValueError("mode must be 'exact' or 'witness'")

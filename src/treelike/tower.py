@@ -233,7 +233,8 @@ def treelike_campaign(spec: TowerSpec, levels: int = 1,
     border certificates for sampled constellation word pairs stand in:
     each certificate alone proves its pair separated in G_{n+1}.  A base
     that its own enum_budget refuses raises EnumerationBudgetError: such
-    a campaign would check nothing.
+    a campaign would check nothing.  Counts, mode and step are checked
+    before any level is read.
     """
     require_counts(levels=levels, samples=samples, max_len=max_len)
     if mode not in ("exhaustive", "sampled"):
