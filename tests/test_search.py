@@ -161,7 +161,6 @@ def test_search_admits_only_accepted_edges():
             assert ((u, x) if x > 0 else (v, -x)) not in blocked
 
 
-
 def _predicate_search(G, root, admit):
     """The search as it was before it took an edge set and a morphism:
     admit is asked about each positive edge to an unseen vertex."""
