@@ -61,9 +61,12 @@ class CayleySubgraph:
 
 def cayley_graph(G: FinGroup) -> CayleySubgraph:
     """The full Cayley graph: |G| vertices, |G|*|A| positive edges."""
-    n = G.order()
-    edges = frozenset((g, a) for g in range(n) for a in range(1, G.n_letters + 1))
-    return CayleySubgraph(G, frozenset(range(n)), edges)
+    return CayleySubgraph(G, range(G.order()), _positive_edges(G))
+
+
+def _positive_edges(G: FinGroup) -> set:
+    """The |G|*|A| positive edges (g, a) of the Cayley graph of G."""
+    return {(g, a) for g in range(G.order()) for a in range(1, G.n_letters + 1)}
 
 
 def walk(G, start, w: Sequence[int]) -> Iterator[Tuple[tuple, int, object]]:
@@ -210,7 +213,7 @@ def connected_without_two_edges(G: FinGroup, e: Edge, f: Edge) -> bool:
                          "property")
     _check_edge_pair(G, e, f)
     n = G.order()
-    return len(search(G, 0, cayley_graph(G).pos_edges - {e, f}, range(n))) == n
+    return len(search(G, 0, _positive_edges(G) - {e, f}, range(n))) == n
 
 
 def _check_edge_pair(G: FinGroup, e: Optional[Edge], f: Optional[Edge]):

@@ -32,7 +32,7 @@ from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .constellations import EXHAUSTIVE_EDGE_BUDGET, dissolves_all
+from .constellations import EXHAUSTIVE_EDGE_BUDGET, MODES, dissolves_all
 from .extension import (S_EQUAL_BUDGET, ExtContext, ext_order,
                         extension_group, kernel_rank, s_equal)
 from .groups import (BUILTIN_NAMES, DEFAULT_ENUM_BUDGET,
@@ -443,8 +443,7 @@ def _build_parser() -> _Parser:
                     "against a base group", "--seed", "--budget-enum")
     p.add_argument("--H", required=True, help="quotient group")
     p.add_argument("--G", required=True, help="base group")
-    p.add_argument("--mode", choices=("exhaustive", "sampled"),
-                   default="exhaustive")
+    p.add_argument("--mode", choices=MODES, default="exhaustive")
     _scan_flags(p, samples=1000)
     p.set_defaults(func=cmd_dissolve)
 
@@ -455,8 +454,7 @@ def _build_parser() -> _Parser:
                                     "level first")
     p.add_argument("--levels", type=int, default=1,
                    help="how many base levels to check")
-    p.add_argument("--mode", choices=("exhaustive", "sampled"),
-                   default="exhaustive")
+    p.add_argument("--mode", choices=MODES, default="exhaustive")
     p.add_argument("--step", choices=("extension", "identity"),
                    default="extension",
                    help="quotient for each level ('identity' is the "

@@ -57,6 +57,7 @@ from .groups import EnumerationBudgetError, FinGroup
 from .words import Word, path_label, word_str
 
 EXHAUSTIVE_EDGE_BUDGET = 16
+MODES = ("exhaustive", "sampled")       # of dissolves_all and the campaign
 EXHAUSTIVE_PAIR_BUDGET = 10 ** 8
 
 
@@ -101,6 +102,12 @@ def require_counts(**counts: int) -> None:
     for name, n in counts.items():
         if n < 1:
             raise ValueError("%s must be at least 1, got %d" % (name, n))
+
+
+def require_choice(name: str, value: str, choices: Tuple[str, ...]) -> None:
+    """Refuse a value outside choices, so an unknown mode does no work."""
+    if value not in choices:
+        raise ValueError("%s must be %s" % (name, " or ".join(map(repr, choices))))
 
 
 def is_constellation(X: CayleySubgraph, g: int, T: CayleySubgraph) -> bool:
@@ -149,18 +156,17 @@ def _check_edges(G: FinGroup, edge_budget: int) -> None:
                                      "scan over %d edges" % edges, "edges")
 
 
-def _bits(mask: int) -> List[int]:
-    """Positions of the set bits of mask, ascending."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, ascending: one step per set
+    bit, so a sparse mask of a large group decodes in few steps."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
 
 def _edge_set(mask: int, k: int) -> set:
     """Edges of an edge mask over k letters: bit i is (i // k, i % k + 1)."""
     return {(i // k, i % k + 1) for i in _bits(mask)}
-
-
-def _subgraph(G: FinGroup, mask: int, verts: int) -> CayleySubgraph:
-    return CayleySubgraph(G, _bits(verts), _edge_set(mask, G.n_letters))
 
 
 def enumerate_constellations(G: FinGroup,
@@ -177,7 +183,8 @@ def enumerate_constellations(G: FinGroup,
     edge_budget positive edges or EXHAUSTIVE_PAIR_BUDGET candidate pairs.
     """
     candidates, comp0 = _candidate_pass(G, edge_budget)
-    subgraphs = [_subgraph(G, m, v) for m, v in candidates]
+    subgraphs = [CayleySubgraph(G, _bits(v), _edge_set(m, G.n_letters))
+                 for m, v in candidates]
     for (mx, vx), X in zip(candidates, subgraphs):
         for (mt, vt), T in zip(candidates, subgraphs):
             for g in _bits(vx & vt & ~comp0[mx & mt]):
@@ -467,8 +474,7 @@ def dissolves_all(H: FinGroup, G: FinGroup, mode: str = "exhaustive",
     """Run dissolving checks over all (exhaustive) or sampled
     constellations of G; returns a JSON-ready report.  An unknown mode
     is refused before any group is enumerated."""
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError("mode must be 'exhaustive' or 'sampled'")
+    require_choice("mode", mode, MODES)
     if mode == "sampled":
         require_counts(samples=samples, max_len=max_len)
     if mode == "exhaustive":
@@ -566,7 +572,7 @@ def _scan_exhaustive(dis: Dissolver, report: dict, edge_budget: int,
     def edge_list(m: int) -> list:
         """The edges of m, one list shared by every entry naming m."""
         if m not in edges:
-            edges[m] = [[i // k, i % k + 1] for i in _bits(m)]
+            edges[m] = sorted(map(list, _edge_set(m, k)))
         return edges[m]
 
     def record(pos: int) -> None:

@@ -74,7 +74,7 @@ from itertools import chain, product as iter_product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cayley import Edge, borders, component_of, intersect, path_span, walk
-from .constellations import Constellation, require_counts
+from .constellations import Constellation, require_choice, require_counts
 from .groups import EnumerationBudgetError, FinGroup
 from .rewriting import (SpanningTree, exponent_sums, rewrite,
                         spanning_tree_avoiding)
@@ -401,8 +401,7 @@ def s_equal(G: FinGroup, S: FinGroup, u: Sequence[int], v: Sequence[int],
     distinctness; it refuses fewer than one sample before any work, as
     every call refuses an unknown mode.
     """
-    if mode not in ("exact", "witness"):
-        raise ValueError("mode must be 'exact' or 'witness'")
+    require_choice("mode", mode, ("exact", "witness"))
     if mode == "witness":
         require_counts(samples=samples)
     w = reduce_word(concat(tuple(u), invert_word(tuple(v))))

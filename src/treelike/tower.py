@@ -35,8 +35,9 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .constellations import (EXHAUSTIVE_EDGE_BUDGET, dissolves_all,
-                             require_counts, sample_constellations)
+from .constellations import (EXHAUSTIVE_EDGE_BUDGET, MODES, dissolves_all,
+                             require_choice, require_counts,
+                             sample_constellations)
 from .extension import (CertificateError, ExtContext, ExtElement, _is_prime,
                         dissolving_certificate, ext_order)
 from .groups import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError, FinGroup,
@@ -237,10 +238,8 @@ def treelike_campaign(spec: TowerSpec, levels: int = 1,
     before any level is read.
     """
     require_counts(levels=levels, samples=samples, max_len=max_len)
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError("mode must be 'exhaustive' or 'sampled'")
-    if step not in ("extension", "identity"):
-        raise ValueError("step must be 'extension' or 'identity'")
+    require_choice("mode", mode, MODES)
+    require_choice("step", step, ("extension", "identity"))
     if step == "extension" and levels > len(spec.primes):
         raise ValueError("campaign over %d levels needs one prime per level"
                          % levels)

@@ -157,6 +157,11 @@ def _scan_by_ordered_pairs(dis, report, edge_budget, detail_limit):
     G = dis.G
     candidates, comp0 = constellations._candidate_pass(G, edge_budget)
     lifts = [sum(1 << h for h in dis._component(m)) for m, _ in candidates]
+
+    def span(m, v):
+        return CayleySubgraph(G, constellations._bits(v),
+                              constellations._edge_set(m, G.n_letters))
+
     fibers = [0]
     for g in range(G.order()):
         fg = sum(1 << h for h, x in enumerate(dis.phi) if x == g)
@@ -173,8 +178,7 @@ def _scan_by_ordered_pairs(dis, report, edge_budget, detail_limit):
                 bad = common & fibers[1 << g]
                 failed += bad != 0
                 if len(listed) < limit or bad and len(failures) < limit:
-                    c = Constellation(constellations._subgraph(G, mx, vx), g,
-                                      constellations._subgraph(G, mt, vt))
+                    c = Constellation(span(mx, vx), g, span(mt, vt))
                     constellations._record(report, dis, c, detail_limit)
     report.update(total=total, dissolved=total - failed)
 
@@ -615,6 +619,23 @@ def test_dissolver_memoizes_lifts():
     dis = Dissolver(extension_group(G, 2), G)
     m = constellations._edge_mask(X)
     assert dis.lift(m) is dis.lift(m)
+
+
+def test_edge_masks_decode_by_their_set_bits():
+    """_bits reads each set bit once, ascending, on the narrow masks of
+    a scan and on the wide sparse masks of a sampled check over a large
+    group; _edge_set inverts _edge_mask on path spans of S3^2."""
+    rng = random.Random(37)
+    masks = [0, 1, 0b1011, (1 << 16) - 1] + [
+        sum(1 << rng.randrange(w) for _ in range(8)) for w in (16, 6250, 156250)]
+    for m in masks:
+        assert list(constellations._bits(m)) == [
+            i for i, b in enumerate(bin(m)[:1:-1]) if b == "1"]
+    G = group_arg("S3^2")
+    for _ in range(20):
+        X, _, _ = path_span(G, 0, random_reduced_word(rng, G.n_letters, 8))
+        mask = constellations._edge_mask(X)
+        assert constellations._edge_set(mask, G.n_letters) == X.pos_edges
 
 
 def test_dissolver_builds_the_fibers_it_reads(monkeypatch):
