@@ -105,7 +105,7 @@ def require_counts(**counts: int) -> None:
 
 
 def require_choice(name: str, value: str, choices: Tuple[str, ...]) -> None:
-    """Refuse a value outside choices, so an unknown mode does no work."""
+    """Refuse a value outside choices, before the caller does any work."""
     if value not in choices:
         raise ValueError("%s must be %s" % (name, " or ".join(map(repr, choices))))
 
