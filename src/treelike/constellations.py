@@ -35,22 +35,27 @@ Both masks are symmetric in X and T, so the count visits each unordered
 pair once and weighs it 2.  The report lists its entries in the ordered
 order X, T, g: a listing prefix walks the ordered pairs while the
 constellation list has room, and the failures after it come from the
-smallest failing ordered positions the count saw.  A listed entry is
-read off the same masks, with no subgraph, Constellation or verdict
-object, and says what `Dissolver.dissolves` says of its Constellation:
-the tests check the one against the other.  Scans over more than
+smallest failing ordered positions the count saw.  Scans over more than
 EXHAUSTIVE_PAIR_BUDGET ordered candidate pairs are refused before the
-first.
+first.  A sampled check decides its triple by the same three masks.
+
+Both modes list their entries through one lister, which reads each
+entry off the edge masks of X and T, g and the meet
+lift_X & lift_T & fiber_g, with no subgraph, Constellation or verdict
+object.  It reads edge lists and witness words only for an entry a
+report list has room for, and says what `Dissolver.dissolves` says of
+the Constellation: the tests check the one against the other.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .cayley import CayleySubgraph, component_of, intersect, path_span, search
 from .groups import EnumerationBudgetError, FinGroup
@@ -380,7 +385,8 @@ class Dissolver:
     fiber[g] holds the ids over g, built at first use; lift(m), memoized
     in _lifts, the ids of the lift of the edge mask m (edge (g, a) is bit
     g * |A| + a - 1); witness(m, h) labels a path to h in that lift from
-    a search parent map, kept in _parents once a witness of m is asked."""
+    a search parent map, kept in _parents once a witness of m is asked,
+    and witnesses(mx, mt, meet) are the two words of a failure."""
 
     def __init__(self, H: FinGroup, G: FinGroup):
         phi = H.canonical_morphism_to(G) if H is not G else list(range(G.order()))
@@ -410,8 +416,15 @@ class Dissolver:
             self._parents[edge_mask] = self._component(edge_mask)
         return path_label(self._parents[edge_mask], h)
 
+    def witnesses(self, mx: int, mt: int, meet: int) -> Tuple[Word, Word]:
+        """Words u, v of a failure whose meet lift_X & lift_T & fiber[g]
+        is nonzero: they label paths to its lowest H-id inside the lifts
+        of mx and mt, so [u]_H = [v]_H."""
+        h = (meet & -meet).bit_length() - 1
+        return self.witness(mx, h), self.witness(mt, h)
+
     def dissolves(self, c: Constellation) -> DissolveVerdict:
-        """Disjoint fibers over c.g; witnesses reach the lowest common id.
+        """Disjoint fibers over c.g, else the witnesses of the meet.
         A lift first met here is searched once: its parent map serves
         lift and, if c fails, witness; it is dropped if c is dissolved."""
         mx, mt = _edge_mask(c.X), _edge_mask(c.T)
@@ -423,9 +436,8 @@ class Dissolver:
             for m in fresh:
                 del self._parents[m]
             return DissolveVerdict("dissolved", **sizes)
-        h = (meet & -meet).bit_length() - 1
-        return DissolveVerdict("counterexample", u=self.witness(mx, h),
-                               v=self.witness(mt, h), **sizes)
+        return DissolveVerdict("counterexample", *self.witnesses(mx, mt, meet),
+                               **sizes)
 
 
 class _Fibers(dict):
@@ -498,40 +510,51 @@ def dissolves_all(H: FinGroup, G: FinGroup, mode: str = "exhaustive",
         _scan_exhaustive(dis, report, edge_budget, detail_limit)
     else:
         report.update(samples=samples, max_len=max_len, seed=seed)
+        record = _lister(report, dis, detail_limit)
         for c, _, _ in sample_constellations(G, random.Random(seed), samples,
                                              max_len):
-            verdict = _record(report, dis, c, detail_limit)
+            mx, mt = _edge_mask(c.X), _edge_mask(c.T)
+            meet = dis.lift(mx) & dis.lift(mt) & dis.fiber[c.g]
+            record(mx, mt, c.g, meet)
             report["total"] += 1
-            report["dissolved"] += verdict.dissolved
+            report["dissolved"] += not meet
     if report["total"] - report["dissolved"] > len(report["failures"]):
         report["failures_truncated"] = True
     report["all_dissolved"] = report["dissolved"] == report["total"]
     return report
 
 
-def _record(report: dict, dis: Dissolver, c: Constellation,
-            detail_limit: Optional[int]) -> DissolveVerdict:
-    """Check c and list it in the report while the lists have room."""
-    verdict = dis.dissolves(c)
-    _list(report, detail_limit, c.g, sorted(list(e) for e in c.X.pos_edges),
-          sorted(list(e) for e in c.T.pos_edges), verdict.u, verdict.v,
-          dis.G.alphabet)
-    return verdict
-
-
-def _list(report: dict, detail_limit: Optional[int], g: int, x_edges: list,
-          t_edges: list, u: Optional[Word], v: Optional[Word], names) -> None:
-    """List the entry of (X, g, T), a counterexample with witness words
-    u, v or else dissolved, in each report list that has room."""
-    entry = {"g": g, "x_edges": x_edges, "t_edges": t_edges,
-             "verdict": "dissolved" if u is None else "counterexample"}
+def _lister(report: dict, dis: Dissolver, detail_limit: Optional[int]
+            ) -> Callable[[int, int, int, int], None]:
+    """record(mx, mt, g, meet), which lists the entry of (X, g, T), X and
+    T the spans of the edge masks mx and mt, in each report list that
+    has room: a counterexample with the witness words of meet =
+    lift_X & lift_T & fiber[g] if meet is nonzero, else dissolved.  It
+    reads edge lists, one list per mask, and witness words only for an
+    entry it lists, so an unlisted check builds neither."""
     room = float("inf") if detail_limit is None else detail_limit
-    if u is not None:
-        entry["u"], entry["v"] = word_str(u, names), word_str(v, names)
-        if len(report["failures"]) < room:
-            report["failures"].append(entry)
-    if len(report["constellations"]) < room:
-        report["constellations"].append(entry)
+    listed, failures = report["constellations"], report["failures"]
+
+    @functools.cache
+    def edge_list(m: int) -> list:
+        """The [[g, a], ...] edges of m, one list for every entry of m."""
+        return sorted(map(list, _edge_set(m, dis.G.n_letters)))
+
+    def record(mx: int, mt: int, g: int, meet: int) -> None:
+        fail = meet and len(failures) < room
+        if not (fail or len(listed) < room):
+            return
+        entry = {"g": g, "x_edges": edge_list(mx), "t_edges": edge_list(mt),
+                 "verdict": "counterexample" if meet else "dissolved"}
+        if meet:
+            entry["u"], entry["v"] = (word_str(w, dis.G.alphabet)
+                                      for w in dis.witnesses(mx, mt, meet))
+        if fail:
+            failures.append(entry)
+        if len(listed) < room:
+            listed.append(entry)
+
+    return record
 
 
 def _scan_exhaustive(dis: Dissolver, report: dict, edge_budget: int,
@@ -543,9 +566,10 @@ def _scan_exhaustive(dis: Dissolver, report: dict, edge_budget: int,
     and fibers[vs] is the union of their fibers, which settles most
     pairs in one test.
 
-    An entry fails iff meet = lx & lt & fiber[g] is nonzero; its
-    witnesses label the paths to the lowest H-id of meet in the two
-    lifts, each searched again once, when first listed.
+    An entry fails iff meet = lx & lt & fiber[g] is nonzero.  Each g
+    of a pair the scan lists goes with its meet to the report's lister
+    (`_lister`), which searches a lift again for witness words only
+    when it lists a failure on it.
 
     Two passes.  The listing prefix walks the ordered pairs (X, T), at
     position X * n + T, and their g ascending while the constellation
@@ -566,31 +590,17 @@ def _scan_exhaustive(dis: Dissolver, report: dict, edge_budget: int,
         fibers += [x | f for x in fibers]
     limit = float("inf") if detail_limit is None else detail_limit
     listed, failures = report["constellations"], report["failures"]
-    n, k = len(rows), G.n_letters
-    edges: Dict[int, list] = {}     # edge mask -> its [[g, a], ...] list
+    n, record = len(rows), _lister(report, dis, detail_limit)
 
-    def edge_list(m: int) -> list:
-        """The edges of m, one list shared by every entry naming m."""
-        if m not in edges:
-            edges[m] = sorted(map(list, _edge_set(m, k)))
-        return edges[m]
-
-    def record(pos: int) -> None:
-        """List the g of the ordered pair at pos while the lists want them."""
+    def list_pair(pos: int) -> None:
+        """Offer record the g of the ordered pair at pos, ascending."""
         (mx, vx, lx, _), (mt, vt, lt, _) = rows[pos // n], rows[pos % n]
         for g in over[vx & vt & outside[mx & mt]]:
-            meet = lx & lt & fiber[g]
-            if len(listed) < limit or meet and len(failures) < limit:
-                u = v = None
-                if meet:
-                    h = (meet & -meet).bit_length() - 1
-                    u, v = dis.witness(mx, h), dis.witness(mt, h)
-                _list(report, detail_limit, g, edge_list(mx),
-                      edge_list(mt), u, v, G.alphabet)
+            record(mx, mt, g, lx & lt & fiber[g])
 
     end = 0
     while end < n * n and len(listed) < limit:
-        record(end)
+        list_pair(end)
         end += 1
     wanted = max(limit - len(failures), 0)
     later: List[int] = []           # negated positions: a max-heap
@@ -617,5 +627,5 @@ def _scan_exhaustive(dis: Dissolver, report: dict, edge_budget: int,
                 elif -pos > later[0]:
                     heapq.heapreplace(later, -pos)
     for pos in sorted(-p for p in later):
-        record(pos)
+        list_pair(pos)
     report.update(total=2 * total, dissolved=2 * (total - failed))

@@ -164,8 +164,9 @@ class ProductAutomaton:
                 pieces.append([])
             else:
                 pieces[-1].append(ev)
-        while len(pieces) < len(self.cores):
-            pieces.append([])
+        if len(pieces) != len(self.cores):
+            raise RuntimeError("internal: the accepting run crosses %d "
+                               "separators" % (len(pieces) - 1))
         factors = [reduce_word(tuple(p)) for p in pieces]
         check: Word = ()
         for i, h in enumerate(factors):

@@ -41,7 +41,7 @@ from .constellations import (EXHAUSTIVE_EDGE_BUDGET, MODES, dissolves_all,
 from .extension import (CertificateError, ExtContext, ExtElement, _is_prime,
                         dissolving_certificate, ext_order)
 from .groups import (DEFAULT_ENUM_BUDGET, EnumerationBudgetError, FinGroup,
-                     _cycle, builtin, closure, group_from_json)
+                     _cycle, _is_int, builtin, closure, group_from_json)
 from .rational import member_product
 from .rewriting import graph_subgroup_basis
 from .stallings import LabeledGraph
@@ -70,7 +70,7 @@ class TowerSpec:
                 raise ValueError("tower level primes must be prime, got %r"
                                  % (p,))
         for field in ("max_level", "enum_budget"):
-            if not isinstance(getattr(self, field), int):
+            if not _is_int(getattr(self, field)):
                 raise ValueError("tower %s must be an integer, got %r"
                                  % (field, getattr(self, field)))
         if self.max_level < 0:

@@ -90,7 +90,7 @@ def word_str(w: Sequence[Letter], alphabet: Sequence[str] = DEFAULT_ALPHABET) ->
     parts = []
     for x in w:
         base = letter_base(x)
-        if base >= len(alphabet):
+        if not 0 <= base < len(alphabet):
             raise ValueError("letter index %d outside alphabet" % base)
         parts.append(alphabet[base] if x > 0 else alphabet[base] + "^-1")
     return " ".join(parts)

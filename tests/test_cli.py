@@ -123,6 +123,26 @@ def test_fold_accepts_graph_json(tmp_path, capsys):
     assert len(report["graph"]["vertices"]) == 2
 
 
+def test_fold_lists_mixed_vertex_ids_in_repr_order(tmp_path, capsys):
+    # int and str ids do not compare, so the report sorts them by repr:
+    # strings first, and 10 before 9
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({
+        "vertices": [0, 2, 9, 10, "p", "q"],
+        "edges": [{"src": 0, "label": "a", "dst": 2},
+                  {"src": 0, "label": "a", "dst": "q"},
+                  {"src": 0, "label": "b", "dst": 10},
+                  {"src": 10, "label": "a", "dst": 9},
+                  {"src": 2, "label": "b", "dst": "p"}],
+        "basepoint": 0}))
+    code, report, _ = _run(capsys, "fold", str(path))
+    assert code == 0
+    vertices = report["graph"]["vertices"]
+    assert len(vertices) == 5 and {0, 9, 10, "p"} <= set(vertices)
+    assert vertices == sorted(vertices, key=repr)
+    assert vertices.index(10) < vertices.index(9)
+
+
 def test_member(capsys):
     code, report, _ = _run(capsys, "member", "a b^2 a^-1",
                            "--gens", "a^2,a b a^-1")
@@ -423,6 +443,15 @@ def test_config_supplies_defaults_and_flags_win(tmp_path, capsys):
     assert code == 0
     assert report["word"] == "a b"
     assert report["member"] is True
+
+
+def test_config_equals_spelling_reads_the_same_file(tmp_path, capsys):
+    cfg = tmp_path / "rz.json"
+    cfg.write_text(json.dumps({"h1": "a", "h2": "b", "w": "b a"}))
+    spaced = _run(capsys, "rz", "--config", str(cfg))
+    joined = _run(capsys, "rz", "--config=%s" % cfg)
+    assert joined == spaced and joined[0] == 0
+    assert joined[1]["word"] == "b a"
 
 
 def test_config_errors(tmp_path, capsys):

@@ -70,6 +70,13 @@ def test_spec_rejects_float_enum_budget():
         TowerSpec(builtin("C2xC2"), (2,), enum_budget=1e6)
 
 
+@pytest.mark.parametrize("field", ["max_level", "enum_budget"])
+def test_spec_from_json_rejects_boolean_integers(field):
+    """JSON true is not the integer 1, as in group JSON."""
+    with pytest.raises(ValueError, match="%s must be an integer" % field):
+        tower_spec_from_json({"base": "C3", "primes": [2], field: True})
+
+
 def test_context_rejects_float_prime():
     with pytest.raises(ValueError, match="must be prime"):
         ExtContext(builtin("C2xC2"), 2.0)

@@ -150,6 +150,23 @@ def _object_model_entries(H, name):
     return G, entries
 
 
+def _record(report, dis, c, detail_limit):
+    """Check c with `Dissolver.dissolves` and list its entry, built from
+    the Constellation and its verdict, in each report list with room."""
+    verdict = dis.dissolves(c)
+    entry = {"g": c.g, "x_edges": sorted(list(e) for e in c.X.pos_edges),
+             "t_edges": sorted(list(e) for e in c.T.pos_edges),
+             "verdict": verdict.status}
+    room = float("inf") if detail_limit is None else detail_limit
+    if verdict.u is not None:
+        entry["u"] = word_str(verdict.u, dis.G.alphabet)
+        entry["v"] = word_str(verdict.v, dis.G.alphabet)
+        if len(report["failures"]) < room:
+            report["failures"].append(entry)
+    if len(report["constellations"]) < room:
+        report["constellations"].append(entry)
+
+
 def _scan_by_ordered_pairs(dis, report, edge_budget, detail_limit):
     """The scan as one loop over the ordered candidate pairs (X, T) and
     the g of each pair ascending: it counts every ordered pair and lists
@@ -179,7 +196,7 @@ def _scan_by_ordered_pairs(dis, report, edge_budget, detail_limit):
                 failed += bad != 0
                 if len(listed) < limit or bad and len(failures) < limit:
                     c = Constellation(span(mx, vx), g, span(mt, vt))
-                    constellations._record(report, dis, c, detail_limit)
+                    _record(report, dis, c, detail_limit)
     report.update(total=total, dissolved=total - failed)
 
 
@@ -678,6 +695,25 @@ def test_sampled_checks_search_each_lift_once(quotient, dissolved,
         assert dis.dissolves(c).dissolved == dissolved
     assert sorted(searched) == sorted(dis._lifts)
     assert set(dis._parents) == (set() if dissolved else set(dis._lifts))
+
+
+def test_sampled_report_witnesses_only_listed_failures(monkeypatch):
+    """A sampled report reads witness words only for the failures it
+    lists: of 200 failing checks over S3^2 ->> S3^2, the 3 listed ones
+    ask 6 witnesses, and parent maps are kept only for their masks."""
+    G = group_arg("S3^2")
+    asked, dissolvers = [], []
+    witness = Dissolver.witness
+    monkeypatch.setattr(Dissolver, "witness", lambda self, mask, h: (
+        asked.append(mask) or dissolvers.append(self)
+        or witness(self, mask, h)))
+    report = dissolves_all(G, G, mode="sampled", samples=200, seed=5,
+                           detail_limit=3)
+    assert report["total"] == 200 and report["dissolved"] == 0
+    assert len(report["failures"]) == 3 and report["failures_truncated"]
+    assert len(asked) <= 6
+    assert {id(d) for d in dissolvers} == {id(dissolvers[0])}
+    assert set(dissolvers[0]._parents) == set(asked)
 
 
 @pytest.mark.parametrize("name,p", [

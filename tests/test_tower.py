@@ -5,6 +5,7 @@ import pytest
 
 import treelike.cli
 import treelike.extension
+import treelike.tower
 from treelike.extension import ext_evaluate, extension_group
 from treelike.groups import FinGroup, builtin
 from treelike.rewriting import graph_subgroup_basis
@@ -59,6 +60,16 @@ def test_level_one_matches_single_step_model():
     for _ in range(500):
         w = random_reduced_word(rng, 2, rng.randint(0, 10))
         assert t.evaluate(1, w) == ext_evaluate(G, 2, w)
+
+
+def test_tower_evaluate_reads_a_word_at_a_level():
+    spec = _spec()
+    G = spec.base
+    rng = random.Random(71)
+    for _ in range(50):
+        w = random_reduced_word(rng, 2, rng.randint(0, 10))
+        assert tower_evaluate(spec, 0, w) == G.evaluate(w)
+        assert tower_evaluate(spec, 1, w) == ext_evaluate(G, 2, w)
 
 
 def test_tower_equal():
@@ -209,6 +220,31 @@ def test_campaign_certificate_fallback():
     assert level["certificates"]["total"] == 15
     assert level["certificates"]["succeeded"] == 15
     assert report["all_dissolved"]
+
+
+def test_tower_fail_line_counts_failed_certificates(capsys, monkeypatch):
+    """Level 1 of C2xC2 with primes 2, 2 falls back to certificates; when
+    every third one fails, the run exits 1 and says how many failed."""
+    calls = []
+    certify = treelike.tower.dissolving_certificate
+
+    def every_third_fails(*args):
+        calls.append(args)
+        if len(calls) % 3 == 0:
+            raise treelike.extension.CertificateError("refused")
+        return certify(*args)
+
+    monkeypatch.setattr(treelike.tower, "dissolving_certificate",
+                        every_third_fails)
+    code = treelike.cli.main(["tower", "--base", "C2xC2", "--primes", "2,2",
+                              "--levels", "2", "--mode", "sampled",
+                              "--samples", "20"])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 1 and not report["all_dissolved"]
+    assert report["levels"][1]["certificates"] == {"succeeded": 14,
+                                                   "total": 20}
+    assert captured.err == "FAIL: level 1: 6 of 20 certificates failed\n"
 
 
 def test_campaign_level_overflow():

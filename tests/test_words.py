@@ -103,6 +103,13 @@ def test_word_str_round_trip():
     assert word_str((A, -B), DEFAULT_ALPHABET) == "a b^-1"
 
 
+@pytest.mark.parametrize("w", [(0,), (1, 0), (3,), (-3,)])
+def test_word_str_refuses_letters_outside_the_alphabet(w):
+    """Letter 0 is no letter: it does not read as the last inverse."""
+    with pytest.raises(ValueError, match="outside alphabet"):
+        word_str(w, ("a", "b"))
+
+
 def _per_letter_word(rng, n_letters, length):
     """random_reduced_word as first written: the allowed letters are
     rebuilt before every draw."""
