@@ -18,12 +18,12 @@ manifest after an intended change, run `PYTHONPATH=src python
 tests/test_parity.py` from the repository root.
 
 The cases too slow for every test run (S3^2, S3^3 and S3^5 ->> S3, the
-full failure listing of D4 ->> C2xC2 and an exhaustive tower level over
-S3) are kept
-in tests/golden/parity_slow.json, in the same format.  `--slow` selects
-them, and `--check` compares a manifest instead of rewriting it: `python
-tests/test_parity.py --slow --check` exits 1 and names each case that
-differs.
+full failure listing of D4 ->> C2xC2, an exhaustive tower level over S3
+and a quotient of order 144 ->> S3 whose listed failures all come after
+its listed constellations) are kept in tests/golden/parity_slow.json, in
+the same format.  `--slow` selects them, and `--check` compares a
+manifest instead of rewriting it: `python tests/test_parity.py --slow
+--check` exits 1 and names each case that differs.
 """
 
 import contextlib
@@ -270,6 +270,11 @@ SLOW_CASES = [
     ("tower_s3_identity_step",
      ["tower", "--base", "S3", "--primes", "2", "--levels", "1",
       "--step", "identity"]),
+    # the regular representation of subdirect([S3, C3^2]) (order 144):
+    # its first 50 constellations are dissolved, so all 50 listed
+    # failures come after them in the ordered order
+    ("dissolve_s3_c3_2_failures_after_listing",
+     ["dissolve", "--H", "{golden}/s3_c3_2.json", "--G", "S3"]),
 ]
 
 
