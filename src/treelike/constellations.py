@@ -33,11 +33,11 @@ the constellations of a candidate pair (X, T) are the bits g of
 vx & vt & ~comp0[mx & mt], each decided by the masks above.
 Both masks are symmetric in X and T, so the count visits each unordered
 pair once and weighs it 2.  The report lists its entries in the ordered
-order X, T, g: a listing prefix walks the ordered pairs while the
-constellation list has room, and the failures after it come from the
-smallest failing ordered positions the count saw.  Scans over more than
-EXHAUSTIVE_PAIR_BUDGET ordered candidate pairs are refused before the
-first.  A sampled check decides its triple by the same three masks.
+order X, T, g: after the count, one walk over the ordered pairs lists
+them until the constellation list is full and the failure list holds
+as many of the counted failures as it has room for.  Scans over more
+than EXHAUSTIVE_PAIR_BUDGET ordered candidate pairs are refused before
+the first.  A sampled check decides its triple by the same three masks.
 
 Both modes list their entries through one lister, which reads each
 entry off the edge masks of X and T, g and the meet
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import heapq
 import itertools
 import random
 from dataclasses import dataclass
@@ -564,49 +563,30 @@ def _scan_exhaustive(dis: Dissolver, report: dict, edge_budget: int,
     dis.fiber once per g into a list only after the candidate pass has
     admitted G.  over[vs] lists the g of the vertex mask vs ascending,
     and fibers[vs] is the union of their fibers, which settles most
-    pairs in one test.
+    pairs in one test.  An entry fails iff meet = lx & lt & fiber[g] is
+    nonzero.
 
-    An entry fails iff meet = lx & lt & fiber[g] is nonzero.  Each g
-    of a pair the scan lists goes with its meet to the report's lister
-    (`_lister`), which searches a lift again for witness words only
-    when it lists a failure on it.
-
-    Two passes.  The listing prefix walks the ordered pairs (X, T), at
-    position X * n + T, and their g ascending while the constellation
-    list has room: it stops at position `end`.  The count visits
-    each unordered pair {X, T} once with weight 2: the g of a pair and
-    the meet of its lifts are symmetric in X and T, and a pair X = T has
-    no g.  It keeps the smallest failing ordered positions from `end` on,
-    as many as the failure list still wants, in a bounded heap; those
-    pairs are listed last, in ordered order."""
+    The count comes first: it visits each unordered pair {X, T} once
+    with weight 2, because the g of a pair and the meet of its lifts
+    are symmetric in X and T, and a pair X = T has no g.  Then one
+    listing walk over the ordered pairs (X, T) and their g ascending
+    gives each entry with its meet to the report's lister (`_lister`),
+    until the constellation list is full and the failure list holds
+    as many of the 2 * failed failures as it has room for.  The lister
+    searches a lift again for witness words only when it lists a failure
+    on it."""
     G = dis.G
     candidates, comp0 = _candidate_pass(G, edge_budget)
-    rows = [(m, v, dis.lift(m), j) for j, (m, v) in enumerate(candidates)]
+    rows = [(m, v, dis.lift(m)) for m, v in candidates]
     outside = [~c for c in comp0]
     fiber = [dis.fiber[g] for g in range(G.order())]    # G is admitted
     over, fibers = [()], [0]        # tables for vs < 2^(g + 1)
     for g, f in enumerate(fiber):
         over += [gs + (g,) for gs in over]
         fibers += [x | f for x in fibers]
-    limit = float("inf") if detail_limit is None else detail_limit
-    listed, failures = report["constellations"], report["failures"]
-    n, record = len(rows), _lister(report, dis, detail_limit)
-
-    def list_pair(pos: int) -> None:
-        """Offer record the g of the ordered pair at pos, ascending."""
-        (mx, vx, lx, _), (mt, vt, lt, _) = rows[pos // n], rows[pos % n]
-        for g in over[vx & vt & outside[mx & mt]]:
-            record(mx, mt, g, lx & lt & fiber[g])
-
-    end = 0
-    while end < n * n and len(listed) < limit:
-        list_pair(end)
-        end += 1
-    wanted = max(limit - len(failures), 0)
-    later: List[int] = []           # negated positions: a max-heap
     total = failed = 0              # over unordered pairs, each worth 2
-    for mx, vx, lx, i in rows:
-        for mt, vt, lt, j in rows[i + 1:]:
+    for i, (mx, vx, lx) in enumerate(rows):
+        for mt, vt, lt in rows[i + 1:]:
             gs = vx & vt & outside[mx & mt]
             if not gs:
                 continue
@@ -617,15 +597,12 @@ def _scan_exhaustive(dis: Dissolver, report: dict, edge_budget: int,
             for g in over[gs]:
                 if common & fiber[g]:
                     failed += 1
-            if not wanted:
-                continue
-            for pos in (i * n + j, j * n + i):
-                if pos < end:
-                    continue
-                if len(later) < wanted:
-                    heapq.heappush(later, -pos)
-                elif -pos > later[0]:
-                    heapq.heapreplace(later, -pos)
-    for pos in sorted(-p for p in later):
-        list_pair(pos)
     report.update(total=2 * total, dissolved=2 * (total - failed))
+    limit = float("inf") if detail_limit is None else detail_limit
+    listed, failures = report["constellations"], report["failures"]
+    wanted, record = min(limit, 2 * failed), _lister(report, dis, detail_limit)
+    for (mx, vx, lx), (mt, vt, lt) in itertools.product(rows, repeat=2):
+        if len(listed) >= limit and len(failures) >= wanted:
+            break
+        for g in over[vx & vt & outside[mx & mt]]:
+            record(mx, mt, g, lx & lt & fiber[g])
