@@ -234,17 +234,19 @@ def treelike_campaign(spec: TowerSpec, levels: int = 1,
     border certificates for sampled constellation word pairs stand in:
     each certificate alone proves its pair separated in G_{n+1}.  A base
     that its own enum_budget refuses raises EnumerationBudgetError: such
-    a campaign would check nothing.  Counts, mode and step are checked
-    before any level is read.
+    a campaign would check nothing.  Counts, mode and step, and the top
+    level read against the primes and max_level, are checked before any
+    level is read.
     """
     require_counts(levels=levels, samples=samples, max_len=max_len)
     require_choice("mode", mode, MODES)
     require_choice("step", step, ("extension", "identity"))
-    if step == "extension" and levels > len(spec.primes):
-        raise ValueError("campaign over %d levels needs one prime per level"
-                         % levels)
     # the extension step reads level `levels`, the identity step stops below
     top = levels if step == "extension" else levels - 1
+    if top > len(spec.primes):
+        raise ValueError("campaign over %d levels needs one prime per level"
+                         % levels if step == "extension" else
+                         "level %d has no prime configured" % (len(spec.primes) + 1))
     if top > spec.max_level:
         raise ValueError("campaign over %d levels reaches level %d, above "
                          "max_level %d" % (levels, top, spec.max_level))

@@ -197,6 +197,23 @@ def test_campaign_guards():
         treelike_campaign(spec, levels=2)
 
 
+@pytest.mark.parametrize("step, levels, message", [
+    ("identity", 3, "^level 2 has no prime configured$"),
+    ("identity", 5, "^level 2 has no prime configured$"),
+    ("extension", 2, "^campaign over 2 levels needs one prime per level$"),
+])
+def test_campaign_refuses_a_level_without_prime_before_any_scan(
+        monkeypatch, step, levels, message):
+    """A campaign whose top level has no prime scans no level below it."""
+    calls = []
+    monkeypatch.setattr(treelike.tower, "dissolves_all",
+                        lambda *args, **kw: calls.append(args))
+    with pytest.raises(ValueError, match=message):
+        treelike_campaign(TowerSpec(builtin("C3"), (2,)), levels=levels,
+                          mode="sampled", samples=5, step=step)
+    assert calls == []
+
+
 def test_campaign_refuses_unknown_mode_before_any_work(monkeypatch):
     """An unknown mode is refused before level 0 or level 1 is read."""
     spec = TowerSpec(builtin("S3"), (2,))
