@@ -284,21 +284,13 @@ def cmd_extend(args):
     return report, EXIT_OK
 
 
-def _detail_limit(args) -> int:
-    if args.detail_limit < 0:
-        raise CliInputError("--detail-limit must be at least 0, got %d"
-                            % args.detail_limit)
-    return args.detail_limit
-
-
 def cmd_dissolve(args):
-    detail_limit = _detail_limit(args)
     H = group_arg(args.H, args.budget_enum)
     G = group_arg(args.G, args.budget_enum)
     report = dissolves_all(H, G, mode=args.mode,
                            edge_budget=args.edge_budget,
                            samples=args.samples, max_len=args.max_len,
-                           seed=args.seed, detail_limit=detail_limit)
+                           seed=args.seed, detail_limit=args.detail_limit)
     ok = report["all_dissolved"]
     _status(ok, "" if ok else "%d of %d constellations not dissolved"
             % (report["total"] - report["dissolved"], report["total"]))
@@ -309,13 +301,12 @@ def cmd_tower(args):
     if not args.base or not args.primes:
         raise CliInputError("tower: --base and --primes are required "
                             "(directly or via --config)")
-    detail_limit = _detail_limit(args)
     report = treelike_campaign(_tower_spec(args, args.budget_enum),
                                levels=args.levels,
                                mode=args.mode, step=args.step,
                                edge_budget=args.edge_budget,
                                samples=args.samples, max_len=args.max_len,
-                               detail_limit=detail_limit)
+                               detail_limit=args.detail_limit)
     ok = report["all_dissolved"]
     _status(ok, "" if ok else _tower_failure(report["levels"]))
     return report, EXIT_OK if ok else EXIT_FAIL
@@ -369,6 +360,10 @@ def _scan_flags(p, samples: int) -> None:
     p.add_argument("--max-len", type=int, default=8)
     p.add_argument("--detail-limit", type=int, default=50)
 
+
+# integer flags that refuse a value below 0: a limit or budget, where 0
+# lists or admits nothing
+_AT_LEAST_0 = ("detail_limit", "budget_enum", "budget_homs", "edge_budget")
 
 # integer flags as (default, help); each subcommand declares those it reads
 _SHARED = {
@@ -532,6 +527,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         argv = _splice_config(sys.argv[1:] if argv is None else argv)
         args = _build_parser().parse_args(argv)
+        for name in _AT_LEAST_0:
+            if getattr(args, name, 0) < 0:
+                raise CliInputError("--%s must be at least 0, got %d" % (
+                    name.replace("_", "-"), getattr(args, name)))
         report, code = args.func(args)
         report["command"] = args.command
         _emit(report, args.out)

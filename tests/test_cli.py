@@ -362,6 +362,26 @@ def test_negative_detail_limit_is_refused(capsys, argv):
     assert code in (0, 1) and report is not None
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (("dissolve", "--H", "C3^2", "--G", "C3", "--budget-enum", "-5"),
+     "--budget-enum", -5),
+    (("dissolve", "--H", "C3^2", "--G", "C3", "--edge-budget", "-1"),
+     "--edge-budget", -1),
+    (("tower", "--base", "C3", "--primes", "2", "--budget-enum", "-1"),
+     "--budget-enum", -1),
+    (("extend", "C3", "--S", "A5", "--eq", "a", "b", "--budget-homs", "-1"),
+     "--budget-homs", -1),
+    (("rz", "--h1", "a", "--h2", "b", "--w", "b a", "--budget-enum", "-1"),
+     "--budget-enum", -1),
+], ids=["dissolve-enum", "dissolve-edges", "tower-enum", "extend-homs",
+        "rz-enum"])
+def test_negative_budget_is_refused(capsys, argv, flag, value):
+    """A budget below 0 is bad input, not a budget every job exceeds."""
+    code, report, err = _run(capsys, *argv)
+    assert (code, report) == (3, None)
+    assert err == "error: %s must be at least 0, got %d\n" % (flag, value)
+
+
 @pytest.mark.parametrize("argv, line", [
     (("--primes", "2", "--step", "identity"),
      "FAIL: level 0: 50094 of 50094 constellations not dissolved\n"),
