@@ -623,6 +623,22 @@ def test_malformed_json_input_is_bad_input(tmp_path, capsys, command, data,
     assert captured.err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("argv", [
+    ("extend", "{path}", "--p", "2"),
+    ("fold", "{path}"),
+    ("tower", "--config", "{path}"),
+], ids=["group", "graph", "config"])
+def test_unparsable_json_file_is_bad_input(tmp_path, capsys, argv):
+    """A file that is no JSON at all exits 3 with a line naming it."""
+    path = tmp_path / "in.json"
+    path.write_text('{"degree": 2,')
+    code, out, err = _call(capsys, [a.replace("{path}", str(path))
+                                    for a in argv])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: %s: Expecting" % path)
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("rz", "--h1", "a", "--h2", "b", "--w", "b a", "--max-level", "-1"),
      "tower max_level must be at least 0, got -1"),

@@ -307,3 +307,32 @@ def test_group_json_errors():
         group_from_json({"degree": 3, "gens": {"a": [0, 0, 1]}})
     with pytest.raises(ValueError, match="permutation"):
         group_from_json({"degree": 3, "gens": {"a": [0, 1]}})
+    with pytest.raises(ValueError, match="^group JSON: expected an object$"):
+        group_from_json([2, {"a": [1, 0]}])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: FinGroup.from_perms(("a", "a"), [(1, 0), (1, 0)]),
+     "alphabet names must be distinct"),
+    (lambda: FinGroup.from_perms(("a", "b"), [(1, 0)]),
+     "need one generator per letter"),
+    (lambda: FinGroup.from_perms((), []), "need at least one generator"),
+    (lambda: FinGroup.from_perms(("a",), [(1, 1)]),
+     r"generator \(1, 1\) is not a permutation of 0..1"),
+    (lambda: subdirect([]), "need at least one factor"),
+    (lambda: subdirect([builtin("S3"), FinGroup.from_perms(("a",), [(1, 0)])]),
+     "alphabets differ"),
+], ids=["repeated-name", "generator-count", "no-generator",
+        "non-permutation", "no-factor", "alphabets-differ"])
+def test_group_construction_refuses_bad_input(make, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        make()
+
+
+def test_element_of_refuses_letters_outside_the_alphabet():
+    G = builtin("S3")
+    assert G.element_of((1, -2)) == G.element(G.evaluate((1, -2)))
+    for w, bad in (((1, 0), 0), ((3,), 3), ((2, -3), -3)):
+        with pytest.raises(ValueError, match=r"^letter %d outside alphabet$"
+                           % bad):
+            G.element_of(w)

@@ -19,6 +19,7 @@ from treelike.rewriting import (
     spanning_tree_avoiding,
 )
 from treelike.stallings import (
+    LabeledGraph,
     fold,
     bouquet,
     member,
@@ -270,3 +271,6 @@ def test_graph_subgroup_basis():
     with pytest.raises(ValueError, match="basepointed"):
         graph_subgroup_basis(stallings_graph([parse_word("a")]).__class__(
             {0}, {(0, 1, 0)}))
+    with pytest.raises(ValueError, match="^graph is not connected$"):
+        graph_subgroup_basis(LabeledGraph({0, 1}, {(0, 1, 0), (1, 2, 1)},
+                                          basepoint=0))

@@ -95,6 +95,11 @@ def test_predicates():
     loops = LabeledGraph({0}, {(0, 1, 0), (0, 2, 0)}, basepoint=0)
     assert is_complete(loops)
     assert not is_complete(fold(raw))
+    # every vertex has degree 2|A|, but two a-edges leave 0: not folded
+    twin = LabeledGraph({0, 1}, {(0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 2, 1)},
+                        basepoint=0)
+    assert {twin.degree(v) for v in twin.vertices} == {2 * twin.n_letters}
+    assert not is_folded(twin) and not is_complete(twin)
     assert is_connected(loops)
     assert not is_connected(LabeledGraph({0, 1}, {(0, 1, 0)}))
     assert is_connected(LabeledGraph(set(), set()))
