@@ -244,9 +244,10 @@ def treelike_campaign(spec: TowerSpec, levels: int = 1,
     # the extension step reads level `levels`, the identity step stops below
     top = levels if step == "extension" else levels - 1
     if top > len(spec.primes):
-        raise ValueError("campaign over %d levels needs one prime per level"
-                         % levels if step == "extension" else
-                         "level %d has no prime configured" % (len(spec.primes) + 1))
+        raise ValueError(
+            "campaign over %d levels needs one prime per level" % levels
+            if step == "extension" else
+            "level %d has no prime configured" % (len(spec.primes) + 1))
     if top > spec.max_level:
         raise ValueError("campaign over %d levels reaches level %d, above "
                          "max_level %d" % (levels, top, spec.max_level))
