@@ -528,9 +528,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         argv = _splice_config(sys.argv[1:] if argv is None else argv)
         args = _build_parser().parse_args(argv)
         for name in _AT_LEAST_0:
-            if getattr(args, name, 0) < 0:
-                raise CliInputError("--%s must be at least 0, got %d" % (
-                    name.replace("_", "-"), getattr(args, name)))
+            if (value := getattr(args, name, 0)) < 0:
+                raise CliInputError("--%s must be at least 0, got %d"
+                                    % (name.replace("_", "-"), value))
         report, code = args.func(args)
         report["command"] = args.command
         _emit(report, args.out)
