@@ -7,8 +7,11 @@ members and non-members on C2xC2, S3 and D4 with two to four factors,
 short `tower`, `dissolve` and `extend` runs, failing checks (exit 1),
 budget refusals (exit 2) and each kind of bad input that the command
 line checks itself (exit 3); together they run in about 2 s.  Some
-cases read files: graph `.json` input and a `--config` file, committed
-in tests/golden/ and named `{golden}/...` in argv, and `--out` reports
+cases read files: graph `.json` input, a `--config` file and the group
+file c16.json (the cyclic group of order 16 on one letter, whose
+`dissolve_c16_2` scan C16^2 ->> C16 is cheaper as a pair scan than as a
+cut cover, so it pins the pair path byte for byte), committed in
+tests/golden/ and named `{golden}/...` in argv, and `--out` reports
 written to a fresh temporary directory, `{tmp}`.  A case that writes
 `--out` also records the hash of that file, which must equal the hash
 of its stdout.  Each case runs under an address-space cap, so one that
@@ -119,6 +122,10 @@ CASES = [
     # G^p ->> G at an odd prime on a four-element G: lift masks 972 bits
     # wide, every constellation dissolved
     ("dissolve_c2xc2_5", ["dissolve", "--H", "C2xC2^5", "--G", "C2xC2"]),
+    # a one-letter cyclic G of 16 edges: its 136 candidates make the
+    # pair scan cheaper than the cut cover's 2^16 transform
+    ("dissolve_c16_2", ["dissolve", "--H", "{golden}/c16.json^2",
+                        "--G", "{golden}/c16.json"]),
     # -- rz: separated non-members, members, inconclusive runs
     ("rz_c2xc2_p2", RZ + ["C2xC2", "--primes", "2", "--h1", "a",
                           "--h2", "b", "--w", "b a"]),
