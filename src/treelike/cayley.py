@@ -10,8 +10,9 @@ rewriting and cocycles read, and the one search of a Cayley graph: a
 breadth-first search of Gamma(H) over its step tables through the
 preimage of an edge set of Gamma(G) under phi: H ->> G (its parent map
 is read by `words.path_label`).  Lifts run it with their quotient's
-canonical morphism; components and the two-edge connectivity check run
-it with H = G and phi the identity.  It also computes path
+canonical morphism and the edge set as an int mask, one bit test per
+edge; components and the two-edge connectivity check run it with H = G,
+phi the identity and a set of edges.  It also computes path
 spans (over any group-like object with n_letters and step, unenumerated
 extension levels included), the covering subgraph of a folded
 basepointed graph (the part of the Cayley graph swept out by paths from
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (AbstractSet, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+                    Sequence, Tuple, Union)
 
 from .groups import FinGroup
 from .stallings import LabeledGraph, breadth_first, transition_maps
@@ -124,22 +125,29 @@ def covering_subgraph(A: LabeledGraph, G: FinGroup) -> CayleySubgraph:
                           frozenset(edges))
 
 
-def search(H: FinGroup, root: int, edges: AbstractSet[Edge],
-           phi: Sequence[int]) -> Dict[int, Optional[tuple]]:
+def search(H: FinGroup, root: int, edges: Union[AbstractSet[Edge], int],
+           phi: Sequence[int], bits: Optional[list] = None
+           ) -> Dict[int, Optional[tuple]]:
     """FIFO breadth-first search of the Cayley graph of H from root
     through the positive edges (h, a) whose image (phi[h], a) lies in
     edges: the parent map {v: (u, x)} with step(u, x) = v, in discovery
     order, None at the root.  Rows are tried in the order 1, -1, 2, -2,
     ...; only edges to unseen vertices are looked up in edges.  With
-    phi the identity it is the component of root in a subgraph."""
+    phi the identity it is the component of root in a subgraph.
+
+    edges is a set of edges (g, a), or, given bits, an int edge mask:
+    bits holds (x, row, bit) per row of H, bit[u] the position in the
+    mask of the image of the edge that x crosses from u.  Then each
+    edge is one bit test, with no tuple built or hashed."""
     # not breadth_first: looking up only edges to unseen vertices is fast
-    rows = H.rows()
+    rows = bits or [(x, row, None) for x, row in H.rows()]
     parent: Dict[int, Optional[tuple]] = {root: None}
     queue = [root]
     for u in queue:
-        for x, row in rows:
+        for x, row, bit in rows:
             if (v := row[u]) not in parent and (
-                    (phi[u], x) if x > 0 else (phi[v], -x)) in edges:
+                    edges >> bit[u] & 1 if bit else
+                    ((phi[u], x) if x > 0 else (phi[v], -x)) in edges):
                 parent[v] = (u, x)
                 queue.append(v)
     return parent

@@ -30,21 +30,31 @@ lift_X & lift_T & fiber_g == 0, for `dissolves` and the scan alike.
 
 The exhaustive scan counts with int masks over edges, over G and over H:
 the constellations of a candidate pair (X, T) are the bits g of
-vx & vt & ~comp0[mx & mt], each decided by the masks above.
-Both masks are symmetric in X and T, so the count visits each unordered
-pair once and weighs it 2.  The report lists its entries in the ordered
-order X, T, g: after the count, one walk over the ordered pairs lists
-them until the constellation list is full and the failure list holds
-as many of the counted failures as it has room for.  Scans over more
-than EXHAUSTIVE_PAIR_BUDGET ordered candidate pairs are refused before
-the first.  A sampled check decides its triple by the same three masks.
+vx & vt & ~comp0[mx & mt], each decided by the masks above.  Lifts only
+grow with their edge sets, so a constellation is dissolved when one
+that dominates it is.  The cut cover is a small family of
+constellations that dominates them all: if each of its members is
+dissolved, so is every constellation, and `total` comes from an
+AND-convolution of the candidate masks, with no pair loop and no lift
+outside the cover.  The scan takes that path where the convolution's
+|E| 2^|E| steps cost less than the candidates^2 / 2 unordered pairs.
+Otherwise, or if a member fails, the count visits each unordered pair
+once and weighs it 2, as both masks are symmetric in X and T.  The
+report lists its entries in the ordered order X, T, g: after the count,
+one walk over the ordered pairs lists them until the constellation list
+is full and the failure list holds as many of the counted failures as
+it has room for.  Scans over more than EXHAUSTIVE_PAIR_BUDGET ordered
+candidate pairs are refused before the first.  A sampled check decides
+its triple by the same three masks.
 
 Both modes list their entries through one lister, which reads each
 entry off the edge masks of X and T, g and the meet
 lift_X & lift_T & fiber_g, with no subgraph, Constellation or verdict
 object.  It reads edge lists and witness words only for an entry a
 report list has room for, and says what `Dissolver.dissolves` says of
-the Constellation: the tests check the one against the other.
+the Constellation: the tests check the one against the other.  Witness
+words are labelled after the walk, one search per mask that a listed
+failure names, so one search parent map is alive at a time.
 """
 
 from __future__ import annotations
@@ -383,9 +393,8 @@ class Dissolver:
     H-ids (bit h for id h), each built by _mask in time linear in |H|.
     fiber[g] holds the ids over g, built at first use; lift(m), memoized
     in _lifts, the ids of the lift of the edge mask m (edge (g, a) is bit
-    g * |A| + a - 1); witness(m, h) labels a path to h in that lift from
-    a search parent map, kept in _parents once a witness of m is asked,
-    and witnesses(mx, mt, meet) are the two words of a failure."""
+    g * |A| + a - 1), searched by testing one bit of m per edge of H at
+    the positions of _bit_rows, which the first search builds."""
 
     def __init__(self, H: FinGroup, G: FinGroup):
         phi = H.canonical_morphism_to(G) if H is not G else list(range(G.order()))
@@ -395,48 +404,46 @@ class Dissolver:
         self.H, self.G, self.phi = H, G, phi
         self.fiber = _Fibers(phi)
         self._lifts: Dict[int, int] = {}
-        self._parents: Dict[int, dict] = {}
+
+    @functools.cached_property
+    def _bit_rows(self) -> list:
+        """(x, row, bit) per row of H, bit[h] the edge-mask position of
+        the image of the edge that x crosses from h: (phi[h], x) for
+        x > 0, (phi[row[h]], -x) for x < 0."""
+        k, phi = self.G.n_letters, self.phi
+        return [(x, row, list(map(
+                    range(abs(x) - 1, self.G.order() * k, k).__getitem__,
+                    phi if x > 0 else map(phi.__getitem__, row))))
+                for x, row in self.H.rows()]
 
     def _component(self, edge_mask: int) -> Dict[int, Optional[tuple]]:
         """Search parent map of the lift of the edges in edge_mask."""
-        return search(self.H, 0, _edge_set(edge_mask, self.H.n_letters), self.phi)
+        return search(self.H, 0, edge_mask, self.phi, self._bit_rows)
 
-    def lift(self, edge_mask: int) -> int:
+    def lift(self, edge_mask: int, parent: Optional[dict] = None) -> int:
         """Mask of the H-ids of the component of 1 of the preimage, read
-        off the parent map in _parents if there is one, else searched."""
+        off parent, the search parent map of edge_mask, if it is given,
+        else searched."""
         if edge_mask not in self._lifts:
-            parent = self._parents.get(edge_mask) or self._component(edge_mask)
-            self._lifts[edge_mask] = _mask(parent, len(self.phi))
+            self._lifts[edge_mask] = _mask(parent or self._component(edge_mask),
+                                           len(self.phi))
         return self._lifts[edge_mask]
 
-    def witness(self, edge_mask: int, h: int) -> Word:
-        """Label of a path 1 -> h inside the lift of edge_mask."""
-        if edge_mask not in self._parents:
-            self._parents[edge_mask] = self._component(edge_mask)
-        return path_label(self._parents[edge_mask], h)
-
-    def witnesses(self, mx: int, mt: int, meet: int) -> Tuple[Word, Word]:
-        """Words u, v of a failure whose meet lift_X & lift_T & fiber[g]
-        is nonzero: they label paths to its lowest H-id inside the lifts
-        of mx and mt, so [u]_H = [v]_H."""
-        h = (meet & -meet).bit_length() - 1
-        return self.witness(mx, h), self.witness(mt, h)
-
     def dissolves(self, c: Constellation) -> DissolveVerdict:
-        """Disjoint fibers over c.g, else the witnesses of the meet.
-        A lift first met here is searched once: its parent map serves
-        lift and, if c fails, witness; it is dropped if c is dissolved."""
-        mx, mt = _edge_mask(c.X), _edge_mask(c.T)
-        fresh = [m for m in (mx, mt) if m not in self._lifts]
-        self._parents.update((m, self._component(m)) for m in fresh)
-        fx, ft = (self.lift(m) & self.fiber[c.g] for m in (mx, mt))
+        """Disjoint fibers over c.g, else the witnesses of the meet: words
+        u, v labelling paths to its lowest H-id inside the lifts of X and
+        T, so [u]_H = [v]_H.  A lift first met here is searched once, and
+        its parent map serves the lift and the witness word."""
+        masks = _edge_mask(c.X), _edge_mask(c.T)
+        fresh = {m: self._component(m) for m in set(masks) - self._lifts.keys()}
+        fx, ft = (self.lift(m, fresh.get(m)) & self.fiber[c.g] for m in masks)
         sizes = {"fiber_x": fx.bit_count(), "fiber_t": ft.bit_count()}
         if not (meet := fx & ft):
-            for m in fresh:
-                del self._parents[m]
             return DissolveVerdict("dissolved", **sizes)
-        return DissolveVerdict("counterexample", *self.witnesses(mx, mt, meet),
-                               **sizes)
+        h = (meet & -meet).bit_length() - 1
+        fresh.update((m, self._component(m)) for m in set(masks) - fresh.keys())
+        return DissolveVerdict("counterexample", *(
+            path_label(fresh[m], h) for m in masks), **sizes)
 
 
 class _Fibers(dict):
@@ -509,7 +516,7 @@ def dissolves_all(H: FinGroup, G: FinGroup, mode: str = "exhaustive",
         _scan_exhaustive(dis, report, edge_budget, detail_limit)
     else:
         report.update(samples=samples, max_len=max_len, seed=seed)
-        record = _lister(report, dis, detail_limit)
+        record, label = _lister(report, dis, detail_limit)
         for c, _, _ in sample_constellations(G, random.Random(seed), samples,
                                              max_len):
             mx, mt = _edge_mask(c.X), _edge_mask(c.T)
@@ -517,6 +524,7 @@ def dissolves_all(H: FinGroup, G: FinGroup, mode: str = "exhaustive",
             record(mx, mt, c.g, meet)
             report["total"] += 1
             report["dissolved"] += not meet
+        label()
     if report["total"] - report["dissolved"] > len(report["failures"]):
         report["failures_truncated"] = True
     report["all_dissolved"] = report["dissolved"] == report["total"]
@@ -524,15 +532,20 @@ def dissolves_all(H: FinGroup, G: FinGroup, mode: str = "exhaustive",
 
 
 def _lister(report: dict, dis: Dissolver, detail_limit: Optional[int]
-            ) -> Callable[[int, int, int, int], None]:
-    """record(mx, mt, g, meet), which lists the entry of (X, g, T), X and
-    T the spans of the edge masks mx and mt, in each report list that
-    has room: a counterexample with the witness words of meet =
-    lift_X & lift_T & fiber[g] if meet is nonzero, else dissolved.  It
-    reads edge lists, one list per mask, and witness words only for an
-    entry it lists, so an unlisted check builds neither."""
+            ) -> Tuple[Callable[[int, int, int, int], None], Callable[[], None]]:
+    """(record, label).  record(mx, mt, g, meet) lists the entry of
+    (X, g, T), X and T the spans of the edge masks mx and mt, in each
+    report list that has room: a counterexample if meet =
+    lift_X & lift_T & fiber[g] is nonzero, else dissolved.  It reads
+    edge lists, one list per mask, only for an entry it lists.  A listed
+    counterexample waits under each of its masks for its witness words u
+    and v, which label paths to the lowest H-id of meet inside the lifts
+    of X and T, so [u]_H = [v]_H.  label() then searches each waiting
+    mask once, writes the words of all its entries and drops the parent
+    map, so one map is alive at a time."""
     room = float("inf") if detail_limit is None else detail_limit
     listed, failures = report["constellations"], report["failures"]
+    waiting: Dict[int, list] = {}
 
     @functools.cache
     def edge_list(m: int) -> list:
@@ -546,14 +559,99 @@ def _lister(report: dict, dis: Dissolver, detail_limit: Optional[int]
         entry = {"g": g, "x_edges": edge_list(mx), "t_edges": edge_list(mt),
                  "verdict": "counterexample" if meet else "dissolved"}
         if meet:
-            entry["u"], entry["v"] = (word_str(w, dis.G.alphabet)
-                                      for w in dis.witnesses(mx, mt, meet))
+            h = (meet & -meet).bit_length() - 1
+            for m, side in ((mx, "u"), (mt, "v")):
+                waiting.setdefault(m, []).append((entry, side, h))
         if fail:
             failures.append(entry)
         if len(listed) < room:
             listed.append(entry)
 
-    return record
+    def label() -> None:
+        for m in sorted(waiting):
+            parent = dis._component(m)
+            for entry, side, h in waiting.pop(m):
+                entry[side] = word_str(path_label(parent, h), dis.G.alphabet)
+
+    return record, label
+
+
+def _cut_cover(G: FinGroup, candidates: List[Tuple[int, int]],
+               comp0: List[int]) -> Iterator[Tuple[int, int, int]]:
+    """The members (x, t, gs) of the cut cover, each pair of edge masks
+    (x, t) once, gs the g of the constellations (x, g, t): a family that
+    dominates every constellation (X, g, T) of the scan, by a member with
+    X in x, T in t and g in gs.
+
+    For each candidate X and each vertex set S of a connected sub-span
+    of X that holds 1, grown from {1} through X's edges, T* = cut(X, S)
+    is the span of the component of 1 in the edges outside X and the
+    edges of X that do not cross S, and X** = cut(T*, comp0[X & T*]) is
+    built from T* the same way; the member is (X**, T*).
+
+    Proof.  Take S = comp0[X & T], which g is not in.  No edge of X & T
+    crosses S, so every edge of T is outside X or an edge of X that does
+    not cross S, and T, connected and holding 1, lies in T*.  The edges
+    of X in T* do not cross S, so comp0[X & T*] lies in S, and X lies in
+    X** the same way.  No edge of X** & T* crosses comp0[X & T*] either,
+    so comp0[X** & T*] lies in S and misses g, while g is a vertex of
+    X in X** and of T in T*: (X**, g, T*) is a constellation.  Lifts
+    grow with their edge sets, so its meet holds that of (X, g, T), and
+    if the member dissolves, so does the constellation."""
+    n, k = G.order(), G.n_letters
+    ends = [1 << g | 1 << G.step(g, a) for g in range(n) for a in range(1, k + 1)]
+    touching = [0]          # edges with an end in the vertex mask vs
+    for g in range(n):
+        at_g = _mask((i for i, e in enumerate(ends) if e >> g & 1), n * k)
+        touching += [t | at_g for t in touching]
+    every, vertices = (1 << n * k) - 1, (1 << n) - 1
+
+    def cut(m: int, s: int) -> int:
+        """The span of the component of 1 in the edges outside m and the
+        edges of m that do not cross the vertex mask s."""
+        kept = every ^ (m & touching[s] & touching[vertices ^ s])
+        return kept & touching[comp0[kept]]
+
+    members = set()
+    for mx, _ in candidates:
+        grown, seen = [1], {1}
+        for s in grown:
+            t = cut(mx, s)
+            x = cut(t, comp0[mx & t])
+            if (x, t) not in members:
+                members.add((x, t))
+                yield x, t, comp0[x] & comp0[t] & ~comp0[x & t]
+            more = {s | ends[i] for i in _bits(mx & touching[s])} - seen
+            seen |= more                # s and one more vertex, through X
+            grown += more
+
+
+def _pair_total(candidates: List[Tuple[int, int]], comp0: List[int],
+                width: int) -> int:
+    """The number of constellations of all ordered candidate pairs, with
+    no pair loop.  comp0[mx & mt] lies in vx & vt, so a pair has
+    |vx & vt| - |comp0[mx & mt]| of them, and all pairs
+    sum_g c_g^2 - sum_m N(m) |comp0[m]|: c_g counts the candidates that
+    hold g, and N(m) the ordered pairs with mx & mt = m.  N is the
+    AND-convolution of the candidate masks: their superset sums,
+    squared, then inverted by Moebius (the zeta/Moebius pair of fast
+    subset convolution), each |width| rounds over 2^width entries."""
+    def superset_sums(f: list, op: Callable[[int, int], int]) -> list:
+        """f[m] op= f[m | 1 << i] for each i below width, in place."""
+        for i in range(width):
+            h = 1 << i
+            for lo in range(0, len(f), 2 * h):
+                f[lo:lo + h] = map(op, f[lo:lo + h], f[lo + h:lo + 2 * h])
+        return f
+
+    f = [0] * (1 << width)
+    for m, _ in candidates:
+        f[m] = 1
+    f = superset_sums([x * x for x in superset_sums(f, int.__add__)],
+                      int.__sub__)
+    return (sum(sum(v >> g & 1 for _, v in candidates) ** 2
+                for g in range(width))
+            - sum(x * comp0[m].bit_count() for m, x in enumerate(f) if x))
 
 
 def _scan_exhaustive(dis: Dissolver, report: dict, edge_budget: int,
@@ -566,43 +664,60 @@ def _scan_exhaustive(dis: Dissolver, report: dict, edge_budget: int,
     pairs in one test.  An entry fails iff meet = lx & lt & fiber[g] is
     nonzero.
 
-    The count comes first: it visits each unordered pair {X, T} once
-    with weight 2, because the g of a pair and the meet of its lifts
-    are symmetric in X and T, and a pair X = T has no g.  Then one
-    listing walk over the ordered pairs (X, T) and their g ascending
-    gives each entry with its meet to the report's lister (`_lister`),
-    until the constellation list is full and the failure list holds
-    as many of the 2 * failed failures as it has room for.  The lister
-    searches a lift again for witness words only when it lists a failure
-    on it."""
+    The cut cover (`_cut_cover`) decides an all-dissolved scan: if each
+    of its members (x, t, gs) has lift_x & lift_t & fibers[gs] == 0,
+    every constellation is dissolved, `_pair_total` counts them, and the
+    scan lifts no mask outside the cover.  A cost rule, not an option,
+    picks the path: the cover runs only where its |E| 2^|E| transform
+    costs less than the pair count's candidates^2 / 2 unordered pairs,
+    and stops at its first failing member.  The candidate pass has
+    checked both budgets before either path starts.
+
+    Otherwise the count visits each unordered pair {X, T} once with
+    weight 2, because the g of a pair and the meet of its lifts are
+    symmetric in X and T, and a pair X = T has no g.  Then one listing
+    walk over the ordered pairs (X, T) and their g ascending gives each
+    entry with its meet (0 after the cover) to the report's lister
+    (`_lister`), until the constellation list is full and the failure
+    list holds as many of the failures as it has room for."""
     G = dis.G
     candidates, comp0 = _candidate_pass(G, edge_budget)
-    rows = [(m, v, dis.lift(m)) for m, v in candidates]
     outside = [~c for c in comp0]
     fiber = [dis.fiber[g] for g in range(G.order())]    # G is admitted
     over, fibers = [()], [0]        # tables for vs < 2^(g + 1)
     for g, f in enumerate(fiber):
         over += [gs + (g,) for gs in over]
         fibers += [x | f for x in fibers]
-    total = failed = 0              # over unordered pairs, each worth 2
-    for i, (mx, vx, lx) in enumerate(rows):
-        for mt, vt, lt in rows[i + 1:]:
-            gs = vx & vt & outside[mx & mt]
-            if not gs:
-                continue
-            total += len(over[gs])
-            common = lx & lt & fibers[gs]
-            if not common:
-                continue
-            for g in over[gs]:
-                if common & fiber[g]:
-                    failed += 1
-    report.update(total=2 * total, dissolved=2 * (total - failed))
+    width = G.order() * G.n_letters
+    covered = width << width < len(candidates) ** 2 // 2 and not any(
+        gs and dis.lift(x) & dis.lift(t) & fibers[gs]
+        for x, t, gs in _cut_cover(G, candidates, comp0))
+    rows = [(m, v, 0 if covered else dis.lift(m)) for m, v in candidates]
+    if covered:
+        total, failed = _pair_total(candidates, comp0, width), 0
+    else:
+        total = failed = 0          # over unordered pairs, each worth 2
+        for i, (mx, vx, lx) in enumerate(rows):
+            for mt, vt, lt in rows[i + 1:]:
+                gs = vx & vt & outside[mx & mt]
+                if not gs:
+                    continue
+                total += len(over[gs])
+                common = lx & lt & fibers[gs]
+                if not common:
+                    continue
+                for g in over[gs]:
+                    if common & fiber[g]:
+                        failed += 1
+        total, failed = 2 * total, 2 * failed
+    report.update(total=total, dissolved=total - failed)
     limit = float("inf") if detail_limit is None else detail_limit
     listed, failures = report["constellations"], report["failures"]
-    wanted, record = min(limit, 2 * failed), _lister(report, dis, detail_limit)
+    wanted = min(limit, failed)
+    record, label = _lister(report, dis, detail_limit)
     for (mx, vx, lx), (mt, vt, lt) in itertools.product(rows, repeat=2):
         if len(listed) >= limit and len(failures) >= wanted:
             break
         for g in over[vx & vt & outside[mx & mt]]:
             record(mx, mt, g, lx & lt & fiber[g])
+    label()

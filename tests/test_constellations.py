@@ -3,6 +3,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -304,16 +305,122 @@ def test_pair_budget_limit_is_exact(monkeypatch):
     assert passes == [] and lifts == []
 
 
+def _cut_cover(G):
+    """G's candidates, comp0 and the members of its cut cover."""
+    candidates, comp0 = constellations._candidate_pass(
+        G, constellations.EXHAUSTIVE_EDGE_BUDGET)
+    return candidates, comp0, list(
+        constellations._cut_cover(G, candidates, comp0))
+
+
+@pytest.mark.parametrize("name,size,with_g", [("C3", 48, 42),
+                                              ("C2xC2", 96, 84)])
+def test_cut_cover_dominates_every_constellation(name, size, with_g):
+    """Each of the 2,032 constellations (X, g, T) of C3 and the 50,094
+    of C2xC2 lies under a member (x, t, gs) of the cut cover: X in x, T
+    in t and g in gs, and each member with g is a constellation.  The
+    sizes are pinned, so a cover that loses its X** round shows."""
+    G = builtin(name)
+    candidates, comp0, members = _cut_cover(G)
+    assert len({(x, t) for x, t, _ in members}) == len(members) == size
+    assert sum(1 for *_, gs in members if gs) == with_g
+
+    def holding(of):
+        """Per candidate mask m, the members whose side `of` holds m,
+        as bits over the member indices."""
+        return {m: sum(1 << j for j, member in enumerate(members)
+                       if m & ~member[of] == 0) for m, _ in candidates}
+
+    under_x, under_t = holding(0), holding(1)
+    over_g = [sum(1 << j for j, (*_, gs) in enumerate(members) if gs >> g & 1)
+              for g in range(G.order())]
+    found = missed = 0
+    for mx, vx in candidates:
+        for mt, vt in candidates:
+            for g in constellations._bits(vx & vt & ~comp0[mx & mt]):
+                found += 1
+                missed += not under_x[mx] & under_t[mt] & over_g[g]
+    assert (found, missed) == (len(_brute_triples(G)), 0)
+
+    def span(m):
+        return CayleySubgraph(G, constellations._bits(comp0[m]),
+                              constellations._edge_set(m, G.n_letters))
+
+    for x, t, gs in members:
+        for g in constellations._bits(gs):
+            assert is_constellation(span(x), g, span(t))
+
+
+def _subdirect_d4_c4xc2():
+    """subdirect(D4, C4xC2) (order 16) ->> C2xC2: 28,388 of the 50,094
+    constellations are dissolved."""
+    C4xC2 = FinGroup.from_perms(("a", "b"), [(1, 2, 3, 0, 4, 5),
+                                             (0, 1, 2, 3, 5, 4)], name="C4xC2")
+    return subdirect([builtin("D4"), C4xC2])
+
+
+@pytest.mark.parametrize("quotient,base", [
+    ("C3^2", "C3"), ("C3", "C3"), ("C2xC2^2", "C2xC2"), ("D4", "C2xC2"),
+    ("C2xC2", "C2xC2"), ("subdirect", "C2xC2")])
+def test_cut_cover_and_convolution_agree_with_the_pair_scan(quotient, base,
+                                                            monkeypatch):
+    """On the mask-scan cases, the identity quotients and a subdirect
+    quotient with some failures: the convolution `total` is the pair
+    scan's, and the cover dissolves iff every constellation does."""
+    H = _subdirect_d4_c4xc2() if quotient == "subdirect" else group_arg(quotient)
+    G = builtin(base)
+    candidates, comp0, members = _cut_cover(G)
+    dis = Dissolver(H, G)
+
+    def fibers(gs):
+        return functools.reduce(int.__or__, (
+            dis.fiber[g] for g in constellations._bits(gs)), 0)
+
+    covered = not any(dis.lift(x) & dis.lift(t) & fibers(gs)
+                      for x, t, gs in members)
+    total = constellations._pair_total(candidates, comp0,
+                                       G.order() * G.n_letters)
+    monkeypatch.setattr(constellations, "_scan_exhaustive",
+                        _scan_by_ordered_pairs)
+    pairs = dissolves_all(H, G, detail_limit=0)
+    assert total == pairs["total"]
+    assert covered == (pairs["dissolved"] == pairs["total"])
+    if quotient == "subdirect":
+        assert pairs["dissolved"] == 28388
+
+
+def test_cost_rule_picks_the_pair_scan_for_c16(monkeypatch):
+    """The cut cover runs only where its |E| 2^|E| transform costs less
+    than the candidates^2 / 2 unordered pairs: C16 on one letter has 16
+    edges and 136 candidates, so C16^2 ->> C16 takes the pair scan and
+    lifts every candidate, while C3^2 ->> C3 (6 edges, 60 candidates)
+    takes the cover."""
+    covered = []
+    cut_cover = constellations._cut_cover
+    monkeypatch.setattr(constellations, "_cut_cover", lambda G, *args: (
+        covered.append(G.name) or cut_cover(G, *args)))
+    C16 = group_arg(str(Path(__file__).parent / "golden" / "c16.json"))
+    H = extension_group(C16, 2)
+    report = dissolves_all(H, C16, detail_limit=0)
+    assert covered == [] and report["total"] == report["dissolved"] == 23256
+    assert len(constellations._candidate_pass(C16, 16)[0]) == 136
+    report = dissolves_all(group_arg("C3^2"), builtin("C3"), detail_limit=0)
+    assert covered == ["C3"] and report["all_dissolved"]
+
+
 @pytest.mark.parametrize("quotient,base,limit", [
     ("C3", "C3", 200), ("D4", "C2xC2", 13), ("C3^2", "C3", None)])
 def test_exhaustive_listing_builds_no_objects(quotient, base, limit,
                                               monkeypatch):
     """An exhaustive report is read off the scan's masks: it builds no
-    subgraph, constellation or verdict, and searches each candidate's
-    lift once, and again once when a listed failure first names it."""
+    subgraph, constellation or verdict, and searches each lift that the
+    cut cover or the pair scan reads once, and then each mask that a
+    listed failure names once more, in ascending order.  A scan that
+    fails lifts every candidate; an all-dissolved one only the cover's
+    masks of the members with a g."""
     H, G = group_arg(quotient), builtin(base)
-    n_candidates = len(constellations._candidate_pass(
-        G, constellations.EXHAUSTIVE_EDGE_BUDGET)[0])
+    candidates, comp0 = constellations._candidate_pass(
+        G, constellations.EXHAUSTIVE_EDGE_BUDGET)
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("%s built" % type(self).__name__)
@@ -324,14 +431,23 @@ def test_exhaustive_listing_builds_no_objects(quotient, base, limit,
     searched = []
     component = Dissolver._component
     monkeypatch.setattr(Dissolver, "_component", lambda self, mask: (
-        searched.append(mask) or component(self, mask)))
+        searched.append((self, mask)) or component(self, mask)))
     report = dissolves_all(H, G, detail_limit=limit)
     k = G.n_letters
     named = {sum(1 << g * k + a - 1 for g, a in entry[edges])
              for entry in report["failures"]
              for edges in ("x_edges", "t_edges")}
-    assert len(searched) == n_candidates + len(named)
-    assert sorted(searched[n_candidates:]) == sorted(named)
+    dis = searched[0][0]
+    lifted = [mask for _, mask in searched[:len(dis._lifts)]]
+    assert sorted(lifted) == sorted(dis._lifts)
+    assert [mask for _, mask in searched[len(lifted):]] == sorted(named)
+    if report["all_dissolved"]:
+        assert named == set()
+        assert set(lifted) == {m for x, t, gs in constellations._cut_cover(
+            G, candidates, comp0) if gs for m in (x, t)}
+        assert len(lifted) < len(candidates)
+    else:
+        assert sorted(lifted) == sorted(m for m, _ in candidates)
     assert report["total"] - report["dissolved"] >= len(report["failures"])
 
 
@@ -683,8 +799,9 @@ def test_dissolver_builds_the_fibers_it_reads(monkeypatch):
 def test_sampled_checks_search_each_lift_once(quotient, dissolved,
                                               monkeypatch):
     """A sampled check searches a new lift once: its parent map serves
-    the lift mask and, if the check fails, the witness words; a
-    dissolved check keeps no parent map."""
+    the lift mask and, if the check fails, the witness words.  A
+    dissolved check searches only its new masks, and a failing one each
+    of its masks once: a mask lifted before gets one extra search."""
     H, G = group_arg(quotient), builtin("S3")
     searched = []
     component = Dissolver._component
@@ -692,28 +809,37 @@ def test_sampled_checks_search_each_lift_once(quotient, dissolved,
         searched.append(mask) or component(self, mask)))
     dis = Dissolver(H, G)
     for c, _, _ in sample_constellations(G, random.Random(7), 30):
+        masks = {constellations._edge_mask(c.X), constellations._edge_mask(c.T)}
+        before, new = len(searched), masks - set(dis._lifts)
         assert dis.dissolves(c).dissolved == dissolved
-    assert sorted(searched) == sorted(dis._lifts)
-    assert set(dis._parents) == (set() if dissolved else set(dis._lifts))
+        assert sorted(searched[before:]) == sorted(new if dissolved else masks)
+    assert sorted(set(searched)) == sorted(dis._lifts)
 
 
 def test_sampled_report_witnesses_only_listed_failures(monkeypatch):
     """A sampled report reads witness words only for the failures it
     lists: of 200 failing checks over S3^2 ->> S3^2, the 3 listed ones
-    ask 6 witnesses, and parent maps are kept only for their masks."""
+    name at most 6 masks, and each lift is searched once, then each
+    named mask once more, in ascending order, after the checks."""
     G = group_arg("S3^2")
-    asked = []
-    witness = Dissolver.witness
-    monkeypatch.setattr(Dissolver, "witness", lambda self, mask, h: (
-        asked.append((self, mask)) or witness(self, mask, h)))
+    searched = []
+    component = Dissolver._component
+    monkeypatch.setattr(Dissolver, "_component", lambda self, mask: (
+        searched.append((self, mask)) or component(self, mask)))
     report = dissolves_all(G, G, mode="sampled", samples=200, seed=5,
                            detail_limit=3)
     assert report["total"] == 200 and report["dissolved"] == 0
     assert len(report["failures"]) == 3 and report["failures_truncated"]
-    assert 0 < len(asked) <= 6
-    dis = asked[0][0]
-    assert all(d is dis for d, _ in asked)
-    assert set(dis._parents) == {mask for _, mask in asked}
+    dis = searched[0][0]
+    assert all(d is dis for d, _ in searched)
+    k = G.n_letters
+    named = {sum(1 << g * k + a - 1 for g, a in entry[edges])
+             for entry in report["failures"]
+             for edges in ("x_edges", "t_edges")}
+    assert 0 < len(named) <= 6
+    masks = [mask for _, mask in searched]
+    assert sorted(masks[:len(dis._lifts)]) == sorted(dis._lifts)
+    assert masks[len(dis._lifts):] == sorted(named)
 
 
 @pytest.mark.parametrize("name,p", [
