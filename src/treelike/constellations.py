@@ -600,10 +600,8 @@ def _cut_cover(G: FinGroup, candidates: List[Tuple[int, int]],
     if the member dissolves, so does the constellation."""
     n, k = G.order(), G.n_letters
     ends = [1 << g | 1 << G.step(g, a) for g in range(n) for a in range(1, k + 1)]
-    touching = [0]          # edges with an end in the vertex mask vs
-    for g in range(n):
-        at_g = _mask((i for i, e in enumerate(ends) if e >> g & 1), n * k)
-        touching += [t | at_g for t in touching]
+    touching = [_mask((i for i, e in enumerate(ends) if e & vs), n * k)
+                for vs in range(1 << n)]    # edges with an end in vs
     every, vertices = (1 << n * k) - 1, (1 << n) - 1
 
     def cut(m: int, s: int) -> int:
@@ -638,8 +636,7 @@ def _pair_total(candidates: List[Tuple[int, int]], comp0: List[int],
     subset convolution), each |width| rounds over 2^width entries."""
     def superset_sums(f: list, op: Callable[[int, int], int]) -> list:
         """f[m] op= f[m | 1 << i] for each i below width, in place."""
-        for i in range(width):
-            h = 1 << i
+        for h in (1 << i for i in range(width)):
             for lo in range(0, len(f), 2 * h):
                 f[lo:lo + h] = map(op, f[lo:lo + h], f[lo + h:lo + 2 * h])
         return f

@@ -13,6 +13,7 @@ multiply through its tables.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -206,6 +207,12 @@ class FinGroup:
         """(x, row) for x = 1, -1, 2, -2, ...; row[i] is step(i, x)."""
         self._enumerate()
         return list(self._tables.items())
+
+    @functools.cached_property
+    def search_rows(self) -> list:
+        """(x, row, None) per row: the rows of `cayley.search` through a
+        set of edges, built once per group."""
+        return [(x, row, None) for x, row in self.rows()]
 
     def _walk(self, i: int, w: Iterable[int]) -> int:
         """Id reached from id i by walking w through the step tables,
