@@ -140,7 +140,7 @@ def search(H: FinGroup, root: int, edges: Union[AbstractSet[Edge], int],
     mask of the image of the edge that x crosses from u.  Then each
     edge is one bit test, with no tuple built or hashed."""
     # not breadth_first: looking up only edges to unseen vertices is fast
-    rows = bits or H.search_rows
+    rows = bits or H.search_rows()
     parent: Dict[int, Optional[tuple]] = {root: None}
     queue = [root]
     for u in queue:

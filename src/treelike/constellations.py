@@ -404,20 +404,19 @@ class Dissolver:
         self.H, self.G, self.phi = H, G, phi
         self.fiber = _Fibers(phi)
         self._lifts: Dict[int, int] = {}
-
-    @functools.cached_property
-    def _bit_rows(self) -> list:
-        """(x, row, bit) per row of H, bit[h] the edge-mask position of
-        the image of the edge that x crosses from h: (phi[h], x) for
-        x > 0, (phi[row[h]], -x) for x < 0."""
-        k, phi = self.G.n_letters, self.phi
-        return [(x, row, list(map(
-                    range(abs(x) - 1, self.G.order() * k, k).__getitem__,
-                    phi if x > 0 else map(phi.__getitem__, row))))
-                for x, row in self.H.rows()]
+        self._bit_rows: Optional[list] = None
 
     def _component(self, edge_mask: int) -> Dict[int, Optional[tuple]]:
-        """Search parent map of the lift of the edges in edge_mask."""
+        """Search parent map of the lift of the edges in edge_mask.  The
+        first search builds _bit_rows: (x, row, bit) per row of H, bit[h]
+        the edge-mask position of the image of the edge that x crosses
+        from h, (phi[h], x) for x > 0 and (phi[row[h]], -x) for x < 0."""
+        if self._bit_rows is None:
+            k, phi = self.G.n_letters, self.phi
+            self._bit_rows = [(x, row, list(map(
+                range(abs(x) - 1, self.G.order() * k, k).__getitem__,
+                phi if x > 0 else map(phi.__getitem__, row))))
+                for x, row in self.H.rows()]
         return search(self.H, 0, edge_mask, self.phi, self._bit_rows)
 
     def lift(self, edge_mask: int, parent: Optional[dict] = None) -> int:
@@ -440,10 +439,9 @@ class Dissolver:
         sizes = {"fiber_x": fx.bit_count(), "fiber_t": ft.bit_count()}
         if not (meet := fx & ft):
             return DissolveVerdict("dissolved", **sizes)
-        h = (meet & -meet).bit_length() - 1
         fresh.update((m, self._component(m)) for m in set(masks) - fresh.keys())
-        return DissolveVerdict("counterexample", *(
-            path_label(fresh[m], h) for m in masks), **sizes)
+        return DissolveVerdict("counterexample", *(path_label(
+            fresh[m], (meet & -meet).bit_length() - 1) for m in masks), **sizes)
 
 
 class _Fibers(dict):

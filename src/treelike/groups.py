@@ -13,7 +13,6 @@ multiply through its tables.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -97,6 +96,7 @@ class FinGroup:
         self._words: dict = {}                  # witness words asked for
         self._tables: Optional[dict] = None     # signed letter -> successor ids
         self._exponent: Optional[int] = None
+        self._search_rows: Optional[list] = None   # of search_rows()
 
     @classmethod
     def from_perms(cls, alphabet: Sequence[str], perms: Sequence[tuple],
@@ -208,11 +208,12 @@ class FinGroup:
         self._enumerate()
         return list(self._tables.items())
 
-    @functools.cached_property
     def search_rows(self) -> list:
         """(x, row, None) per row: the rows of `cayley.search` through a
-        set of edges, built once per group."""
-        return [(x, row, None) for x, row in self.rows()]
+        set of edges, built at the first call and kept."""
+        if self._search_rows is None:
+            self._search_rows = [(x, row, None) for x, row in self.rows()]
+        return self._search_rows
 
     def _walk(self, i: int, w: Iterable[int]) -> int:
         """Id reached from id i by walking w through the step tables,
