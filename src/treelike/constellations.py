@@ -60,6 +60,7 @@ failure names, so one search parent map is alive at a time.
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import itertools
 import random
@@ -582,10 +583,11 @@ def _cut_cover(G: FinGroup, candidates: List[Tuple[int, int]],
     X in x, T in t and g in gs.
 
     For each candidate X and each vertex set S of a connected sub-span
-    of X that holds 1, grown from {1} through X's edges, T* = cut(X, S)
-    is the span of the component of 1 in the edges outside X and the
-    edges of X that do not cross S, and X** = cut(T*, comp0[X & T*]) is
-    built from T* the same way; the member is (X**, T*).
+    of X that holds 1 ({1}, or the vertex set of a candidate inside X
+    that X's edges inside it connect), T* = cut(X, S) is the span of the
+    component of 1 in the edges outside X and the edges of X that do not
+    cross S, and X** = cut(T*, comp0[X & T*]) is built from T* the same
+    way; the member is (X**, T*).
 
     Proof.  Take S = comp0[X & T], which g is not in.  No edge of X & T
     crosses S, so every edge of T is outside X or an edge of X that does
@@ -608,18 +610,16 @@ def _cut_cover(G: FinGroup, candidates: List[Tuple[int, int]],
         kept = every ^ (m & touching[s] & touching[vertices ^ s])
         return kept & touching[comp0[kept]]
 
-    members = set()
-    for mx, _ in candidates:
-        grown, seen = [1], {1}
-        for s in grown:
+    members, sets = set(), sorted({1} | {v for _, v in candidates})
+    for mx, vx in candidates:
+        for s in sets:
+            if s & ~vx or comp0[mx & ~touching[vertices ^ s]] != s:
+                continue                # X's edges inside s miss part of s
             t = cut(mx, s)
             x = cut(t, comp0[mx & t])
             if (x, t) not in members:
                 members.add((x, t))
                 yield x, t, comp0[x] & comp0[t] & ~comp0[x & t]
-            more = {s | ends[i] for i in _bits(mx & touching[s])} - seen
-            seen |= more                # s and one more vertex, through X
-            grown += more
 
 
 def _pair_total(candidates: List[Tuple[int, int]], comp0: List[int],
@@ -633,18 +633,20 @@ def _pair_total(candidates: List[Tuple[int, int]], comp0: List[int],
     squared, then inverted by Moebius (the zeta/Moebius pair of fast
     subset convolution), each |width| rounds over 2^width entries."""
     def superset_sums(f: list, op: Callable[[int, int], int]) -> list:
-        """f[m] op= f[m | 1 << i] for each i below width, in place."""
-        for h in (1 << i for i in range(width)):
-            for lo in range(0, len(f), 2 * h):
-                f[lo:lo + h] = map(op, f[lo:lo + h], f[lo + h:lo + 2 * h])
+        """f[m] op= f[m | 1 << i] for each bit i below width.  Each round
+        moves bit 0 of the index to the top, so that its pairs (m, m | 1)
+        are the two halves of the list; width rounds restore the order."""
+        half = len(f) // 2
+        for _ in range(width):
+            f = f[0::2] + f[1::2]
+            f[:half] = map(op, f[:half], f[half:])
         return f
 
-    f = [0] * (1 << width)
-    for m, _ in candidates:
-        f[m] = 1
+    f = list(map({m for m, _ in candidates}.__contains__, range(1 << width)))
     f = superset_sums([x * x for x in superset_sums(f, int.__add__)],
                       int.__sub__)
-    return (sum(sum(v >> g & 1 for _, v in candidates) ** 2
+    held = collections.Counter(v for _, v in candidates)
+    return (sum(sum(c for v, c in held.items() if v >> g & 1) ** 2
                 for g in range(width))
             - sum(x * comp0[m].bit_count() for m, x in enumerate(f) if x))
 
