@@ -589,9 +589,10 @@ def _cut_cover(G: FinGroup, candidates: List[Tuple[int, int]],
     cross S, and X** = cut(T*, comp0[X & T*]) is built from T* the same
     way; the member is (X**, T*).
 
-    Proof.  Take S = comp0[X & T], which g is not in.  No edge of X & T
-    crosses S, so every edge of T is outside X or an edge of X that does
-    not cross S, and T, connected and holding 1, lies in T*.  The edges
+    Proof.  Take S = comp0[X & T], which g is not in: the edges of X & T
+    inside S connect it, so it is one of the sets S of X.  No edge of
+    X & T crosses S, so every edge of T is outside X or an edge of X that
+    does not cross S, and T, connected and holding 1, lies in T*.  The edges
     of X in T* do not cross S, so comp0[X & T*] lies in S, and X lies in
     X** the same way.  No edge of X** & T* crosses comp0[X & T*] either,
     so comp0[X** & T*] lies in S and misses g, while g is a vertex of
