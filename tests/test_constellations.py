@@ -395,15 +395,19 @@ def test_cost_rule_picks_the_pair_scan_for_c16(monkeypatch):
     edges and 136 candidates, so C16^2 ->> C16 takes the pair scan and
     lifts every candidate, while C3^2 ->> C3 (6 edges, 60 candidates)
     takes the cover."""
-    covered = []
-    cut_cover = constellations._cut_cover
+    covered, searched = [], []
+    cut_cover, component = constellations._cut_cover, Dissolver._component
     monkeypatch.setattr(constellations, "_cut_cover", lambda G, *args: (
         covered.append(G.name) or cut_cover(G, *args)))
+    monkeypatch.setattr(Dissolver, "_component", lambda self, mask: (
+        searched.append(mask) or component(self, mask)))
     C16 = group_arg(str(Path(__file__).parent / "golden" / "c16.json"))
     H = extension_group(C16, 2)
     report = dissolves_all(H, C16, detail_limit=0)
     assert covered == [] and report["total"] == report["dissolved"] == 23256
-    assert len(constellations._candidate_pass(C16, 16)[0]) == 136
+    candidates, _ = constellations._candidate_pass(C16, 16)
+    assert sorted(searched) == sorted(m for m, _ in candidates)
+    assert len(candidates) == 136
     report = dissolves_all(group_arg("C3^2"), builtin("C3"), detail_limit=0)
     assert covered == ["C3"] and report["all_dissolved"]
 
