@@ -648,7 +648,7 @@ def _pair_total(candidates: List[Tuple[int, int]], comp0: List[int],
                       int.__sub__)
     held = collections.Counter(v for _, v in candidates)
     return (sum(sum(c for v, c in held.items() if v >> g & 1) ** 2
-                for g in range(width))
+                for g in range(max(held).bit_length()))
             - sum(x * comp0[m].bit_count() for m, x in enumerate(f) if x))
 
 
