@@ -7,12 +7,14 @@ positive edges over a fixed group.
 
 This module holds the signed walk of a word, which path spans, kernel
 rewriting and cocycles read, and the one search of a Cayley graph: a
-breadth-first search of Gamma(H) over its step tables through the
-preimage of an edge set of Gamma(G) under phi: H ->> G (its parent map
-is read by `words.path_label`).  Lifts run it with their quotient's
-canonical morphism and the edge set as an int mask, one bit test per
-edge; components and the two-edge connectivity check run it with H = G,
-phi the identity and a set of edges.  It also computes path
+breadth-first search of Gamma(H) over its step tables through the edges
+whose integer keys lie in a set, one set lookup per edge (its parent map
+is read by `words.path_label`).  Edge keys have one layout, kept in
+`groups` with each group's crossed-edge table `FinGroup.edge_rows()`,
+which keys the edge that each signed letter crosses from each id.
+Components and the two-edge connectivity check search G through G's
+own table; a lift to H ->> G through H's rows keyed by the images of
+their edges in G (`constellations.Dissolver`).  It also computes path
 spans (over any group-like object with n_letters and step, unenumerated
 extension levels included), the covering subgraph of a folded
 basepointed graph (the part of the Cayley graph swept out by paths from
@@ -26,9 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (AbstractSet, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+                    Sequence, Tuple)
 
-from .groups import FinGroup
+from .groups import FinGroup, _edge_keys
 from .stallings import LabeledGraph, breadth_first, transition_maps
 
 Edge = Tuple[int, int]                  # (element id, base letter)
@@ -62,12 +64,8 @@ class CayleySubgraph:
 
 def cayley_graph(G: FinGroup) -> CayleySubgraph:
     """The full Cayley graph: |G| vertices, |G|*|A| positive edges."""
-    return CayleySubgraph(G, range(G.order()), _positive_edges(G))
-
-
-def _positive_edges(G: FinGroup) -> set:
-    """The |G|*|A| positive edges (g, a) of the Cayley graph of G."""
-    return {(g, a) for g in range(G.order()) for a in range(1, G.n_letters + 1)}
+    return CayleySubgraph(G, range(G.order()), {
+        (g, a) for g in range(G.order()) for a in range(1, G.n_letters + 1)})
 
 
 def walk(G, start, w: Sequence[int]) -> Iterator[Tuple[tuple, int, object]]:
@@ -125,29 +123,23 @@ def covering_subgraph(A: LabeledGraph, G: FinGroup) -> CayleySubgraph:
                           frozenset(edges))
 
 
-def search(H: FinGroup, root: int, edges: Union[AbstractSet[Edge], int],
-           phi: Sequence[int], bits: Optional[list] = None
+def search(H: FinGroup, root: int, keys: AbstractSet[int], rows: list
            ) -> Dict[int, Optional[tuple]]:
     """FIFO breadth-first search of the Cayley graph of H from root
-    through the positive edges (h, a) whose image (phi[h], a) lies in
-    edges: the parent map {v: (u, x)} with step(u, x) = v, in discovery
-    order, None at the root.  Rows are tried in the order 1, -1, 2, -2,
-    ...; only edges to unseen vertices are looked up in edges.  With
-    phi the identity it is the component of root in a subgraph.
-
-    edges is a set of edges (g, a), or, given bits, an int edge mask:
-    bits holds (x, row, bit) per row of H, bit[u] the position in the
-    mask of the image of the edge that x crosses from u.  Then each
-    edge is one bit test, with no tuple built or hashed."""
+    through the edges whose keys lie in keys: the parent map {v: (u, x)}
+    with step(u, x) = v, in discovery order, None at the root.  rows
+    holds (x, row, key) per row of H in the order 1, -1, 2, -2, ...,
+    row[u] the vertex that x reaches from u and key[u] the key of the
+    edge it crosses; only edges to unseen vertices are looked up in
+    keys.  With H's own `edge_rows()` it is the component of root in a
+    subgraph; a lift passes rows whose keys are those of the images in
+    its quotient."""
     # not breadth_first: looking up only edges to unseen vertices is fast
-    rows = bits or H.search_rows()
     parent: Dict[int, Optional[tuple]] = {root: None}
     queue = [root]
     for u in queue:
-        for x, row, bit in rows:
-            if (v := row[u]) not in parent and (
-                    edges >> bit[u] & 1 if bit else
-                    ((phi[u], x) if x > 0 else (phi[v], -x)) in edges):
+        for x, row, key in rows:
+            if (v := row[u]) not in parent and key[u] in keys:
                 parent[v] = (u, x)
                 queue.append(v)
     return parent
@@ -167,7 +159,9 @@ def component_of(X: CayleySubgraph, v: int) -> frozenset:
     """The component of v in X."""
     if v not in X.vertices:
         raise ValueError("vertex %r not in subgraph" % (v,))
-    return frozenset(search(X.group, v, X.pos_edges, range(X.group.order())))
+    G = X.group
+    return frozenset(search(G, v, _edge_keys(G.n_letters, X.pos_edges),
+                            G.edge_rows()))
 
 
 def intersect(X: CayleySubgraph, Y: CayleySubgraph) -> CayleySubgraph:
@@ -221,7 +215,8 @@ def connected_without_two_edges(G: FinGroup, e: Edge, f: Edge) -> bool:
                          "property")
     _check_edge_pair(G, e, f)
     n = G.order()
-    return len(search(G, 0, _positive_edges(G) - {e, f}, range(n))) == n
+    keys = set(range(n * G.n_letters)) - _edge_keys(G.n_letters, (e, f))
+    return len(search(G, 0, keys, G.edge_rows())) == n
 
 
 def _check_edge_pair(G: FinGroup, e: Optional[Edge], f: Optional[Edge]):

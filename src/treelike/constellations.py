@@ -68,7 +68,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .cayley import CayleySubgraph, component_of, intersect, path_span, search
-from .groups import EnumerationBudgetError, FinGroup
+from .groups import EnumerationBudgetError, FinGroup, _edge_keys, _edge_of
 from .words import Word, path_label, word_str
 
 EXHAUSTIVE_EDGE_BUDGET = 16
@@ -91,7 +91,9 @@ class Constellation:
             raise ValueError("not a constellation: %s" % problem)
 
     def key(self) -> tuple:
-        """Canonical sort key for deterministic report ordering."""
+        """(sorted edges of X, g, sorted edges of T): a plain value that
+        is equal exactly for equal constellations, by which tests
+        compare them."""
         return (sorted(self.X.pos_edges), self.g, sorted(self.T.pos_edges))
 
 
@@ -132,14 +134,13 @@ def is_constellation(X: CayleySubgraph, g: int, T: CayleySubgraph) -> bool:
 def _candidate_pass(G: FinGroup, edge_budget: int
                     ) -> Tuple[List[Tuple[int, int]], List[int]]:
     """(candidates, comp0) of the exhaustive scan over the int masks m of
-    edge subsets (bit i is edge (i // |A|, i % |A| + 1)).  comp0[m] is
+    edge subsets (bit i is the edge of key i).  comp0[m] is
     the vertex mask of the component of 1 in the span of m; a candidate
     (m, vertex mask) is a connected span containing 1.  Both budgets
     are checked before any pair is visited."""
     _check_edges(G, edge_budget)
     n, k = G.order(), G.n_letters
-    ends = [1 << g | 1 << G.step(g, a)
-            for g in range(n) for a in range(1, k + 1)]
+    ends = _ends(G)
     vmask, comp0 = [0] * (1 << n * k), [1] * (1 << n * k)
     candidates = []
     for m in range(1, 1 << n * k):
@@ -171,6 +172,16 @@ def _check_edges(G: FinGroup, edge_budget: int) -> None:
                                      "scan over %d edges" % edges, "edges")
 
 
+@functools.lru_cache(maxsize=1)
+def _ends(G: FinGroup) -> list:
+    """ends[i], the vertex mask of the two ends of the edge of key i,
+    kept for the last G asked, so that the candidate pass and the cut
+    cover of one scan read one table."""
+    k = G.n_letters
+    return [1 << g | 1 << G.step(g, a) for g, a in
+            map(_edge_of, itertools.repeat(k), range(G.order() * k))]
+
+
 def _bits(mask: int) -> Iterator[int]:
     """Positions of the set bits of mask, ascending: one step per set
     bit, so a sparse mask of a large group decodes in few steps."""
@@ -180,8 +191,8 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _edge_set(mask: int, k: int) -> set:
-    """Edges of an edge mask over k letters: bit i is (i // k, i % k + 1)."""
-    return {(i // k, i % k + 1) for i in _bits(mask)}
+    """Edges of an edge mask over k letters: bit i is the edge of key i."""
+    return {_edge_of(k, i) for i in _bits(mask)}
 
 
 def enumerate_constellations(G: FinGroup,
@@ -393,9 +404,12 @@ class Dissolver:
     """Dissolving checks of one quotient phi: H ->> G over int masks of
     H-ids (bit h for id h), each built by _mask in time linear in |H|.
     fiber[g] holds the ids over g, built at first use; lift(m), memoized
-    in _lifts, the ids of the lift of the edge mask m (edge (g, a) is bit
-    g * |A| + a - 1), searched by testing one bit of m per edge of H at
-    the positions of _bit_rows, which the first search builds."""
+    in _lifts, the ids of the lift of the edge mask m, whose bit i is the
+    edge of G with key i (`groups`, the one home of the edge-key layout).
+    A lift searches H through the keys of m, over _rows: (x, row, keys)
+    per row of H, keys[h] the key of the image of the edge that x crosses
+    from h.  That image is the edge that x crosses from phi[h] in G, so
+    keys is G's `edge_rows()` keys composed with phi."""
 
     def __init__(self, H: FinGroup, G: FinGroup):
         phi = H.canonical_morphism_to(G) if H is not G else list(range(G.order()))
@@ -405,20 +419,13 @@ class Dissolver:
         self.H, self.G, self.phi = H, G, phi
         self.fiber = _Fibers(phi)
         self._lifts: Dict[int, int] = {}
-        self._bit_rows: Optional[list] = None
+        self._rows = [(x, row, list(map(keys.__getitem__, phi)))
+                      for (x, row), (_, _, keys)
+                      in zip(H.rows(), G.edge_rows())]
 
     def _component(self, edge_mask: int) -> Dict[int, Optional[tuple]]:
-        """Search parent map of the lift of the edges in edge_mask.  The
-        first search builds _bit_rows: (x, row, bit) per row of H, bit[h]
-        the edge-mask position of the image of the edge that x crosses
-        from h, (phi[h], x) for x > 0 and (phi[row[h]], -x) for x < 0."""
-        if self._bit_rows is None:
-            k, phi = self.G.n_letters, self.phi
-            self._bit_rows = [(x, row, list(map(
-                range(abs(x) - 1, self.G.order() * k, k).__getitem__,
-                phi if x > 0 else map(phi.__getitem__, row))))
-                for x, row in self.H.rows()]
-        return search(self.H, 0, edge_mask, self.phi, self._bit_rows)
+        """Search parent map of the lift of the edges in edge_mask."""
+        return search(self.H, 0, set(_bits(edge_mask)), self._rows)
 
     def lift(self, edge_mask: int, parent: Optional[dict] = None) -> int:
         """Mask of the H-ids of the component of 1 of the preimage, read
@@ -472,9 +479,9 @@ def _mask(ids: Iterable[int], size: int) -> int:
 
 
 def _edge_mask(X: CayleySubgraph) -> int:
-    """Edge mask of X: edge (g, a) is bit g * |A| + a - 1."""
+    """Edge mask of X: each edge is the bit of its key."""
     k = X.group.n_letters
-    return _mask((g * k + a - 1 for g, a in X.pos_edges), X.group.order() * k)
+    return _mask(_edge_keys(k, X.pos_edges), X.group.order() * k)
 
 
 def dissolves(H: FinGroup, G: FinGroup, c: Constellation) -> DissolveVerdict:
@@ -600,7 +607,7 @@ def _cut_cover(G: FinGroup, candidates: List[Tuple[int, int]],
     grow with their edge sets, so its meet holds that of (X, g, T), and
     if the member dissolves, so does the constellation."""
     n, k = G.order(), G.n_letters
-    ends = [1 << g | 1 << G.step(g, a) for g in range(n) for a in range(1, k + 1)]
+    ends = _ends(G)
     touching = [_mask((i for i, e in enumerate(ends) if e & vs), n * k)
                 for vs in range(1 << n)]    # edges with an end in vs
     every, vertices = (1 << n * k) - 1, (1 << n) - 1

@@ -28,8 +28,9 @@ precisely when the word lies in R^p [R, R].  Hence the model has order
 Enumeration keys.  The enumerated extension, the _ExtGroup of
 fin_group, runs its BFS over packed integer codes, not over
 ExtElements; it is the one place that knows them, and ExtContext deals
-only in ExtElements.  With n = |G| and the edge (v, a) at index
-k = v|A| + a - 1, which is the sorted order of cocycle keys, the pair
+only in ExtElements.  With n = |G| and the edge (v, a) at its key
+k = v|A| + a - 1 (`groups._edge_key`, the one home of the edge-key
+layout), which is the sorted order of cocycle keys, the pair
 (b, c) has code b + n * sum_k c_k p^k.  Codes and canonical ExtElements
 are in bijection, so ids, witnesses and step tables are those of an
 ExtElement BFS; a walk step moves b through the step table of G and
@@ -75,7 +76,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cayley import Edge, borders, component_of, intersect, path_span, walk
 from .constellations import Constellation, require_choice, require_counts
-from .groups import EnumerationBudgetError, FinGroup
+from .groups import EnumerationBudgetError, FinGroup, _edge_key, _edge_of
 from .rewriting import (SpanningTree, exponent_sums, rewrite,
                         spanning_tree_avoiding)
 from .words import Word, concat, invert_word, reduce_word
@@ -232,19 +233,16 @@ class _ExtGroup(FinGroup):
     def code_walk(self) -> tuple:
         """(encode, step) over packed codes, refusing nothing and
         enumerating only G.  The code layout, built once here, holds the
-        units n p^k of the edges k, and per signed letter the base
-        shifts, traversed-edge units and digit sign of a code step."""
+        units n p^k of the edge keys k, and per signed letter the base
+        shifts, the units of the edges crossed (read off G's
+        `edge_rows()`) and the digit sign of a code step."""
         if self._units is None:
-            G, p, k = self._base, self._p, self.n_letters
-            n = G.order()
-            units = [n * p ** i for i in range(n * k)]
-            moves = {}
-            for x, row in G.rows():
-                a = abs(x)
-                tail = range(n) if x > 0 else row    # of the edge crossed
-                moves[x] = ([row[b] - b for b in range(n)],
-                            [units[v * k + a - 1] for v in tail],
-                            1 if x > 0 else -1)
+            G, p, n = self._base, self._p, self._base.order()
+            units = [n * p ** i for i in range(n * self.n_letters)]
+            moves = {x: ([row[b] - b for b in range(n)],
+                         list(map(units.__getitem__, keys)),
+                         1 if x > 0 else -1)
+                     for x, row, keys in G.edge_rows()}
             self._n, self._units, self._moves = n, units, moves
         return self._encode, self._code_step
 
@@ -253,18 +251,17 @@ class _ExtGroup(FinGroup):
 
     def _encode(self, x: ExtElement) -> int:
         units, k = self._units, self.n_letters
-        return x.base + sum(val * units[v * k + a - 1]
+        return x.base + sum(val * units[_edge_key(k, v, a)]
                             for (v, a), val in x.cocycle)
 
     def _decode(self, code: int) -> ExtElement:
         k, p = self.n_letters, self._p
         r, base = divmod(code, self._n)
-        c = []
-        i = 0
+        c, i = [], 0
         while r:
             r, d = divmod(r, p)
             if d:
-                c.append(((i // k, i % k + 1), d))
+                c.append((_edge_of(k, i), d))
             i += 1
         return ExtElement(base, tuple(c))
 

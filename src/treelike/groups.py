@@ -9,6 +9,14 @@ images, acting on the right) cover all builtins; the extension groups of
 the extension module subclass FinGroup with their own enumeration keys
 and key step.  Enumeration is a BFS over key steps; afterwards ids
 multiply through its tables.
+
+Edge keys.  The positive edge (g, a) of the Cayley graph has the key
+g|A| + a - 1 (`_edge_key`, inverted by `_edge_of`): edge masks, spanning
+tree keys and packed extension codes all use this one layout, and no
+other module computes it.  `FinGroup.edge_rows()` is the crossed-edge
+table of a group: per signed letter x, the key of the positive edge
+that x crosses from each id, which searches, spanning trees and the
+code layout of extension groups read in place of the rule.
 """
 
 from __future__ import annotations
@@ -48,6 +56,25 @@ def perm_inv(p: tuple) -> tuple:
     for i, j in enumerate(p):
         out[j] = i
     return tuple(out)
+
+
+def _edge_key(k: int, g: int, a: int) -> int:
+    """Key g|A| + a - 1 of the positive edge (g, a) over k = |A|
+    letters: the one layout of edge keys, which edge masks, spanning
+    tree keys and packed extension codes share.  Keys run over
+    range(|G| |A|) in the order of the edges (g, a)."""
+    return g * k + a - 1
+
+
+def _edge_of(k: int, key: int) -> tuple:
+    """The positive edge (g, a) of a key over k letters: the inverse of
+    _edge_key."""
+    return key // k, key % k + 1
+
+
+def _edge_keys(k: int, edges: Iterable[tuple]) -> set:
+    """The keys of the positive edges (g, a) in edges over k letters."""
+    return {_edge_key(k, g, a) for g, a in edges}
 
 
 class FinGroup:
@@ -96,7 +123,7 @@ class FinGroup:
         self._words: dict = {}                  # witness words asked for
         self._tables: Optional[dict] = None     # signed letter -> successor ids
         self._exponent: Optional[int] = None
-        self._search_rows: Optional[list] = None   # of search_rows()
+        self._edge_rows: Optional[list] = None     # of edge_rows()
 
     @classmethod
     def from_perms(cls, alphabet: Sequence[str], perms: Sequence[tuple],
@@ -208,12 +235,19 @@ class FinGroup:
         self._enumerate()
         return list(self._tables.items())
 
-    def search_rows(self) -> list:
-        """(x, row, None) per row: the rows of `cayley.search` through a
-        set of edges, built at the first call and kept."""
-        if self._search_rows is None:
-            self._search_rows = [(x, row, None) for x, row in self.rows()]
-        return self._search_rows
+    def edge_rows(self) -> list:
+        """(x, row, keys) per row of rows(): keys[i] is the key of the
+        positive edge that x crosses from i, (i, x) for x > 0 and
+        (step(i, x), -x) for x < 0.  These are the rows of
+        `cayley.search`, built at the first call and kept; a positive
+        letter's keys are a range, which stores nothing."""
+        if self._edge_rows is None:
+            k, keys = self.n_letters, range(self.order() * self.n_letters)
+            self._edge_rows = [
+                (x, row, keys[_edge_key(k, 0, x)::k] if x > 0 else
+                 list(map(keys[_edge_key(k, 0, -x)::k].__getitem__, row)))
+                for x, row in self.rows()]
+        return self._edge_rows
 
     def _walk(self, i: int, w: Iterable[int]) -> int:
         """Id reached from id i by walking w through the step tables,

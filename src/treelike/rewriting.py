@@ -10,13 +10,15 @@ basis element in the rewritten word equals the signed traversal count of
 its edge, which is what the border certificates consume.
 
 Each group's base tree is the breadth-first tree of its own
-enumeration, the group's parents() tuple itself; its edge keys are
-sorted once per group and kept while the group lives, so no search of
-the Cayley graph runs and no word is built.  Every other tree is that
-base plus at most two edge exchanges.  An exchange writes the few parent
-entries it reverses into a small overlay, and basis indices are read by
-bisection over the base's sorted edge keys, corrected for the swapped
-keys, so a tree costs its exchanges rather than |G|.
+enumeration, the group's parents() tuple itself; its edge keys, read
+off the group's crossed-edge table (`groups`, the one home of the
+edge-key layout), are sorted once per group and kept while the group
+lives, so no search of the Cayley graph runs and no word is built.
+Every other tree is that base plus at most two edge exchanges.  An
+exchange writes the few parent entries it reverses into a small overlay,
+and basis indices are read by bisection over the base's sorted edge
+keys, corrected for the swapped keys, so a tree costs its exchanges
+rather than |G|.
 """
 
 from __future__ import annotations
@@ -24,19 +26,14 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import count, filterfalse, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cayley import Edge, _check_edge_pair, walk
-from .groups import FinGroup
+from .groups import FinGroup, _edge_key, _edge_keys, _edge_of
 from .stallings import LabeledGraph, _sorted, breadth_first, transition_maps
 from .words import Word, concat, invert_word, path_label
-
-
-def _key(k: int, edge: Edge) -> int:
-    """Integer key g|A| + a - 1 of the positive edge (g, a)."""
-    return edge[0] * k + edge[1] - 1
 
 
 class SpanningTree:
@@ -47,7 +44,7 @@ class SpanningTree:
 
     parent[v] = (u, x) with step(u, x) = v for every non-root vertex;
     tree_edges holds the underlying positive edges and keys their sorted
-    integer keys g|A| + a - 1.  tree_edges, keys, parent and index are
+    integer keys (`groups._edge_key`).  tree_edges, keys, parent and index are
     derived on demand; a tree without exchanges hands out its base's
     tuples.
     Two trees are equal when their groups and parent maps are.
@@ -94,8 +91,7 @@ class SpanningTree:
     @cached_property
     def tree_edges(self) -> frozenset:
         """The positive edges of the tree."""
-        k = self._k
-        return frozenset((key // k, key % k + 1) for key in self.keys)
+        return frozenset(map(partial(_edge_of, self._k), self.keys))
 
     @cached_property
     def index(self) -> Dict[Edge, int]:
@@ -112,7 +108,7 @@ class SpanningTree:
         the number of tree keys below it, or None for a tree edge.  The
         base keys below it are counted by bisection, then each swap
         takes its cut key out and puts its link key in."""
-        key = _key(self._k, edge)
+        key = _edge_key(self._k, *edge)
         keys = self._base_keys
         i = bisect_left(keys, key)
         tree = i < len(keys) and keys[i] == key
@@ -138,24 +134,26 @@ _DISCONNECTED = "deleting the given edges disconnects the Cayley graph"
 def _base(G: FinGroup) -> Tuple[tuple, tuple]:
     """G.parents(), the tree of G's enumeration, which is the tree a
     breadth-first search from 1 trying the rows in the order 1, -1, 2,
-    -2, ... would find, and the sorted keys of its edges."""
+    -2, ... would find, and the sorted keys of its edges, read off G's
+    `edge_rows()`."""
     base = _BASES.get(G)
     if base is None:
-        parent, k = G.parents(), G.n_letters
-        keys = sorted(_key(k, (u, x) if x > 0 else (v, -x))
-                      for v, (u, x) in enumerate(parent[1:], 1))
+        parent = G.parents()
+        crossed = {x: keys for x, _, keys in G.edge_rows()}
+        keys = sorted(crossed[x][u] for u, x in parent[1:])
         base = _BASES[G] = (parent, tuple(keys))
     return base
 
 
-def _exchange(G: FinGroup, base: tuple, overlay: dict, cut: Edge, e: Edge,
-              f: Edge) -> Optional[Edge]:
+def _exchange(G: FinGroup, base: tuple, overlay: dict, cut: Edge,
+              avoid: set) -> Optional[int]:
     """Replace the tree edge cut of the tree base + overlay by the first
-    edge, other than e and f, that leaves the subtree below it, scanning
-    that subtree breadth-first in row order; the subtree hangs from the
-    new edge by reversing the parent pointers from the attaching vertex
-    up to its root, which are written into overlay.  Returns the new
-    edge, or None when cut is not a tree edge."""
+    edge, other than the edges of the keys in avoid, that leaves the
+    subtree below it, scanning that subtree breadth-first in row order;
+    the subtree hangs from the new edge by reversing the parent pointers
+    from the attaching vertex up to its root, which are written into
+    overlay.  Returns the key of the new edge, or None when cut is not a
+    tree edge."""
 
     def parent(v: int) -> Optional[tuple]:
         return overlay.get(v) or base[v]
@@ -177,21 +175,20 @@ def _exchange(G: FinGroup, base: tuple, overlay: dict, cut: Edge, e: Edge,
             v = up[0]
         return True
 
-    rows = G.rows()
+    rows = G.edge_rows()
     queue = [root]
     for u in queue:
-        for x, row in rows:
+        for x, row, keys in rows:
             v = row[u]
             if parent(v) == (u, x):
                 queue.append(v)
                 continue
-            d = (u, x) if x > 0 else (v, -x)
-            if d != e and d != f and not below(v):
+            if keys[u] not in avoid and not below(v):
                 link, cur = (v, -x), u
                 while True:
                     link, overlay[cur] = parent(cur), link
                     if cur == root:
-                        return d
+                        return keys[u]
                     cur, link = link[0], (cur, -link[1])
     raise ValueError(_DISCONNECTED)
 
@@ -209,13 +206,13 @@ def spanning_tree_avoiding(G: FinGroup, e: Optional[Edge] = None,
     and copies nothing of the size of G."""
     _check_edge_pair(G, e, f)
     parent, keys = _base(G)
-    k = G.n_letters
+    avoid = _edge_keys(G.n_letters, filter(None, (e, f)))
     overlay: Dict[int, tuple] = {}
     swaps = []
     for d in filter(None, (e, f)):
-        link = _exchange(G, parent, overlay, d, e, f)
+        link = _exchange(G, parent, overlay, d, avoid)
         if link is not None:
-            swaps.append((_key(k, d), _key(k, link)))
+            swaps.append((_edge_key(G.n_letters, *d), link))
     return SpanningTree(G, parent, keys, overlay, swaps)
 
 

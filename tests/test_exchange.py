@@ -291,7 +291,8 @@ def test_base_tree_is_the_breadth_first_search_tree(name):
     parent, keys = rewriting._base(G)
     want = search_tree(G)
     assert parent == want.parent and keys == want.keys
-    searched = search(G, 0, cayley_graph(G).pos_edges, range(G.order()))
+    searched = search(G, 0, set(range(G.order() * G.n_letters)),
+                      G.edge_rows())
     assert parent == tuple(map(searched.get, range(G.order())))
     tree = spanning_tree_avoiding(G)
     assert tree.tree_edges == want.tree_edges and tree == want

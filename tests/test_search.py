@@ -10,7 +10,7 @@ the exchange order as well.
 `components` is checked against an independent union-find, and the
 search itself against its contract and against `_predicate_search`, a
 reference copy of the earlier search that took a predicate in place of
-an edge set and a morphism.  To rewrite that file after an intended
+a set of edge keys and rows of crossed-edge keys.  To rewrite that file after an intended
 change of content, run `PYTHONPATH=src python tests/test_search.py`
 from the repository root.
 """
@@ -41,6 +41,15 @@ def _group(name):
 
 def _edges(G):
     return sorted(cayley_graph(G).pos_edges)
+
+
+def _key(k, g, a):
+    """The key g|A| + a - 1 of the positive edge (g, a) over k letters."""
+    return g * k + a - 1
+
+
+def _keys(G, edges):
+    return {_key(G.n_letters, g, a) for g, a in edges}
 
 
 def _trees(name) -> dict:
@@ -138,8 +147,8 @@ class _CountingSet(set):
 def test_search_parent_map(name):
     G = _group(name)
     root = G.order() - 1
-    edges = _CountingSet(_edges(G))
-    parent = search(G, root, edges, range(G.order()))
+    edges = _CountingSet(_keys(G, _edges(G)))
+    parent = search(G, root, edges, G.edge_rows())
     # only edges to unseen vertices are looked up, so each discovers one
     assert len(edges.asked) == G.order() - 1
     assert next(iter(parent)) == root and parent[root] is None
@@ -154,7 +163,7 @@ def test_search_parent_map(name):
 def test_search_admits_only_accepted_edges():
     G = _group("D4")
     blocked = set(random.Random(3).sample(_edges(G), 6))
-    parent = search(G, 0, set(_edges(G)) - blocked, range(G.order()))
+    parent = search(G, 0, _keys(G, set(_edges(G)) - blocked), G.edge_rows())
     for v, p in parent.items():
         if p is not None:
             u, x = p
@@ -185,14 +194,15 @@ def _seeded_edge_sets(G, seed, count=30):
             for keep in (rng.random() for _ in range(count))]
 
 
-def _same_search(H, root, edges, phi):
-    """Assert that search and the reference give the same parent map in
-    the same order, and look up the same images in the same order."""
-    looked = _CountingSet(edges)
+def _same_search(H, root, edges, phi, rows):
+    """Assert that search through rows and the reference, which maps
+    each edge by phi, give the same parent map in the same order, and
+    look up the keys of the same images in the same order."""
+    looked = _CountingSet(_keys(H, edges))
     admitted = []
-    parent = search(H, root, looked, phi)
+    parent = search(H, root, looked, rows)
     want = _predicate_search(
-        H, root, lambda e: admitted.append((phi[e[0]], e[1]))
+        H, root, lambda e: admitted.append(_key(H.n_letters, phi[e[0]], e[1]))
         or (phi[e[0]], e[1]) in edges)
     assert list(parent.items()) == list(want.items())
     assert looked.asked == admitted
@@ -203,20 +213,22 @@ def test_search_matches_reference_on_subgraphs(name):
     G = _group(name)
     rng = random.Random(23)
     for edges in _seeded_edge_sets(G, 17):
-        _same_search(G, rng.randrange(G.order()), edges, range(G.order()))
+        _same_search(G, rng.randrange(G.order()), edges, range(G.order()),
+                     G.edge_rows())
 
 
 @pytest.mark.parametrize("name", ("C3^2", "S3^2", "C2xC2^2"))
 def test_search_matches_reference_on_lifts(name):
-    """Lifts to H = G^2, the universal C_2-extension of G: an inverse
-    letter x < 0 from u to v reads the edge (phi[v], -x), not (phi[u],
-    -x)."""
+    """Lifts to H = G^2, the universal C_2-extension of G, searched
+    through Dissolver's own rows: an inverse letter x < 0 from u to v
+    reads the edge (phi[v], -x), not (phi[u], -x)."""
     G, H = builtin(name[:-2]), _group(name)
     phi = H.canonical_morphism_to(G)
+    rows = Dissolver(H, G)._rows
     rng = random.Random(29)
     for edges in _seeded_edge_sets(G, 19):
-        _same_search(H, 0, edges, phi)
-        _same_search(H, rng.randrange(H.order()), edges, phi)
+        _same_search(H, 0, edges, phi, rows)
+        _same_search(H, rng.randrange(H.order()), edges, phi, rows)
 
 
 if __name__ == "__main__":

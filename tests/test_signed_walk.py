@@ -3,6 +3,9 @@
 `cayley.walk` is the one walk of a word through a Cayley graph; path
 spans, kernel rewriting and cocycles must read it edge by edge, and a
 path span runs over an unenumerated extension level as well.  The
+crossed-edge table `FinGroup.edge_rows()`, which searches, spanning
+trees and packed extension codes read in place of the walk, must key
+the edge that the walk crosses, in the layout of `groups._edge_key`.  The
 readers of `stallings.transition_maps` (basis words, canonical forms,
 completions, transition groups, the product automaton) are compared
 with values frozen in tests/golden/signed_maps.json, and the covering
@@ -20,9 +23,10 @@ import pytest
 
 from test_exchange import search_tree
 from test_stallings import canonical_form
-from treelike.cayley import covering_subgraph, path_span, walk
+from treelike.cayley import cayley_graph, covering_subgraph, path_span, walk
+from treelike.cli import group_arg
 from treelike.extension import ExtContext, extension_group
-from treelike.groups import FinGroup, builtin
+from treelike.groups import FinGroup, _edge_key, _edge_of, builtin
 from treelike.rational import ProductAutomaton
 from treelike.rewriting import graph_subgroup_basis, rewrite, spanning_tree_avoiding
 from treelike.stallings import (complete_arbitrary, stallings_graph,
@@ -33,6 +37,8 @@ from treelike.words import random_reduced_word
 GOLDEN = Path(__file__).resolve().parent / "golden" / "signed_maps.json"
 GRAPH_SEEDS = range(8)
 GROUPS = ("C2xC2", "S3", "D4")
+# the golden c16.json has one letter
+TABLE_GROUPS = ("C3", "S3", "D4", "A5", "C2xC2^2", "S3^2", "c16.json")
 
 
 def _folded_graph(seed):
@@ -81,6 +87,37 @@ def test_walk_steps_signed_edges():
             assert nxt == G.step(cur, x)
             assert (edge, sign) == (((cur, x), 1) if x > 0 else ((nxt, -x), -1))
             cur = nxt
+
+
+def _table_group(name):
+    return group_arg(str(GOLDEN.parent / name) if name.endswith(".json")
+                     else name)
+
+
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+def test_edge_rows_key_the_edge_walk_crosses(name):
+    G = _table_group(name)
+    k = G.n_letters
+    rows = G.edge_rows()
+    assert [(x, row) for x, row, _ in rows] == G.rows()
+    for x, row, keys in rows:
+        assert len(keys) == G.order()
+        for u in range(G.order()):
+            [(edge, _, v)] = walk(G, u, (x,))
+            assert row[u] == v and keys[u] == _edge_key(k, *edge)
+
+
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+def test_edge_keys_round_trip(name):
+    """Key -> edge -> key and edge -> key -> edge on every positive
+    edge; the keys of the edges (g, a) in sorted order are 0, 1, 2, ..."""
+    G = _table_group(name)
+    k = G.n_letters
+    edges = sorted(cayley_graph(G).pos_edges)
+    keys = [_edge_key(k, g, a) for g, a in edges]
+    assert keys == list(range(G.order() * k))
+    assert [_edge_of(k, key) for key in keys] == edges
+    assert [_edge_key(k, *_edge_of(k, key)) for key in keys] == keys
 
 
 def test_path_span_counts_follow_walk():
